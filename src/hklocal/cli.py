@@ -74,7 +74,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _vector_csv(graph: Graph, members: np.ndarray, values: np.ndarray) -> str:
@@ -129,13 +129,17 @@ def _load_problem(args: argparse.Namespace) -> BoundaryProblem:
     return make_boundary_problem(graph, b, subset)
 
 
-def _attach_bounds(doc: dict, report, problem: BoundaryProblem) -> None:
-    """Evaluate the concrete error bounds when the dense oracle is available."""
+def _attach_bounds(doc: dict, report, problem: BoundaryProblem, op=None) -> None:
+    """Evaluate the concrete error bounds when the dense oracle is available.
+
+    ``op`` is the restricted operator when the caller has already built it.
+    """
     s = problem.subset.size
-    if s > DENSE_SIZE_LIMIT:
-        log.info("subset size %d beyond the dense backend; skipping bound evaluation", s)
-        return
-    op = restricted_operator(problem.graph, problem.subset)
+    if op is None:
+        if s > DENSE_SIZE_LIMIT:
+            log.info("subset size %d beyond the dense backend; skipping bound evaluation", s)
+            return
+        op = restricted_operator(problem.graph, problem.subset)
     x_s = exact_local_solution(problem, operator=op)
     sched = make_schedule(s, report.schedule.gamma, epsilon=report.schedule.epsilon)
     x_rie = riemann_sum_solution(problem, sched, operator=op)
@@ -190,10 +194,13 @@ def _cmd_solve_exact(args: argparse.Namespace) -> int:
 
 def _cmd_solve_local(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
-    report = local_linear_solver(problem, args.gamma, seed=args.seed, workers=args.workers)
+    op = restricted_operator(problem.graph, problem.subset)
+    report = local_linear_solver(
+        problem, args.gamma, seed=args.seed, workers=args.workers, operator=op
+    )
     doc = report_to_json(report, problem)
     doc["command"] = "solve-local"
-    _attach_bounds(doc, report, problem)
+    _attach_bounds(doc, report, problem, op)
     _emit(_json_doc(doc), args.out)
     return EXIT_OK
 
@@ -253,6 +260,18 @@ def _cmd_sweep_norms(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hklocal",
@@ -268,7 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mc_parent = argparse.ArgumentParser(add_help=False)
     mc_parent.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    mc_parent.add_argument("--workers", type=int, default=1, help="parallel sampling workers")
+    mc_parent.add_argument("--workers", type=_int_at_least(1), default=1,
+                           help="accepted for compatibility, at least 1; sampling is "
+                                "serial and the value does not change the output")
     mc_parent.add_argument(
         "--constant-override",
         type=float,
@@ -304,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="CSV of L1 norm and max |entry| of exact pagerank over a log t-grid")
     p.add_argument("--gamma", type=float, default=0.01,
                    help="sets the grid ceiling T (default %(default)s)")
-    p.add_argument("--points", type=int, default=200, help="grid size (default %(default)s)")
+    p.add_argument("--points", type=_int_at_least(2), default=200,
+                   help="grid size, at least 2 (default %(default)s)")
     return parser
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +27,7 @@ from .walks import (
     DEFAULT_SAMPLE_CONSTANT,
     PHASE_SCHEDULE,
     WalkStats,
+    _check_workers,
     solver_approx_dirhkpr,
     substream,
 )
@@ -238,32 +238,6 @@ def riemann_sum_solution(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _collect_rows(compute_row, r: int, s: int, workers: int) -> np.ndarray:
-    """Fill an (r, s) array with per-sample rows, chunked across workers.
-
-    Rows land at their own index, so the fixed-order reduction afterwards is
-    identical for every worker count.
-    """
-    rows = np.zeros((r, s), dtype=np.float64)
-
-    def run_chunk(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rows[i] = compute_row(i)
-
-    if workers <= 1 or r < 2 * workers:
-        run_chunk(0, r)
-    else:
-        bounds = np.linspace(0, r, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_chunk, int(bounds[w]), int(bounds[w + 1]))
-                for w in range(workers)
-            ]
-            for f in futures:
-                f.result()
-    return rows
-
-
 def local_linear_solver(
     problem: BoundaryProblem,
     gamma: float,
@@ -279,21 +253,23 @@ def local_linear_solver(
     rho of b2 at each, and returns (1 / r) sum_i (gamma / P(j_i)) rho_{t_i}
     carried back through D^{-1/2}.  Its mean is the Riemann sum x_rie, and
     with probability at least 1 - gamma the error is within
-    gamma * (||b1|| + ||x_S|| + ||x_rie||).
+    gamma * (||b1|| + ||x_S|| + ||x_rie||).  Through the eigenbasis that
+    average is V (c * V^T b1) with c = (1 / r) sum_i w_i exp(-t_i lambda),
+    which is how it is computed.  ``workers`` must be at least 1 and does
+    not change the output.
     """
     start = time.perf_counter()
+    _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     schedule = make_schedule(op.s, gamma, seed=seed, rate=op.lambda1)
     ts = np.zeros(schedule.r_outer, dtype=np.float64)
-
-    def row(i: int) -> np.ndarray:
-        rng = substream(schedule.master_seed, PHASE_SCHEDULE, i)
-        t, weight = draw_weighted_t(schedule, rng)
+    decay = np.zeros(op.s, dtype=np.float64)
+    for i in range(schedule.r_outer):
+        t, weight = draw_weighted_t(schedule, substream(schedule.master_seed, PHASE_SCHEDULE, i))
         ts[i] = t
-        return weight * exact_dirhkpr(op, t, problem.b2)
-
-    rows = _collect_rows(row, schedule.r_outer, op.s, workers)
-    x_hat = rows.sum(axis=0) / schedule.r_outer * op.inv_sqrt_degrees
+        decay += weight * np.exp(-t * op.eigenvalues)
+    decay /= schedule.r_outer
+    x_hat = op.eigenvectors @ (decay * (op.eigenvectors.T @ problem.b1))
     return SolveReport(
         x_hat=x_hat,
         sampled_ts=ts,
@@ -326,19 +302,21 @@ def greens_solver(
     ``t_prime`` is not passed: samples at t at or past t' contribute zero
     without simulating any walk.  Error is within
     gamma * (||b1|| + ||x_S|| + ||x_rie||) + epsilon * ||b2||_1 with
-    probability at least 1 - gamma.
+    probability at least 1 - gamma.  Samples run serially in index order;
+    ``workers`` must be at least 1 and does not change the output.
     """
     start = time.perf_counter()
+    _check_workers(workers)
     subset = problem.subset
     lambda1 = estimate_lambda1(problem.graph, subset)
     if t_prime is None and restricted_range:
         t_prime = restricted_threshold(lambda1, epsilon)
     schedule = make_schedule(subset.size, gamma, epsilon=epsilon, seed=seed, rate=lambda1)
     ts = np.zeros(schedule.r_outer, dtype=np.float64)
-    stats_by_sample = [WalkStats() for _ in range(schedule.r_outer)]
-    skipped = np.zeros(schedule.r_outer, dtype=bool)
-
-    def row(i: int) -> np.ndarray:
+    totals = WalkStats()
+    skipped = 0
+    acc = np.zeros(subset.size, dtype=np.float64)
+    for i in range(schedule.r_outer):
         rng = substream(schedule.master_seed, PHASE_SCHEDULE, i)
         t, weight = draw_weighted_t(schedule, rng)
         ts[i] = t
@@ -346,19 +324,14 @@ def greens_solver(
         # simulated samples match between restricted and full runs.
         child_seed = int(rng.integers(0, 2**63))
         if restricted_range and t_prime is not None and t >= t_prime:
-            skipped[i] = True
-            return np.zeros(subset.size, dtype=np.float64)
-        return weight * solver_approx_dirhkpr(
+            skipped += 1
+            continue
+        acc += weight * solver_approx_dirhkpr(
             problem.graph, t, problem.b2, subset, epsilon, child_seed,
-            constant=constant, stats=stats_by_sample[i],
+            constant=constant, stats=totals,
         )
-
-    rows = _collect_rows(row, schedule.r_outer, subset.size, workers)
     inv_sqrt_deg = 1.0 / np.sqrt(problem.degrees_s.astype(np.float64))
-    x_hat = rows.sum(axis=0) / schedule.r_outer * inv_sqrt_deg
-    totals = WalkStats()
-    for st in stats_by_sample:
-        totals.merge(st)
+    x_hat = acc / schedule.r_outer * inv_sqrt_deg
     if restricted_range and t_prime is not None:
         schedule = replace(schedule, t_prime=t_prime)
     return SolveReport(
@@ -371,7 +344,7 @@ def greens_solver(
         method="greens-solver",
         walks_started=totals.walks_started,
         walks_aborted=totals.walks_aborted,
-        samples_skipped=int(skipped.sum()),
+        samples_skipped=skipped,
     )
 
 

@@ -1,16 +1,16 @@
 """Dirichlet random walks and Monte-Carlo heat-kernel pagerank estimators.
 
-Walks use full-graph transition probabilities and are aborted the moment
-they step outside the subset; aborted walks contribute nothing.  Every
-sampling round draws from its own counter-based substream keyed by
-(master seed, phase, sample index), so results are bit-identical for any
-worker count and any execution order.
+Walks step to uniformly chosen neighbors in the full graph and are aborted
+the moment they step outside the subset; aborted walks contribute nothing.
+Every sampling round draws from its own counter-based substream keyed by
+(master seed, phase, sample index), and rounds run serially in index order.
+The ``workers`` arguments are accepted and must be at least 1, but they do
+not change the output or how it is computed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -133,11 +133,6 @@ class WalkStats:
     steps_simulated: int = 0
     walks_aborted: int = 0
 
-    def merge(self, other: "WalkStats") -> None:
-        self.walks_started += other.walks_started
-        self.steps_simulated += other.steps_simulated
-        self.walks_aborted += other.walks_aborted
-
 
 def sample_poisson(t: float, rng: np.random.Generator) -> int:
     """Draw a Poisson(t) walk length; t = 0 is the degenerate point mass at 0."""
@@ -180,34 +175,9 @@ def dirichlet_walk(
     return cur
 
 
-def _phase_rounds(
-    graph: Graph,
-    subset: VertexSubset,
-    t: float,
-    cap: int | None,
-    cdf: np.ndarray,
-    support_local: np.ndarray,
-    master_seed: int,
-    phase: int,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, WalkStats]:
-    """Rounds [lo, hi) of one signed phase; returns terminal-vertex counts."""
-    counts = np.zeros(subset.size, dtype=np.int64)
-    stats = WalkStats()
-    members = subset.members
-    local_of = subset.local_of
-    for i in range(lo, hi):
-        rng = substream(master_seed, phase, i)
-        pick = int(np.searchsorted(cdf, rng.random(), side="right"))
-        start = int(members[support_local[min(pick, len(support_local) - 1)]])
-        k = sample_poisson(t, rng)
-        if cap is not None:
-            k = min(k, cap)
-        terminal = dirichlet_walk(graph, subset, start, k, rng, stats)
-        if terminal is not None:
-            counts[local_of[terminal]] += 1
-    return counts, stats
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _run_phase(
@@ -220,31 +190,23 @@ def _run_phase(
     r: int,
     master_seed: int,
     phase: int,
-    workers: int,
-) -> tuple[np.ndarray, WalkStats]:
+    stats: WalkStats | None,
+) -> np.ndarray:
+    """All r rounds of one signed phase; returns terminal-vertex counts."""
     support_local = np.flatnonzero(part)
     cdf = np.cumsum(part[support_local]) / norm
-    if workers <= 1 or r < 2 * workers:
-        return _phase_rounds(
-            graph, subset, t, cap, cdf, support_local, master_seed, phase, 0, r
-        )
-    bounds = np.linspace(0, r, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _phase_rounds,
-                graph, subset, t, cap, cdf, support_local, master_seed, phase,
-                int(bounds[w]), int(bounds[w + 1]),
-            )
-            for w in range(workers)
-        ]
-        results = [f.result() for f in futures]
     counts = np.zeros(subset.size, dtype=np.int64)
-    stats = WalkStats()
-    for chunk_counts, chunk_stats in results:
-        counts += chunk_counts
-        stats.merge(chunk_stats)
-    return counts, stats
+    for i in range(r):
+        rng = substream(master_seed, phase, i)
+        pick = int(np.searchsorted(cdf, rng.random(), side="right"))
+        start = int(subset.members[support_local[min(pick, len(support_local) - 1)]])
+        k = sample_poisson(t, rng)
+        if cap is not None:
+            k = min(k, cap)
+        terminal = dirichlet_walk(graph, subset, start, k, rng, stats)
+        if terminal is not None:
+            counts[subset.local_of[terminal]] += 1
+    return counts
 
 
 def _mc_dirhkpr(
@@ -259,6 +221,7 @@ def _mc_dirhkpr(
     constant: float,
     stats: WalkStats | None,
 ) -> np.ndarray:
+    _check_workers(workers)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if t <= 0:
@@ -277,14 +240,11 @@ def _mc_dirhkpr(
     ):
         if norm == 0.0:
             continue
-        counts, phase_stats = _run_phase(
-            graph, subset, t, config.cap, part, norm, config.r,
-            master_seed, phase, workers,
+        counts = _run_phase(
+            graph, subset, t, config.cap, part, norm, config.r, master_seed, phase, stats
         )
         # Surviving walks each deposit the signed L1 mass of their part.
         rho += counts * (sign * norm / config.r)
-        if stats is not None:
-            stats.merge(phase_stats)
     return rho
 
 
@@ -311,8 +271,9 @@ def approx_dirhkpr(
     Parameters
     ----------
     epsilon : accuracy/confidence knob in (0, 1).
-    master_seed : 64-bit stream key; fixed seed gives bit-identical output
-        for any ``workers`` value.
+    master_seed : 64-bit stream key; a fixed seed gives bit-identical output.
+    workers : accepted for compatibility and must be at least 1; walks run
+        serially and the value does not change the output.
     cap_mode : test hook; "none" removes the length cap.
     """
     return _mc_dirhkpr(

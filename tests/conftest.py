@@ -139,6 +139,54 @@ def harmonic_solve(problem: hk.BoundaryProblem) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
+def reference_vertex_boundary(graph: hk.Graph, subset: hk.VertexSubset) -> np.ndarray:
+    """Literal-loop vertex boundary: outside neighbors of members, sorted."""
+    hit = set()
+    for v in subset.members:
+        for u in graph.neighbors(int(v)):
+            if not subset.mask[u]:
+                hit.add(int(u))
+    return np.array(sorted(hit), dtype=np.int64)
+
+
+def reference_is_connected(graph: hk.Graph, subset: hk.VertexSubset) -> bool:
+    """Literal-loop depth-first search of the induced subgraph on S."""
+    if subset.size == 0:
+        return False
+    root = int(subset.members[0])
+    seen = {root}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for u in graph.neighbors(v):
+            u = int(u)
+            if subset.mask[u] and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == subset.size
+
+
+def reference_b1(graph: hk.Graph, b: dict, subset: hk.VertexSubset) -> np.ndarray:
+    """Literal-loop fold of b into S, adding each member's terms by ascending u."""
+    b1 = np.zeros(subset.size)
+    for i, v in enumerate(subset.members):
+        for u in graph.neighbors(int(v)):
+            if not subset.mask[u]:
+                b1[i] += float(b.get(int(u), 0.0)) / math.sqrt(graph.degrees[v] * graph.degrees[u])
+    return b1
+
+
+def reference_laplacian(graph: hk.Graph, subset: hk.VertexSubset) -> np.ndarray:
+    """Literal-loop restricted normalized Laplacian of S."""
+    lap = np.eye(subset.size)
+    for i, v in enumerate(subset.members):
+        for u in graph.neighbors(int(v)):
+            if subset.mask[u]:
+                j = int(subset.local_of[u])
+                lap[i, j] = -1.0 / math.sqrt(float(graph.degrees[v]) * float(graph.degrees[u]))
+    return lap
+
+
 def is_eps_approx(estimate: np.ndarray, truth: np.ndarray, eps: float) -> bool:
     """Relative error <= eps on reported entries; zeros only where truth <= eps."""
     for est, true in zip(estimate, truth):

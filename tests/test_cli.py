@@ -120,6 +120,41 @@ class TestSolveCommands:
         assert len(stripped) == 1
 
 
+class TestRejectedInput:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_boundary_exits_one(self, p4_files, tmp_path, capsys, value):
+        bad = tmp_path / "nonfinite.txt"
+        bad.write_text(f"# values\n0 {value}\n")
+        assert run(["solve-exact", *_io_args(dict(p4_files, boundary=str(bad)))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err
+
+    @pytest.mark.parametrize("kind, text", [
+        ("graph", "0 1\n1 2\n2 9223372036854775808\n"),
+        ("subset", "1\n18446744073709551616\n"),
+        ("boundary", "0 1.0\n9223372036854775808 2.0\n"),
+    ])
+    def test_id_beyond_int64_exits_one(self, p4_files, tmp_path, capsys, kind, text):
+        bad = tmp_path / f"huge_{kind}.txt"
+        bad.write_text(text)
+        assert run(["validate", *_io_args(dict(p4_files, **{kind: str(bad)}))]) == 1
+        assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-local", "--gamma", "0.2", "--workers", "0"],
+        ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--workers", "-3"],
+        ["hkpr-approx", "--t", "1.0", "--eps", "0.3", "--workers", "0"],
+        ["sweep-norms", "--points", "1"],
+        ["sweep-norms", "--points", "0"],
+    ])
+    def test_bad_counts_exit_two(self, p4_files, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], *_io_args(p4_files), *argv[1:]])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+
 class TestVectorCommands:
     def test_hkpr_exact_csv(self, p4_files, capsys):
         assert run(["hkpr-exact", *_io_args(p4_files), "--t", "1.0"]) == 0

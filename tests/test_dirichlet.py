@@ -25,7 +25,6 @@ class TestRestrictedOperator:
     def test_p4_matrix_and_spectrum(self, p4_op):
         assert p4_op.laplacian.tolist() == [[1.0, -0.5], [-0.5, 1.0]]
         assert p4_op.eigenvalues == pytest.approx([0.5, 1.5], abs=1e-14)
-        assert p4_op.transition.tolist() == [[0.0, 0.5], [0.5, 0.0]]
 
     def test_p3_singleton(self, p3_op):
         assert p3_op.laplacian.tolist() == [[1.0]]
@@ -43,9 +42,15 @@ class TestRestrictedOperator:
             assert op.eigenvalues[-1] <= 2.0 + 1e-12
 
     def test_reconstruction(self, dolphins_problem):
-        op = hk.restricted_operator(dolphins_problem.graph, dolphins_problem.subset)
-        recon = (op.eigenvectors * op.eigenvalues) @ op.eigenvectors.T
-        assert np.max(np.abs(recon - op.laplacian)) < 1e-10
+        rng = np.random.default_rng(13)
+        problems = [dolphins_problem] + [
+            random_problem(rng, random_connected_graph(rng, int(rng.integers(3, 40))))
+            for _ in range(20)
+        ]
+        for prob in problems:
+            op = hk.restricted_operator(prob.graph, prob.subset)
+            recon = (op.eigenvectors * op.eigenvalues) @ op.eigenvectors.T
+            assert np.max(np.abs(recon - op.laplacian)) < 1e-10
 
     def test_disconnected_rejected(self, p4_graph):
         sub = hk.VertexSubset.from_iterable([0, 3], p4_graph.n)

@@ -287,6 +287,16 @@ class TestGreensSolver:
             assert np.all(np.abs(mean - truth) <= 4.0 * sigma + 0.02)
 
 
+def test_workers_below_one_rejected(p4_problem, p4_op):
+    with pytest.raises(ValueError, match="workers"):
+        hk.local_linear_solver(p4_problem, 0.2, seed=0, workers=0, operator=p4_op)
+    with pytest.raises(ValueError, match="workers"):
+        hk.greens_solver(p4_problem, 0.25, 0.4, seed=0, workers=-1)
+    with pytest.raises(ValueError, match="workers"):
+        hk.approx_dirhkpr(p4_problem.graph, 1.0, p4_problem.b2, p4_problem.subset, 0.3,
+                          master_seed=0, workers=0)
+
+
 class TestErrorBound:
     def test_p4_terms(self, p4_problem, p4_op):
         rep = hk.local_linear_solver(p4_problem, 0.1, seed=0, operator=p4_op)
