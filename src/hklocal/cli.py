@@ -294,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--constant-override",
         type=float,
         default=DEFAULT_SAMPLE_CONSTANT,
-        help="leading constant in the walk-round count (default %(default)s)",
+        help="leading constant in the per-part walk count (default %(default)s)",
     )
 
     sub.add_parser("validate", parents=[io_parent], help="check the boundary-problem conditions")

@@ -20,9 +20,9 @@ from .graph import (
     BoundaryProblem,
     Graph,
     VertexSubset,
+    _is_connected,
     _restrict,
-    is_connected_induced,
-    vertex_boundary,
+    _Slice,
 )
 
 __all__ = [
@@ -110,7 +110,7 @@ def _check_spectrum(eigenvalues: np.ndarray, s: int) -> None:
         raise SpectrumError(f"bottom eigenvalue {lam1!r} below the size floor {floor!r}")
 
 
-def _coupling(graph: Graph, subset: VertexSubset) -> tuple[np.ndarray, ...]:
+def _coupling(graph: Graph, subset: VertexSubset, sl: _Slice) -> tuple[np.ndarray, ...]:
     """Degrees of S and the off-diagonal couplings of its restricted adjacency.
 
     Returns ``(degrees, i, j, w)`` with w = 1 / sqrt(d_i d_j) for every
@@ -119,9 +119,8 @@ def _coupling(graph: Graph, subset: VertexSubset) -> tuple[np.ndarray, ...]:
     degrees = graph.degrees[subset.members].astype(np.float64)
     if np.any(degrees == 0):
         raise ValueError("subset contains isolated vertices")
-    rows, _, cols = _restrict(graph, subset)
-    inside = cols >= 0
-    i, j = rows[inside], cols[inside]
+    inside = sl.cols >= 0
+    i, j = sl.rows[inside], sl.cols[inside]
     return degrees, i, j, 1.0 / np.sqrt(degrees[i] * degrees[j])
 
 
@@ -137,11 +136,12 @@ def restricted_operator(graph: Graph, subset: VertexSubset) -> DirichletOperator
         raise ValueError("empty subset")
     if s > DENSE_SIZE_LIMIT:
         raise CapacityError(f"subset size {s} exceeds dense limit {DENSE_SIZE_LIMIT}")
-    if not is_connected_induced(graph, subset):
+    sl = _restrict(graph, subset)
+    if not _is_connected(s, sl):
         raise ValueError("induced subgraph on S is not connected")
-    if len(vertex_boundary(graph, subset)) == 0:
+    if not np.any(sl.cols < 0):
         raise ValueError("vertex boundary of S is empty")
-    degrees, i, j, w = _coupling(graph, subset)
+    degrees, i, j, w = _coupling(graph, subset, sl)
     lap = np.eye(s, dtype=np.float64)
     lap[i, j] = -w
     eigenvalues, eigenvectors = np.linalg.eigh(lap)
@@ -222,7 +222,7 @@ def estimate_lambda1(
     s = subset.size
     if s == 0:
         raise ValueError("empty subset")
-    _, ri, ci, wt = _coupling(graph, subset)
+    _, ri, ci, wt = _coupling(graph, subset, _restrict(graph, subset))
 
     def shifted(x: np.ndarray) -> np.ndarray:
         # (I - L_S/2) x = x/2 + M x / 2 with M the off-diagonal coupling.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -313,50 +313,55 @@ def load_boundary(source: str | IO[str], graph: Graph) -> dict[int, float]:
     return b
 
 
-def _restrict(graph: Graph, subset: VertexSubset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Slice(NamedTuple):
     """The CSR rows of the members of S, one entry per adjacency slot.
 
-    Returns ``(rows, nbrs, cols)``: each slot's local row in S, its
-    neighbor's compact id, and the neighbor's local index in S or -1 when
-    the neighbor lies outside S.  Slots come in member order, and within a
-    member in ascending neighbor order.  Every restriction to S (vertex and
-    edge boundaries, connectivity, b1, the restricted Laplacian) is built
-    from this one slice.
+    ``rows`` is each slot's local row in S, ``nbrs`` its neighbor's compact
+    id, and ``cols`` the neighbor's local index in S or -1 when the neighbor
+    lies outside S.  Slots come in member order, and within a member in
+    ascending neighbor order.
+    """
+
+    rows: np.ndarray
+    nbrs: np.ndarray
+    cols: np.ndarray
+
+
+def _restrict(graph: Graph, subset: VertexSubset) -> _Slice:
+    """Slice the adjacency of S once, vectorised.
+
+    Every restriction to S (vertex and edge boundaries, connectivity, b1,
+    the restricted Laplacian) is built from this one slice; callers that
+    need several of them slice once and pass the result on.
     """
     counts = graph.degrees[subset.members]
     rows = np.repeat(np.arange(subset.size), counts)
     # Slot k of member i sits at indptr[v_i] + (k - first slot of i).
     shift = graph.indptr[subset.members] - (np.cumsum(counts) - counts)
     nbrs = graph.indices[np.repeat(shift, counts) + np.arange(len(rows))]
-    return rows, nbrs, subset.local_of[nbrs]
+    return _Slice(rows, nbrs, subset.local_of[nbrs])
 
 
-def vertex_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
-    """Vertices outside S adjacent to at least one member of S (sorted)."""
-    _, nbrs, cols = _restrict(graph, subset)
-    return np.unique(nbrs[cols < 0])
+def _vertex_boundary(sl: _Slice) -> np.ndarray:
+    return np.unique(sl.nbrs[sl.cols < 0])
 
 
-def edge_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
-    """Edges with exactly one endpoint in S, as canonical (u, v) rows, u < v."""
-    rows, nbrs, cols = _restrict(graph, subset)
-    out = cols < 0
-    inner, outer = subset.members[rows[out]], nbrs[out]
+def _edge_boundary(subset: VertexSubset, sl: _Slice) -> np.ndarray:
+    out = sl.cols < 0
+    inner, outer = subset.members[sl.rows[out]], sl.nbrs[out]
     pairs = np.stack([np.minimum(inner, outer), np.maximum(inner, outer)], axis=1)
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
-def is_connected_induced(graph: Graph, subset: VertexSubset) -> bool:
-    """True iff the subgraph induced on S is connected (singletons count)."""
-    if subset.size == 0:
+def _is_connected(size: int, sl: _Slice) -> bool:
+    if size == 0:
         return False
-    rows, _, cols = _restrict(graph, subset)
-    inside = cols >= 0
-    rows, cols = rows[inside], cols[inside]
+    inside = sl.cols >= 0
+    rows, cols = sl.rows[inside], sl.cols[inside]
     # Each member takes the smallest label among itself and its neighbors,
     # then the label of its label, until nothing changes; the induced
     # subgraph is connected iff every label is then 0.
-    label = np.arange(subset.size)
+    label = np.arange(size)
     while True:
         nxt = label.copy()
         np.minimum.at(nxt, rows, label[cols])
@@ -364,6 +369,45 @@ def is_connected_induced(graph: Graph, subset: VertexSubset) -> bool:
         if np.array_equal(nxt, label):
             return not label.any()
         label = nxt
+
+
+def vertex_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
+    """Vertices outside S adjacent to at least one member of S (sorted)."""
+    return _vertex_boundary(_restrict(graph, subset))
+
+
+def edge_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
+    """Edges with exactly one endpoint in S, as canonical (u, v) rows, u < v."""
+    return _edge_boundary(subset, _restrict(graph, subset))
+
+
+def is_connected_induced(graph: Graph, subset: VertexSubset) -> bool:
+    """True iff the subgraph induced on S is connected (singletons count)."""
+    return _is_connected(subset.size, _restrict(graph, subset))
+
+
+def _violations(
+    graph: Graph, b: Mapping[int, float], subset: VertexSubset, sl: _Slice, delta: np.ndarray
+) -> list[str]:
+    violations: list[str] = []
+    support = {int(v) for v, value in b.items() if value != 0.0}
+    if not support:
+        violations.append("trivial boundary vector (no nonzero entries)")
+        return violations
+    overlap = sorted(v for v in support if v in subset)
+    if overlap:
+        violations.append(f"condition (i) violated: supp(b) intersects S at {overlap}")
+    delta_set = set(int(v) for v in delta)
+    if not (support & delta_set):
+        violations.append("condition (ii) violated: vertex boundary of S is disjoint from supp(b)")
+    if not _is_connected(subset.size, sl):
+        violations.append("condition (iii) violated: induced subgraph on S is not connected")
+    elif len(delta) == 0:
+        violations.append("condition (iii) violated: vertex boundary of S is empty")
+    isolated = sorted(int(v) for v in subset.members if graph.degrees[v] == 0)
+    if isolated:
+        violations.append(f"isolated vertices in S (degree 0): {isolated}")
+    return violations
 
 
 def validate_b_boundable(
@@ -375,26 +419,20 @@ def validate_b_boundable(
     S, the vertex boundary of S meets the support of b, and the induced
     subgraph on S is connected with a nonempty vertex boundary.
     """
-    violations: list[str] = []
-    support = {int(v) for v, value in b.items() if value != 0.0}
-    if not support:
-        violations.append("trivial boundary vector (no nonzero entries)")
-        return violations
-    overlap = sorted(v for v in support if v in subset)
-    if overlap:
-        violations.append(f"condition (i) violated: supp(b) intersects S at {overlap}")
-    delta = vertex_boundary(graph, subset)
-    delta_set = set(int(v) for v in delta)
-    if not (support & delta_set):
-        violations.append("condition (ii) violated: vertex boundary of S is disjoint from supp(b)")
-    if not is_connected_induced(graph, subset):
-        violations.append("condition (iii) violated: induced subgraph on S is not connected")
-    elif len(delta) == 0:
-        violations.append("condition (iii) violated: vertex boundary of S is empty")
-    isolated = sorted(int(v) for v in subset.members if graph.degrees[v] == 0)
-    if isolated:
-        violations.append(f"isolated vertices in S (degree 0): {isolated}")
-    return violations
+    sl = _restrict(graph, subset)
+    return _violations(graph, b, subset, sl, _vertex_boundary(sl))
+
+
+def _b1(graph: Graph, b: Mapping[int, float], subset: VertexSubset, sl: _Slice) -> np.ndarray:
+    out = sl.cols < 0
+    rows, nbrs = sl.rows[out], sl.nbrs[out]
+    keys = np.fromiter(b.keys(), np.int64, len(b))
+    known = (keys >= 0) & (keys < graph.n)
+    values = np.zeros(graph.n, dtype=np.float64)
+    values[keys[known]] = np.fromiter(b.values(), np.float64, len(b))[known]
+    degree_products = graph.degrees[subset.members[rows]] * graph.degrees[nbrs]
+    terms = values[nbrs] / np.sqrt(degree_products)
+    return np.bincount(rows, weights=terms, minlength=subset.size)
 
 
 def compute_b1(graph: Graph, b: Mapping[int, float], subset: VertexSubset) -> np.ndarray:
@@ -404,16 +442,7 @@ def compute_b1(graph: Graph, b: Mapping[int, float], subset: VertexSubset) -> np
     Only entries of b on the vertex boundary of S contribute; each member's
     terms are added in ascending order of u.
     """
-    rows, nbrs, cols = _restrict(graph, subset)
-    out = cols < 0
-    rows, nbrs = rows[out], nbrs[out]
-    keys = np.fromiter(b.keys(), np.int64, len(b))
-    known = (keys >= 0) & (keys < graph.n)
-    values = np.zeros(graph.n, dtype=np.float64)
-    values[keys[known]] = np.fromiter(b.values(), np.float64, len(b))[known]
-    degree_products = graph.degrees[subset.members[rows]] * graph.degrees[nbrs]
-    terms = values[nbrs] / np.sqrt(degree_products)
-    return np.bincount(rows, weights=terms, minlength=subset.size)
+    return _b1(graph, b, subset, _restrict(graph, subset))
 
 
 def compute_b2(b1: np.ndarray, graph: Graph, subset: VertexSubset) -> np.ndarray:
@@ -453,18 +482,19 @@ def make_boundary_problem(
     BoundaryConditionError
         Listing every violated admissibility condition.
     """
-    violations = validate_b_boundable(graph, b, subset)
+    sl = _restrict(graph, subset)
+    delta = _vertex_boundary(sl)
+    violations = _violations(graph, b, subset, sl, delta)
     if violations:
         raise BoundaryConditionError(violations)
-    delta = vertex_boundary(graph, subset)
-    b1 = compute_b1(graph, b, subset)
+    b1 = _b1(graph, b, subset, sl)
     b2 = compute_b2(b1, graph, subset)
     return BoundaryProblem(
         graph=graph,
         b=dict(b),
         subset=subset,
         delta_s=_frozen(delta),
-        partial_s=_frozen(edge_boundary(graph, subset)),
+        partial_s=_frozen(_edge_boundary(subset, sl)),
         b1=_frozen(b1),
         b2=_frozen(b2),
     )

@@ -405,6 +405,10 @@ def report_to_json(report: SolveReport, problem: BoundaryProblem) -> dict:
             "walks_started": report.walks_started,
             "walks_aborted": report.walks_aborted,
             "samples_skipped": report.samples_skipped,
+            # Share of started walks that left S, and steps per started
+            # walk; both 0 when no walk ran.
+            "abort_rate": report.walks_aborted / max(report.walks_started, 1),
+            "mean_walk_length": report.walk_steps_total / max(report.walks_started, 1),
         },
         "sampled_ts": [float(t) for t in report.sampled_ts],
         "elapsed_seconds": report.elapsed,

@@ -2,10 +2,13 @@
 
 Walks step to uniformly chosen neighbors in the full graph and are aborted
 the moment they step outside the subset; aborted walks contribute nothing.
-Every sampling round draws from its own counter-based substream keyed by
-(master seed, phase, sample index), and rounds run serially in index order.
-The ``workers`` arguments are accepted and must be at least 1, but they do
-not change the output or how it is computed.
+The estimators advance all walks of one signed phase together as numpy
+arrays, in blocks of ``WALK_BLOCK`` walks; block b of a phase draws from the
+counter-based substream keyed by (master seed, phase, b), and blocks run in
+index order.  Output therefore depends only on the seed.  The ``workers``
+arguments are accepted and must be at least 1, but they do not change the
+output or how it is computed.  :func:`dirichlet_walk` is the one-walk
+reference the lockstep engine is tested against.
 """
 
 from __future__ import annotations
@@ -35,23 +38,27 @@ __all__ = [
 
 DEFAULT_SAMPLE_CONSTANT = 16.0
 
-# Substream phases.  Positive/negative walk rounds are independent of each
+# Substream phases.  Positive/negative walk blocks are independent of each
 # other and of the solver-level draws.
 PHASE_POSITIVE = 0
 PHASE_NEGATIVE = 1
 PHASE_SCHEDULE = 2
 
+# Walks advanced together per block, each block on its own substream; bounds
+# the memory of one phase at a few arrays of this length.
+WALK_BLOCK = 1 << 16
+
 CapMode = Literal["eps", "two_t", "none"]
 
 
 def substream(master_seed: int, phase: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one sampling round."""
+    """Independent counter-based stream for one walk block or solver sample."""
     key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, (phase << 56) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_count(epsilon: float, n: int, constant: float = DEFAULT_SAMPLE_CONSTANT) -> int:
-    """Number of walk rounds per signed part: ceil((c / eps^3) * ln n)."""
+    """Number of walks per signed part: ceil((c / eps^3) * ln n)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n < 2:
@@ -192,20 +199,46 @@ def _run_phase(
     phase: int,
     stats: WalkStats | None,
 ) -> np.ndarray:
-    """All r rounds of one signed phase; returns terminal-vertex counts."""
+    """All r walks of one signed phase in lockstep; returns terminal-vertex counts.
+
+    Walks run in blocks of WALK_BLOCK, block b drawing from the substream
+    (master_seed, phase, b): first every walk's start, then every walk's
+    Poisson length (capped), then one uniform neighbor index per live walk
+    and step.  After each step the walks that left S or reached their
+    length drop out.
+    """
     support_local = np.flatnonzero(part)
     cdf = np.cumsum(part[support_local]) / norm
+    starts = subset.members[support_local]
+    indptr, indices, degrees, mask = graph.indptr, graph.indices, graph.degrees, subset.mask
     counts = np.zeros(subset.size, dtype=np.int64)
-    for i in range(r):
-        rng = substream(master_seed, phase, i)
-        pick = int(np.searchsorted(cdf, rng.random(), side="right"))
-        start = int(subset.members[support_local[min(pick, len(support_local) - 1)]])
-        k = sample_poisson(t, rng)
+    steps = aborted = 0
+    for block, first in enumerate(range(0, r, WALK_BLOCK)):
+        size = min(WALK_BLOCK, r - first)
+        rng = substream(master_seed, phase, block)
+        picks = np.searchsorted(cdf, rng.random(size), side="right")
+        cur = starts[np.minimum(picks, len(starts) - 1)]
+        k = rng.poisson(t, size)
         if cap is not None:
-            k = min(k, cap)
-        terminal = dirichlet_walk(graph, subset, start, k, rng, stats)
-        if terminal is not None:
-            counts[subset.local_of[terminal]] += 1
+            k = np.minimum(k, cap)
+        ends = [cur[k == 0]]
+        live = k > 0
+        cur, k = cur[live], k[live]
+        step = 0
+        while cur.size:
+            nxt = indices[indptr[cur] + rng.integers(0, degrees[cur])]
+            inside = mask[nxt]
+            steps += cur.size
+            aborted += cur.size - int(np.count_nonzero(inside))
+            step += 1
+            ends.append(nxt[inside & (k == step)])
+            live = inside & (k > step)
+            cur, k = nxt[live], k[live]
+        counts += np.bincount(subset.local_of[np.concatenate(ends)], minlength=subset.size)
+    if stats is not None:
+        stats.walks_started += r
+        stats.steps_simulated += steps
+        stats.walks_aborted += aborted
     return counts
 
 
@@ -262,11 +295,13 @@ def approx_dirhkpr(
 ) -> np.ndarray:
     """Monte-Carlo Dirichlet heat kernel pagerank with walk cap floor(t/eps).
 
-    For each signed part of f, runs ceil((c/eps^3) ln n) Poisson-length
+    For each signed part of f, runs r = ceil((c/eps^3) ln n) Poisson-length
     Dirichlet walks started from the normalized part and deposits the part's
     L1 mass (negated for the negative part) at each surviving terminal
-    vertex, then divides by the round count.  The zero vector is a valid
-    output when every walk aborts.
+    vertex, then divides by r.  The r walks of a part advance in lockstep,
+    in blocks of ``WALK_BLOCK`` walks, each block on the substream keyed by
+    (master_seed, phase, block).  The zero vector is a valid output when
+    every walk aborts.
 
     Parameters
     ----------
@@ -274,6 +309,8 @@ def approx_dirhkpr(
     master_seed : 64-bit stream key; a fixed seed gives bit-identical output.
     workers : accepted for compatibility and must be at least 1; walks run
         serially and the value does not change the output.
+    stats : counters to add to: r walks started per part, one step per live
+        walk and step, and every walk that left S as aborted.
     cap_mode : test hook; "none" removes the length cap.
     """
     return _mc_dirhkpr(

@@ -98,6 +98,19 @@ class TestSolveCommands:
         assert doc["error_bounds"]["within_greens_bound"] in (True, False)
         assert doc["instrumentation"]["walk_steps_total"] > 0
 
+    def test_walk_quality_fields(self, p4_files, capsys):
+        assert run([
+            "solve-greens", *_io_args(p4_files),
+            "--gamma", "0.25", "--eps", "0.4", "--seed", "7",
+        ]) == 0
+        inst = json.loads(capsys.readouterr().out)["instrumentation"]
+        assert inst["abort_rate"] == inst["walks_aborted"] / inst["walks_started"]
+        assert 0.0 < inst["abort_rate"] < 1.0
+        assert inst["mean_walk_length"] == inst["walk_steps_total"] / inst["walks_started"]
+        assert run(["solve-local", *_io_args(p4_files), "--gamma", "0.2", "--seed", "4"]) == 0
+        inst = json.loads(capsys.readouterr().out)["instrumentation"]
+        assert (inst["abort_rate"], inst["mean_walk_length"]) == (0.0, 0.0)
+
     def test_eps_below_gamma_exits_two(self, p4_files, capsys):
         code = run([
             "solve-greens", *_io_args(p4_files),

@@ -131,6 +131,12 @@ def test_boundary_and_connectivity_match_loops(case):
 def test_b1_and_laplacian_match_loops(problem):
     graph, subset = problem.graph, problem.subset
     assert np.array_equal(problem.b1, reference_b1(graph, problem.b, subset))
+    assert np.array_equal(problem.delta_s, reference_vertex_boundary(graph, subset))
+    partial = sorted(
+        (min(int(v), int(u)), max(int(v), int(u)))
+        for v in subset.members for u in graph.neighbors(v) if not subset.mask[u]
+    )
+    assert [tuple(row) for row in problem.partial_s.tolist()] == partial
     op = hk.restricted_operator(graph, subset)
     assert np.array_equal(op.laplacian, reference_laplacian(graph, subset))
 

@@ -227,10 +227,15 @@ class TestGreensSolver:
         )
         skipped = trimmed.samples_skipped
         assert skipped == int((full.sampled_ts >= t_prime).sum())
+        # Each skipped sample would have entered x_hat with the weight the
+        # solver gives it, gamma / P(j) / r, where P is the truncated
+        # geometric law of the grid index j = t / gamma at the schedule's rate.
         sched = trimmed.schedule
+        q = math.exp(-sched.rate * sched.gamma)
+        j = np.rint(full.sampled_ts[full.sampled_ts >= t_prime] / sched.gamma)
+        prob = q ** (j - 1) * (1.0 - q) / (1.0 - q**sched.floor_n)
         allowance = (
-            skipped
-            * (sched.T / sched.r_outer)
+            float(np.sum(sched.gamma / prob / sched.r_outer))
             * eps
             * float(np.abs(p4_problem.b2).sum())
             * float(np.max(1.0 / np.sqrt(p4_problem.degrees_s)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hklocal as hk
+import hklocal.walks as walks
 from conftest import is_eps_approx
 
 
@@ -17,6 +18,25 @@ def p4_subset(p4_graph):
 @pytest.fixture(scope="module")
 def p3_subset(p3_graph):
     return hk.VertexSubset.from_iterable([1], p3_graph.n)
+
+
+def assert_unbiased_with_cap_removed(p4_graph, p4_subset):
+    # empirical mean over 200 seeds vs the exact backend, per entry
+    op = hk.restricted_operator(p4_graph, p4_subset)
+    f = np.array([1.0, 0.5])
+    t = 3.0
+    truth = hk.exact_dirhkpr(op, t, f)
+    seeds = 200
+    acc = np.zeros(2)
+    for seed in range(seeds):
+        acc += hk.approx_dirhkpr(
+            p4_graph, t, f, p4_subset, 0.5, master_seed=seed,
+            cap_mode="none", constant=4.0,
+        )
+    mean = acc / seeds
+    r = hk.sample_count(0.5, p4_graph.n, constant=4.0)
+    sigma = np.sqrt(np.abs(truth) * f.sum() / (r * seeds)) + 1e-9
+    assert np.all(np.abs(mean - truth) <= 3.0 * sigma + 0.01)
 
 
 class TestSamplePoisson:
@@ -145,23 +165,8 @@ class TestApproxDirhkpr:
             assert np.all(rho >= 0.0)
             assert rho.sum() <= f.sum() + 1e-12
 
-    def test_unbiased_with_cap_removed(self, p4_graph, p4_problem, p4_subset):
-        # empirical mean over 200 seeds vs the exact backend, per entry
-        op = hk.restricted_operator(p4_graph, p4_subset)
-        f = np.array([1.0, 0.5])
-        t = 3.0
-        truth = hk.exact_dirhkpr(op, t, f)
-        seeds = 200
-        acc = np.zeros(2)
-        for seed in range(seeds):
-            acc += hk.approx_dirhkpr(
-                p4_graph, t, f, p4_subset, 0.5, master_seed=seed,
-                cap_mode="none", constant=4.0,
-            )
-        mean = acc / seeds
-        r = hk.sample_count(0.5, p4_graph.n, constant=4.0)
-        sigma = np.sqrt(np.abs(truth) * f.sum() / (r * seeds)) + 1e-9
-        assert np.all(np.abs(mean - truth) <= 3.0 * sigma + 0.01)
+    def test_unbiased_with_cap_removed(self, p4_graph, p4_subset):
+        assert_unbiased_with_cap_removed(p4_graph, p4_subset)
 
     def test_epsilon_approximation_statistics(self, p3_graph, p3_subset):
         f = np.array([1.0])
@@ -233,3 +238,96 @@ def test_substream_independence():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def replay_lengths(seed, t, r, block):
+    """Positive-phase walk lengths as the engine draws them: each block's
+    substream yields every start uniform first, then every Poisson length."""
+    lengths = []
+    for index, first in enumerate(range(0, r, block)):
+        size = min(block, r - first)
+        rng = hk.substream(seed, walks.PHASE_POSITIVE, index)
+        rng.random(size)
+        lengths.append(rng.poisson(t, size))
+    return np.concatenate(lengths)
+
+
+class TestLockstepEngine:
+    """approx_dirhkpr on P4 with S the whole graph, where no walk can abort."""
+
+    # cap floor(t / eps) = 5 binds for about 8% of Poisson(3) lengths.
+    T, EPS, SEED = 3.0, 0.6, 17
+
+    @pytest.fixture(scope="class")
+    def whole(self, p4_graph):
+        return hk.VertexSubset.from_iterable(range(p4_graph.n), p4_graph.n)
+
+    def test_uncapped_walks_keep_all_mass(self, p4_graph, whole):
+        r = hk.sample_count(self.EPS, p4_graph.n)
+        # ||f||_1 / r = 1/2, so every deposit and every partial sum is exact.
+        f = np.array([0.25, 0.0, 0.125, 0.125]) * r
+        stats = hk.WalkStats()
+        rho = hk.approx_dirhkpr(
+            p4_graph, self.T, f, whole, self.EPS, master_seed=self.SEED,
+            cap_mode="none", stats=stats,
+        )
+        assert stats.walks_aborted == 0
+        assert stats.walks_started == r
+        assert rho.sum() == f.sum()
+        lengths = replay_lengths(self.SEED, self.T, r, walks.WALK_BLOCK)
+        assert stats.steps_simulated == int(lengths.sum())
+
+    def test_default_cap_bounds_every_walk(self, p4_graph, whole):
+        r = hk.sample_count(self.EPS, p4_graph.n)
+        cap = hk.walk_cap(self.T, self.EPS, "eps")
+        stats = hk.WalkStats()
+        hk.approx_dirhkpr(
+            p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), whole, self.EPS,
+            master_seed=self.SEED, stats=stats,
+        )
+        lengths = replay_lengths(self.SEED, self.T, r, walks.WALK_BLOCK)
+        assert (lengths > cap).any()
+        assert stats.steps_simulated == int(np.minimum(lengths, cap).sum())
+        assert stats.steps_simulated <= r * cap
+        assert stats.walks_aborted == 0
+
+    def test_exit_step_counted(self, p3_graph, p3_subset):
+        # S = {1} in P3: every walk of positive length aborts on its first
+        # step, which counts as simulated; zero-length walks survive.
+        r = hk.sample_count(self.EPS, p3_graph.n)
+        stats = hk.WalkStats()
+        rho = hk.approx_dirhkpr(
+            p3_graph, self.T, np.array([1.0]), p3_subset, self.EPS,
+            master_seed=self.SEED, stats=stats,
+        )
+        moved = int((replay_lengths(self.SEED, self.T, r, walks.WALK_BLOCK) > 0).sum())
+        assert stats.steps_simulated == stats.walks_aborted == moved
+        assert round(rho[0] * r) == r - moved
+
+    def test_counters_sum_across_blocks(self, p4_graph, p4_subset, whole, monkeypatch):
+        block = 7
+        monkeypatch.setattr(walks, "WALK_BLOCK", block)
+        r = hk.sample_count(self.EPS, p4_graph.n)
+        assert r > 10 * block
+        cap = hk.walk_cap(self.T, self.EPS, "eps")
+        stats = hk.WalkStats()
+        hk.approx_dirhkpr(
+            p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), whole, self.EPS,
+            master_seed=self.SEED, stats=stats,
+        )
+        lengths = replay_lengths(self.SEED, self.T, r, block)
+        assert (lengths > cap).any()
+        assert (stats.walks_started, stats.walks_aborted) == (r, 0)
+        assert stats.steps_simulated == int(np.minimum(lengths, cap).sum())
+        # On S = {1, 2} walks abort: survivors and aborted walks account for
+        # every started walk, and the estimator stays unbiased.
+        f = np.array([1.0, 0.5])
+        stats = hk.WalkStats()
+        rho = hk.approx_dirhkpr(
+            p4_graph, self.T, f, p4_subset, self.EPS, master_seed=self.SEED, stats=stats
+        )
+        survivors = int(np.rint(rho.sum() * r / f.sum()))
+        assert stats.walks_started == r
+        assert 0 < stats.walks_aborted < r
+        assert survivors + stats.walks_aborted == r
+        assert_unbiased_with_cap_removed(p4_graph, p4_subset)
