@@ -167,8 +167,8 @@ def greens_function(op: DirichletOperator) -> GreensFunction:
 
 def apply_heat_kernel(op: DirichletOperator, t: float, f: np.ndarray) -> np.ndarray:
     """Symmetric heat-kernel action exp(-t * L_S) @ f through the eigenbasis."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     f = np.asarray(f, dtype=np.float64)
     if t == 0:
         return f.copy()
@@ -184,8 +184,8 @@ def exact_dirhkpr(op: DirichletOperator, t: float, f: np.ndarray) -> np.ndarray:
     walk-normalized kernel.  ``f`` may have entries of any sign; no
     normalization is performed.  t = 0 returns f unchanged.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (op.s,):
         raise ValueError(f"preference vector has shape {f.shape}, expected ({op.s},)")

@@ -25,6 +25,7 @@ from .dirichlet import (
 from .graph import BoundaryProblem
 from .walks import (
     DEFAULT_SAMPLE_CONSTANT,
+    PASS_BUDGET,
     PHASE_SCHEDULE,
     WalkStats,
     _check_workers,
@@ -154,29 +155,38 @@ def draw_t(schedule: SolverSchedule, rng: np.random.Generator) -> float:
     return j * schedule.step
 
 
-def draw_weighted_t(schedule: SolverSchedule, rng: np.random.Generator) -> tuple[float, float]:
-    """Sample t = j * gamma by importance and return (t, gamma / P(j)).
+def draw_weighted_t(schedule: SolverSchedule, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniforms u to importance-sampled times t = j * gamma and weights gamma / P(j).
 
     j follows the geometric law truncated to the integers [1, floor(N)],
     P(j) = q^(j-1) (1 - q) / (1 - q^floor(N)) with q = exp(-rate * gamma),
-    drawn by the inverse CDF j = ceil(ln(1 - u (1 - q^floor(N))) / ln q) on
-    one uniform u; rate 0 is the uniform law of :func:`draw_t`.  The
-    weighted sample gamma / P(j) * rho_t has mean exactly the Riemann sum
-    over the grid, for any rate; its variance stays bounded for every T
-    only while rate < 2 lambda1.  Both solvers draw their times here, so a
-    seed gives both the same times when they use the same rate.
+    drawn by the inverse CDF j = ceil(ln(1 - u (1 - q^floor(N))) / ln q);
+    rate 0 is the uniform law of :func:`draw_t`.  The weighted sample
+    gamma / P(j) * rho_t has mean exactly the Riemann sum over the grid, for
+    any rate; its variance stays bounded for every T only while
+    rate < 2 lambda1.  Both solvers draw their times here from the uniforms
+    of one stream, so a seed gives both the same times when they use the
+    same rate.
     """
-    u = rng.random()
+    u = np.asarray(u, dtype=np.float64)
     a = schedule.rate * schedule.step
     n = schedule.floor_n
     if a == 0.0:
-        j = int(u * n) + 1
+        j = np.floor(u * n) + 1.0
         p1 = 1.0 / n
     else:
-        j = math.ceil(math.log1p(u * math.expm1(-a * n)) / -a)
+        j = np.ceil(np.log1p(u * math.expm1(-a * n)) / -a)
         p1 = math.expm1(-a) / math.expm1(-a * n)
-    j = min(max(j, 1), n)
-    return j * schedule.step, schedule.step * math.exp(a * (j - 1)) / p1
+    j = np.clip(j, 1, n)
+    return j * schedule.step, schedule.step * np.exp(a * (j - 1)) / p1
+
+
+def _draw_times(schedule: SolverSchedule) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """Times and weights of all r_outer samples from one call on the
+    substream (seed, PHASE_SCHEDULE, 0), and that stream for what follows."""
+    rng = substream(schedule.master_seed, PHASE_SCHEDULE, 0)
+    ts, weights = draw_weighted_t(schedule, rng.random(schedule.r_outer))
+    return ts, weights, rng
 
 
 @dataclass
@@ -255,19 +265,21 @@ def local_linear_solver(
     with probability at least 1 - gamma the error is within
     gamma * (||b1|| + ||x_S|| + ||x_rie||).  Through the eigenbasis that
     average is V (c * V^T b1) with c = (1 / r) sum_i w_i exp(-t_i lambda),
-    which is how it is computed.  ``workers`` must be at least 1 and does
-    not change the output.
+    which is how it is computed: all r_outer uniforms come from one call on
+    the substream (seed, PHASE_SCHEDULE, 0), and c is a matrix product over
+    chunks of at most PASS_BUDGET // s samples, so the samples never take
+    more than about PASS_BUDGET entries at once.  ``workers`` must be at
+    least 1 and does not change the output.
     """
     start = time.perf_counter()
     _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     schedule = make_schedule(op.s, gamma, seed=seed, rate=op.lambda1)
-    ts = np.zeros(schedule.r_outer, dtype=np.float64)
+    ts, weights, _ = _draw_times(schedule)
     decay = np.zeros(op.s, dtype=np.float64)
-    for i in range(schedule.r_outer):
-        t, weight = draw_weighted_t(schedule, substream(schedule.master_seed, PHASE_SCHEDULE, i))
-        ts[i] = t
-        decay += weight * np.exp(-t * op.eigenvalues)
+    rows = max(1, PASS_BUDGET // op.s)
+    for lo in range(0, ts.size, rows):
+        decay += weights[lo:lo + rows] @ np.exp(-np.outer(ts[lo:lo + rows], op.eigenvalues))
     decay /= schedule.r_outer
     x_hat = op.eigenvectors @ (decay * (op.eigenvectors.T @ problem.b1))
     return SolveReport(
@@ -293,17 +305,20 @@ def greens_solver(
 ) -> SolveReport:
     """Monte-Carlo local solver: walk-based pagerank samples, cap floor(2t).
 
-    Same weighted time draw and reduction as :func:`local_linear_solver`,
-    with each sample estimated by :func:`solver_approx_dirhkpr` under a
-    fresh child seed.  The rate is the power-iteration estimate
-    :func:`estimate_lambda1`, which may slightly overestimate lambda1; the
-    weighted estimator's variance stays bounded for every T only while the
-    rate is below 2 lambda1.  The same estimate gives t' under ``restricted_range`` when
-    ``t_prime`` is not passed: samples at t at or past t' contribute zero
-    without simulating any walk.  Error is within
+    Same weighted time draw and reduction as :func:`local_linear_solver`.
+    After the r_outer uniforms of the times, one more call on the same
+    substream draws every sample's child seed.  All simulated samples then
+    run in one lockstep pass, one call of :func:`solver_approx_dirhkpr` with
+    their times, child seeds and weights; sample i's estimate is exactly
+    the one-sample call with (t_i, child seed i).  The rate is the
+    power-iteration estimate :func:`estimate_lambda1`, which may slightly
+    overestimate lambda1; the weighted estimator's variance stays bounded
+    for every T only while the rate is below 2 lambda1.  The same estimate
+    gives t' under ``restricted_range`` when ``t_prime`` is not passed:
+    samples at t at or past t' contribute zero without simulating any walk.  Error is within
     gamma * (||b1|| + ||x_S|| + ||x_rie||) + epsilon * ||b2||_1 with
-    probability at least 1 - gamma.  Samples run serially in index order;
-    ``workers`` must be at least 1 and does not change the output.
+    probability at least 1 - gamma.  ``workers`` must be at least 1 and
+    does not change the output.
     """
     start = time.perf_counter()
     _check_workers(workers)
@@ -312,24 +327,18 @@ def greens_solver(
     if t_prime is None and restricted_range:
         t_prime = restricted_threshold(lambda1, epsilon)
     schedule = make_schedule(subset.size, gamma, epsilon=epsilon, seed=seed, rate=lambda1)
-    ts = np.zeros(schedule.r_outer, dtype=np.float64)
+    ts, weights, rng = _draw_times(schedule)
+    # Child seeds are drawn for every sample, skipped or not, so the
+    # simulated samples match between restricted and full runs.
+    child_seeds = rng.integers(0, 2**63, size=schedule.r_outer)
+    keep = np.ones(ts.size, dtype=bool)
+    if restricted_range and t_prime is not None:
+        keep = ts < t_prime
     totals = WalkStats()
-    skipped = 0
-    acc = np.zeros(subset.size, dtype=np.float64)
-    for i in range(schedule.r_outer):
-        rng = substream(schedule.master_seed, PHASE_SCHEDULE, i)
-        t, weight = draw_weighted_t(schedule, rng)
-        ts[i] = t
-        # Child seed is drawn whether or not the sample is skipped, so the
-        # simulated samples match between restricted and full runs.
-        child_seed = int(rng.integers(0, 2**63))
-        if restricted_range and t_prime is not None and t >= t_prime:
-            skipped += 1
-            continue
-        acc += weight * solver_approx_dirhkpr(
-            problem.graph, t, problem.b2, subset, epsilon, child_seed,
-            constant=constant, stats=totals,
-        )
+    acc = solver_approx_dirhkpr(
+        problem.graph, ts[keep], problem.b2, subset, epsilon, child_seeds[keep],
+        constant=constant, stats=totals, weights=weights[keep],
+    )
     inv_sqrt_deg = 1.0 / np.sqrt(problem.degrees_s.astype(np.float64))
     x_hat = acc / schedule.r_outer * inv_sqrt_deg
     if restricted_range and t_prime is not None:
@@ -344,7 +353,7 @@ def greens_solver(
         method="greens-solver",
         walks_started=totals.walks_started,
         walks_aborted=totals.walks_aborted,
-        samples_skipped=skipped,
+        samples_skipped=int(ts.size - np.count_nonzero(keep)),
     )
 
 

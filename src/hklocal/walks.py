@@ -2,13 +2,21 @@
 
 Walks step to uniformly chosen neighbors in the full graph and are aborted
 the moment they step outside the subset; aborted walks contribute nothing.
-The estimators advance all walks of one signed phase together as numpy
-arrays, in blocks of ``WALK_BLOCK`` walks; block b of a phase draws from the
-counter-based substream keyed by (master seed, phase, b), and blocks run in
-index order.  Output therefore depends only on the seed.  The ``workers``
-arguments are accepted and must be at least 1, but they do not change the
-output or how it is computed.  :func:`dirichlet_walk` is the one-walk
-reference the lockstep engine is tested against.
+One lockstep engine runs every estimate.  A walk group is one sample, one
+signed part and one block of at most ``WALK_BLOCK`` walks; it draws from the
+counter-based substream keyed by (the sample's seed, part, block): first
+every walk's start, then every walk's capped Poisson length, then, in walk
+order, one uniform u per step of each walk's length (a walk that aborts
+early leaves the rest of its uniforms unused).  A step from a vertex of
+degree deg moves to its neighbor number floor(u * deg), clamped to deg - 1,
+in adjacency order.  The walks of all groups of a call advance together as
+numpy arrays, in chunks of at most ``PASS_BUDGET`` entries, and surviving
+walks are counted per group as integers.  A sample's estimate therefore
+depends only on its own seed and time, not on the other samples of the call
+or on the chunking.  The ``workers`` arguments are accepted and must be at
+least 1, but they do not change the output or how it is computed.
+:func:`dirichlet_walk` is the one-walk reference the engine is tested
+against.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .graph import Graph, VertexSubset
+from .graph import Graph, VertexSubset, _restrict
 
 __all__ = [
     "WalkConfig",
@@ -44,9 +52,15 @@ PHASE_POSITIVE = 0
 PHASE_NEGATIVE = 1
 PHASE_SCHEDULE = 2
 
-# Walks advanced together per block, each block on its own substream; bounds
-# the memory of one phase at a few arrays of this length.
+# Walks per group: each (sample, signed part) splits its walks into blocks
+# of this many, block b drawing from its own substream.
 WALK_BLOCK = 1 << 16
+
+# Entries one lockstep pass holds at once: one per walk, one per pre-drawn
+# step uniform and one per subset vertex for each group's counts.  A larger
+# pass runs as consecutive chunks with the same output; the group being
+# opened (WALK_BLOCK starts and lengths) is held besides.
+PASS_BUDGET = 1 << 20
 
 CapMode = Literal["eps", "two_t", "none"]
 
@@ -61,6 +75,8 @@ def sample_count(epsilon: float, n: int, constant: float = DEFAULT_SAMPLE_CONSTA
     """Number of walks per signed part: ceil((c / eps^3) * ln n)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not (math.isfinite(constant) and constant > 0.0):
+        raise ValueError(f"sample constant must be finite and positive, got {constant}")
     if n < 2:
         return 1
     return max(1, math.ceil(constant / epsilon**3 * math.log(n)))
@@ -98,8 +114,8 @@ class WalkConfig:
         cap_mode: CapMode = "eps",
         constant: float = DEFAULT_SAMPLE_CONSTANT,
     ) -> "WalkConfig":
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"t must be positive and finite, got {t}")
         return cls(
             t=float(t),
             epsilon=float(epsilon),
@@ -187,68 +203,178 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _run_phase(
-    graph: Graph,
-    subset: VertexSubset,
-    t: float,
-    cap: int | None,
-    part: np.ndarray,
-    norm: float,
-    r: int,
-    master_seed: int,
-    phase: int,
-    stats: WalkStats | None,
-) -> np.ndarray:
-    """All r walks of one signed phase in lockstep; returns terminal-vertex counts.
+@dataclass
+class _Block:
+    """One walk group, a (sample, signed part, block), while its walks run.
 
-    Walks run in blocks of WALK_BLOCK, block b drawing from the substream
-    (master_seed, phase, b): first every walk's start, then every walk's
-    Poisson length (capped), then one uniform neighbor index per live walk
-    and step.  After each step the walks that left S or reached their
-    length drop out.
+    After the group's start uniforms and Poisson lengths, walk i's step
+    uniforms are stream positions offs[i]:offs[i + 1].  ``walk`` is the first
+    walk not yet finished; a chunk can cut it after ``done`` steps, leaving
+    it at local vertex ``vertex`` (-1 once it left S).
     """
-    support_local = np.flatnonzero(part)
-    cdf = np.cumsum(part[support_local]) / norm
-    starts = subset.members[support_local]
-    indptr, indices, degrees, mask = graph.indptr, graph.indices, graph.degrees, subset.mask
-    counts = np.zeros(subset.size, dtype=np.int64)
-    steps = aborted = 0
-    for block, first in enumerate(range(0, r, WALK_BLOCK)):
-        size = min(WALK_BLOCK, r - first)
-        rng = substream(master_seed, phase, block)
-        picks = np.searchsorted(cdf, rng.random(size), side="right")
-        cur = starts[np.minimum(picks, len(starts) - 1)]
-        k = rng.poisson(t, size)
-        if cap is not None:
-            k = np.minimum(k, cap)
-        ends = [cur[k == 0]]
-        live = k > 0
-        cur, k = cur[live], k[live]
-        step = 0
+
+    rng: np.random.Generator
+    row: int
+    starts: np.ndarray
+    offs: np.ndarray
+    held: np.ndarray  # offs[i] + i: entries a chunk holds for walks before i
+    walk: int = 0
+    done: int = 0
+    vertex: int = -1
+
+    @property
+    def finished(self) -> bool:
+        return self.walk == self.starts.size
+
+    def take(self, room: int, buf: np.ndarray, base: int):
+        """The next walks that fit in ``room`` entries, the last one possibly
+        cut short; their step uniforms are drawn into buf[base:]."""
+        w, done, offs, held = self.walk, self.done, self.offs, self.held
+        first = offs[w] + done
+        # Walks w..e-1 take held[e] - held[w] - done entries; take all that fit.
+        e = int(np.searchsorted(held, held[w] + done + room, side="right")) - 1
+        left = room - int(held[e] - held[w] - done)
+        cut = e < self.starts.size and left >= 2
+        last = offs[e] + left - 1 if cut else offs[e]
+        idx = np.arange(w, e + cut)
+        cur = self.starts[idx]
+        if done:
+            cur[0] = self.vertex
+        pos = base + np.maximum(offs[idx] - first, 0)
+        end = base + np.minimum(offs[idx + 1], last) - first
+        row = np.full(idx.size, self.row)
+        if cut:
+            row[-1] = -1  # deposits nowhere; its vertex carries to the next chunk
+        self.walk, self.done = e, int(last - offs[e])
+        n = int(last - first)
+        self.rng.random(out=buf[base:base + n])
+        return cur, pos, end, row, n
+
+    def skip_cut_walk(self) -> None:
+        """The cut walk left S: draw past the rest of its uniforms."""
+        rest = int(self.offs[self.walk + 1] - self.offs[self.walk]) - self.done
+        for skipped in range(0, rest, PASS_BUDGET):
+            self.rng.random(min(PASS_BUDGET, rest - skipped))
+        self.walk, self.done = self.walk + 1, 0
+
+
+def _blocks(parts, ts, seeds, r, epsilon, cap_mode):
+    """Open the walk groups in order: sample, then signed part, then block."""
+    for i, (t, seed) in enumerate(zip(ts, seeds)):
+        cap = walk_cap(float(t), epsilon, cap_mode)
+        for p, (phase, cdf, support, _) in enumerate(parts):
+            for block, first in enumerate(range(0, r, WALK_BLOCK)):
+                size = min(WALK_BLOCK, r - first)
+                rng = substream(seed, phase, block)
+                picks = np.searchsorted(cdf, rng.random(size), side="right")
+                k = rng.poisson(t, size)
+                if cap is not None:
+                    k = np.minimum(k, cap)
+                offs = np.zeros(size + 1, dtype=np.int64)
+                np.cumsum(k, out=offs[1:])
+                yield _Block(rng, i * len(parts) + p, support[np.minimum(picks, support.size - 1)],
+                             offs, offs + np.arange(size + 1))
+
+
+def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode, stats):
+    """Sum of weights[i] * rho_i over the samples, all walks in lockstep.
+
+    Walks of every group advance together, in chunks of at most
+    PASS_BUDGET entries (one per walk, one per pre-drawn step uniform,
+    s per group for its counts).  A walk longer than a chunk is cut and
+    resumes in the next one.  Each group's draws follow its own stream, and
+    terminal-vertex counts are summed per (sample, part) as integers, so
+    the output does not depend on the chunking or on the other samples.
+    """
+    ptr, degrees, nbrs = adjacency
+    nparts, m = len(parts), ts.size
+    acc = np.zeros(s, dtype=np.float64)
+    pending = np.zeros((nparts, s), dtype=np.int64)  # counts of sample `first` so far
+    first = steps = aborted = 0
+    buf = np.empty(max(PASS_BUDGET, 2))
+    blocks = _blocks(parts, ts, seeds, r, epsilon, cap_mode)
+    blk = next(blocks, None)
+    while blk is not None:
+        room, base, pieces = PASS_BUDGET, 0, []
+        while blk is not None:
+            if blk.finished:
+                blk = next(blocks, None)
+                continue
+            # A group's counts take s entries.  The first group of a chunk
+            # always gets room for one step, so every chunk makes progress.
+            room -= s
+            if room < 2 and pieces:
+                break
+            room = max(room, 2)
+            *piece, drawn = blk.take(room, buf, base)
+            pieces.append(piece)
+            room -= piece[0].size + drawn
+            base += drawn
+            if not blk.finished:
+                break
+        # Per walk: its local vertex, the buf index of its next step's
+        # uniform, the index past its last one in this chunk, and its row
+        # sample * nparts + part (-1 for a cut walk).
+        cur, pos, end, row = (np.concatenate(a) for a in zip(*pieces))
+        fin = pos == end
+        rows, verts = [row[fin]], [cur[fin]]
+        live = np.flatnonzero(~fin)
+        cur, pos, end, row = cur[live], pos[live], end[live], row[live]
+        moved, stayed = cur.size, rows[0].size
         while cur.size:
-            nxt = indices[indptr[cur] + rng.integers(0, degrees[cur])]
-            inside = mask[nxt]
+            deg = degrees[cur]
+            pick = np.minimum((buf[pos] * deg).astype(np.int64), deg - 1)
+            nxt = nbrs[ptr[cur] + pick]
+            inside = nxt >= 0
             steps += cur.size
-            aborted += cur.size - int(np.count_nonzero(inside))
-            step += 1
-            ends.append(nxt[inside & (k == step)])
-            live = inside & (k > step)
-            cur, k = nxt[live], k[live]
-        counts += np.bincount(subset.local_of[np.concatenate(ends)], minlength=subset.size)
+            pos += 1
+            fin = inside & (pos == end)
+            rows.append(row[fin])
+            verts.append(nxt[fin])
+            live = np.flatnonzero(inside ^ fin)
+            cur, pos, end, row = nxt[live], pos[live], end[live], row[live]
+        rows, verts = np.concatenate(rows), np.concatenate(verts)
+        aborted += moved - (rows.size - stayed)
+        if blk is not None and blk.done:
+            carried = verts[rows < 0]
+            if carried.size:
+                blk.vertex = int(carried[0])
+            else:
+                blk.skip_cut_walk()
+                if blk.finished:
+                    blk = next(blocks, None)
+        # Samples before the current group's are complete: turn their counts
+        # into weighted pagerank estimates and add them in sample order.
+        stop = m if blk is None else blk.row // nparts
+        touched = min(stop + 1, m) - first
+        keep = rows >= 0
+        counts = np.bincount(
+            (rows[keep] - first * nparts) * s + verts[keep], minlength=touched * nparts * s
+        ).reshape(touched, nparts, s)
+        counts[0] += pending
+        rho = np.zeros((stop - first, s), dtype=np.float64)
+        for p, (_, _, _, scale) in enumerate(parts):
+            # Surviving walks each deposit the signed L1 mass of their part / r.
+            rho += counts[: stop - first, p] * scale
+        for weight, sample in zip(weights[first:stop], rho):
+            acc += weight * sample
+        pending = counts[stop - first] if stop < m else pending
+        first = stop
     if stats is not None:
-        stats.walks_started += r
+        stats.walks_started += r * nparts * m
         stats.steps_simulated += steps
         stats.walks_aborted += aborted
-    return counts
+    return acc
 
 
 def _mc_dirhkpr(
     graph: Graph,
-    t: float,
+    t,
     f: np.ndarray,
     subset: VertexSubset,
     epsilon: float,
-    master_seed: int,
+    master_seed,
+    weights,
     cap_mode: CapMode,
     workers: int,
     constant: float,
@@ -257,28 +383,35 @@ def _mc_dirhkpr(
     _check_workers(workers)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    seeds = [int(v) for v in np.ravel(np.asarray(master_seed, dtype=object))]
+    if weights is None:
+        weights = np.ones(ts.size)
+    weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
+    if ts.ndim != 1 or not ts.size == len(seeds) == weights.size:
+        raise ValueError("t, master_seed and weights must have one entry per sample")
+    if not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ValueError(f"t must be positive and finite, got {t}")
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (subset.size,):
         raise ValueError(f"preference vector has shape {f.shape}, expected ({subset.size},)")
     split = split_signed(f)
     if split.norm_plus == 0.0 and split.norm_minus == 0.0:
         raise ValueError("preference vector is identically zero")
-    config = WalkConfig.from_params(t, epsilon, graph.n, master_seed, cap_mode, constant)
-    rho = np.zeros(subset.size, dtype=np.float64)
+    r = sample_count(epsilon, graph.n, constant)
+    parts = []
     for phase, part, norm, sign in (
         (PHASE_POSITIVE, split.f_plus, split.norm_plus, 1.0),
         (PHASE_NEGATIVE, split.f_minus, split.norm_minus, -1.0),
     ):
-        if norm == 0.0:
-            continue
-        counts = _run_phase(
-            graph, subset, t, config.cap, part, norm, config.r, master_seed, phase, stats
-        )
-        # Surviving walks each deposit the signed L1 mass of their part.
-        rho += counts * (sign * norm / config.r)
-    return rho
+        if norm > 0.0:
+            support = np.flatnonzero(part)
+            parts.append((phase, np.cumsum(part[support]) / norm, support, sign * norm / r))
+    # Walks run on S's rows of the adjacency, in local indices: slot k of
+    # member i holds its neighbour's local index, or -1 outside S.
+    degrees = graph.degrees[subset.members]
+    adjacency = (np.cumsum(degrees) - degrees, degrees, _restrict(graph, subset).cols)
+    return _lockstep(adjacency, subset.size, parts, ts, seeds, weights, r, epsilon, cap_mode, stats)
 
 
 def approx_dirhkpr(
@@ -298,13 +431,14 @@ def approx_dirhkpr(
     For each signed part of f, runs r = ceil((c/eps^3) ln n) Poisson-length
     Dirichlet walks started from the normalized part and deposits the part's
     L1 mass (negated for the negative part) at each surviving terminal
-    vertex, then divides by r.  The r walks of a part advance in lockstep,
-    in blocks of ``WALK_BLOCK`` walks, each block on the substream keyed by
-    (master_seed, phase, block).  The zero vector is a valid output when
-    every walk aborts.
+    vertex, then divides by r.  The r walks of a part run in blocks of
+    ``WALK_BLOCK`` walks, block b on the substream keyed by
+    (master_seed, part, b), and all of them advance in lockstep.  The zero
+    vector is a valid output when every walk aborts.
 
     Parameters
     ----------
+    t : positive and finite.
     epsilon : accuracy/confidence knob in (0, 1).
     master_seed : 64-bit stream key; a fixed seed gives bit-identical output.
     workers : accepted for compatibility and must be at least 1; walks run
@@ -314,26 +448,31 @@ def approx_dirhkpr(
     cap_mode : test hook; "none" removes the length cap.
     """
     return _mc_dirhkpr(
-        graph, t, f, subset, epsilon, master_seed, cap_mode, workers, constant, stats
+        graph, t, f, subset, epsilon, master_seed, None, cap_mode, workers, constant, stats
     )
 
 
 def solver_approx_dirhkpr(
     graph: Graph,
-    t: float,
+    t: float | np.ndarray,
     f: np.ndarray,
     subset: VertexSubset,
     epsilon: float,
-    master_seed: int,
+    master_seed: int | np.ndarray,
     workers: int = 1,
     constant: float = DEFAULT_SAMPLE_CONSTANT,
     stats: WalkStats | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solver variant of :func:`approx_dirhkpr` with walk cap floor(2t).
 
-    Intended for t drawn from a solver schedule; the caller is responsible
-    for keeping epsilon at or above the schedule's gamma.
+    ``t`` and ``master_seed`` may also be 1-D arrays, one entry per sample,
+    with ``weights`` of the same length; the call then returns
+    sum_i weights[i] * rho_i, where rho_i is what the one-sample call with
+    t[i] and master_seed[i] returns, and the walks of every sample advance
+    together in one lockstep pass.  The caller is responsible for keeping
+    epsilon at or above the schedule's gamma.
     """
     return _mc_dirhkpr(
-        graph, t, f, subset, epsilon, master_seed, "two_t", workers, constant, stats
+        graph, t, f, subset, epsilon, master_seed, weights, "two_t", workers, constant, stats
     )

@@ -167,6 +167,23 @@ class TestRejectedInput:
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["hkpr-approx", "--t", "inf", "--eps", "0.3"],
+        ["hkpr-approx", "--t", "nan", "--eps", "0.3"],
+        ["hkpr-exact", "--t", "nan"],
+        ["hkpr-exact", "--t", "inf"],
+        ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--constant-override", "inf"],
+        ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--constant-override", "nan"],
+        ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--constant-override", "-3"],
+        ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--constant-override", "0"],
+        ["hkpr-approx", "--t", "1.0", "--eps", "0.3", "--constant-override", "0"],
+    ])
+    def test_non_finite_t_or_bad_walk_constant_exit_two(self, p4_files, capsys, argv):
+        assert run([argv[0], *_io_args(p4_files), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
 
 class TestVectorCommands:
     def test_hkpr_exact_csv(self, p4_files, capsys):

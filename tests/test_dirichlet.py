@@ -132,6 +132,13 @@ class TestExactDirhkpr:
         with pytest.raises(ValueError):
             hk.exact_dirhkpr(p4_op, -0.1, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t_rejected(self, p4_op, t):
+        with pytest.raises(ValueError, match="finite"):
+            hk.exact_dirhkpr(p4_op, t, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            hk.apply_heat_kernel(p4_op, t, np.array([1.0, 0.0]))
+
     def test_semigroup(self, dolphins_problem):
         op = hk.restricted_operator(dolphins_problem.graph, dolphins_problem.subset)
         f = dolphins_problem.b2

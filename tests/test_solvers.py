@@ -80,16 +80,6 @@ class TestDrawT:
         assert abs(draws.mean() - expected) / expected < 0.01
 
 
-class _FixedUniform:
-    """Stands in for a Generator whose next uniform draw is ``u``."""
-
-    def __init__(self, u: float) -> None:
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
-
-
 def test_weighted_draw_enumeration_is_riemann_sum(p4_problem, p4_op):
     # Feed the midpoint of each index's CDF interval: the draw must return
     # that index, and sum_j P(j) w(j) rho_{j gamma} must be x_rie exactly.
@@ -102,16 +92,16 @@ def test_weighted_draw_enumeration_is_riemann_sum(p4_problem, p4_op):
     cdf = np.expm1(-a * np.arange(n + 1)) / math.expm1(-a * n)
     probs = np.diff(cdf)
     acc = np.zeros(2)
-    for k in range(n):
-        t, w = hk.draw_weighted_t(sched, _FixedUniform(0.5 * (cdf[k] + cdf[k + 1])))
+    ts, ws = hk.draw_weighted_t(sched, 0.5 * (cdf[:-1] + cdf[1:]))
+    for k, (t, w) in enumerate(zip(ts, ws)):
         assert t == pytest.approx((k + 1) * gamma, rel=1e-12)
         acc += probs[k] * w * hk.exact_dirhkpr(p4_op, t, p4_problem.b2)
     x_rie = hk.riemann_sum_solution(p4_problem, sched, operator=p4_op)
     assert np.max(np.abs(acc * p4_op.inv_sqrt_degrees - x_rie)) <= 1e-12
 
     uniform = hk.make_schedule(2, gamma, rate=0.0)
-    for k in range(n):
-        t, w = hk.draw_weighted_t(uniform, _FixedUniform((k + 0.5) / n))
+    ts, ws = hk.draw_weighted_t(uniform, (np.arange(n) + 0.5) / n)
+    for k, (t, w) in enumerate(zip(ts, ws)):
         assert t == pytest.approx((k + 1) * gamma, rel=1e-12)
         assert w == pytest.approx(gamma * n, rel=1e-12)
     with pytest.raises(ValueError, match="rate"):
@@ -193,7 +183,48 @@ class TestLocalLinearSolver:
         assert np.array_equal(2.0 * a.x_hat, b.x_hat)
 
 
+def per_sample_greens(problem, report, epsilon, keep=lambda t: True):
+    """x_hat and WalkStats of a greens_solver report rebuilt from one-sample
+    solver_approx_dirhkpr calls: the schedule stream (seed, 2, 0) gives every
+    uniform, then every child seed."""
+    sched = report.schedule
+    rng = hk.substream(sched.master_seed, 2, 0)
+    ts, weights = hk.draw_weighted_t(sched, rng.random(sched.r_outer))
+    seeds = rng.integers(0, 2**63, size=sched.r_outer)
+    assert np.array_equal(ts, report.sampled_ts)
+    stats = hk.WalkStats()
+    acc = np.zeros(problem.subset.size)
+    for t, w, seed in zip(ts, weights, seeds):
+        if keep(t):
+            acc += w * hk.solver_approx_dirhkpr(
+                problem.graph, t, problem.b2, problem.subset, epsilon, int(seed), stats=stats
+            )
+    x_hat = acc / sched.r_outer * (1.0 / np.sqrt(problem.degrees_s.astype(np.float64)))
+    return x_hat, stats
+
+
 class TestGreensSolver:
+    @pytest.mark.parametrize("name, gamma, eps", [("p4", 0.25, 0.4), ("dolphins", 0.4, 0.5)])
+    def test_batched_equals_per_sample(self, p4_problem, dolphins_problem, name, gamma, eps):
+        problem = {"p4": p4_problem, "dolphins": dolphins_problem}[name]
+        rep = hk.greens_solver(problem, gamma, eps, seed=21)
+        x_hat, stats = per_sample_greens(problem, rep, eps)
+        assert np.array_equal(rep.x_hat, x_hat)
+        assert (rep.walks_started, rep.walk_steps_total, rep.walks_aborted) == (
+            stats.walks_started, stats.steps_simulated, stats.walks_aborted)
+
+    def test_restricted_run_sums_kept_samples(self, p4_problem, p4_op):
+        gamma, eps = 0.25, 0.4
+        t_prime = hk.restricted_threshold(p4_op.lambda1, eps)
+        trimmed = hk.greens_solver(
+            p4_problem, gamma, eps, seed=11, restricted_range=True, t_prime=t_prime
+        )
+        assert 0 < trimmed.samples_skipped < trimmed.schedule.r_outer
+        x_hat, stats = per_sample_greens(p4_problem, trimmed, eps, keep=lambda t: t < t_prime)
+        assert np.array_equal(trimmed.x_hat, x_hat)
+        assert (trimmed.walks_started, trimmed.walk_steps_total, trimmed.walks_aborted) == (
+            stats.walks_started, stats.steps_simulated, stats.walks_aborted)
+
     def test_bound_p4(self, p4_problem, p4_op):
         gamma, eps = 0.25, 0.4
         x_s = hk.exact_local_solution(p4_problem, operator=p4_op)

@@ -67,6 +67,11 @@ class TestWalkConfig:
         assert hk.walk_cap(7.9, 0.5, "two_t") == 15
         assert hk.walk_cap(7.0, 0.5, "none") is None
 
+    @pytest.mark.parametrize("constant", [0.0, -3.0, math.inf, math.nan])
+    def test_bad_constant_rejected(self, constant):
+        with pytest.raises(ValueError, match="constant"):
+            hk.sample_count(0.3, 10, constant)
+
     def test_from_params(self):
         cfg = hk.WalkConfig.from_params(2.0, 0.25, 100, master_seed=5)
         assert cfg.cap == int(2.0 / 0.25)
@@ -144,6 +149,14 @@ class TestApproxDirhkpr:
     def test_zero_vector_rejected(self, p4_graph, p4_subset):
         with pytest.raises(ValueError, match="zero"):
             hk.approx_dirhkpr(p4_graph, 1.0, np.zeros(2), p4_subset, 0.3, master_seed=0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_t_rejected(self, p4_graph, p4_subset, t):
+        f = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="t must"):
+            hk.approx_dirhkpr(p4_graph, t, f, p4_subset, 0.3, master_seed=0)
+        with pytest.raises(ValueError, match="t must"):
+            hk.solver_approx_dirhkpr(p4_graph, t, f, p4_subset, 0.3, master_seed=0)
 
     def test_invalid_epsilon_rejected(self, p4_graph, p4_subset):
         with pytest.raises(ValueError, match="epsilon"):
@@ -240,16 +253,63 @@ def test_substream_independence():
     assert not np.array_equal(a, d)
 
 
-def replay_lengths(seed, t, r, block):
-    """Positive-phase walk lengths as the engine draws them: each block's
-    substream yields every start uniform first, then every Poisson length."""
-    lengths = []
+def replay_groups(seed, phase, t, r, block):
+    """Each walk group's stream in the engine's draw order: every start
+    uniform, then every Poisson length; the generator is left at the walks'
+    step uniforms, which follow in walk order."""
     for index, first in enumerate(range(0, r, block)):
         size = min(block, r - first)
-        rng = hk.substream(seed, walks.PHASE_POSITIVE, index)
-        rng.random(size)
-        lengths.append(rng.poisson(t, size))
-    return np.concatenate(lengths)
+        rng = hk.substream(seed, phase, index)
+        starts = rng.random(size)
+        yield starts, rng.poisson(t, size), rng
+
+
+def replay_lengths(seed, t, r, block):
+    """Positive-phase walk lengths as the engine draws them."""
+    groups = replay_groups(seed, walks.PHASE_POSITIVE, t, r, block)
+    return np.concatenate([lengths for _, lengths, _ in groups])
+
+
+class StepUniforms:
+    """Stands in for dirichlet_walk's generator: each neighbour index is
+    floor(u * deg), clamped to deg - 1, for the walk's next uniform u."""
+
+    def __init__(self, uniforms):
+        self._next = iter(uniforms)
+
+    def integers(self, n):
+        return min(int(next(self._next) * n), n - 1)
+
+
+def replay_estimate(graph, subset, t, f, epsilon, seed, cap, stats):
+    """approx_dirhkpr rebuilt from scalar dirichlet_walk calls: each walk of a
+    group takes as many uniforms as its capped length, in walk order."""
+    r = hk.sample_count(epsilon, graph.n)
+    rho = np.zeros(subset.size)
+    for phase, part, sign in (
+        (walks.PHASE_POSITIVE, np.where(f > 0, f, 0.0), 1.0),
+        (walks.PHASE_NEGATIVE, np.where(f < 0, -f, 0.0), -1.0),
+    ):
+        norm = part.sum()
+        if norm == 0.0:
+            continue
+        support = np.flatnonzero(part)
+        cdf = np.cumsum(part[support]) / norm
+        counts = np.zeros(subset.size, dtype=np.int64)
+        for u, lengths, rng in replay_groups(seed, phase, t, r, walks.WALK_BLOCK):
+            picks = np.minimum(np.searchsorted(cdf, u, side="right"), support.size - 1)
+            for start, k in zip(subset.members[support[picks]], np.minimum(lengths, cap)):
+                end = hk.dirichlet_walk(graph, subset, int(start), int(k),
+                                        StepUniforms(rng.random(k)), stats)
+                if end is not None:
+                    counts[subset.local_index(end)] += 1
+        rho += counts * (sign * norm / r)
+    return rho
+
+
+def assert_same_stats(a, b):
+    assert (a.walks_started, a.steps_simulated, a.walks_aborted) == (
+        b.walks_started, b.steps_simulated, b.walks_aborted)
 
 
 class TestLockstepEngine:
@@ -331,3 +391,67 @@ class TestLockstepEngine:
         assert 0 < stats.walks_aborted < r
         assert survivors + stats.walks_aborted == r
         assert_unbiased_with_cap_removed(p4_graph, p4_subset)
+
+
+class TestStreamLayout:
+    """Each walk is dirichlet_walk fed its own slice of its group's stream."""
+
+    T, EPS, SEED = 3.0, 0.6, 17
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_replays_scalar_walks(self, p4_graph, p4_subset, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(walks, "WALK_BLOCK", block)
+        f = np.array([1.0, -0.5])
+        stats, ref_stats = hk.WalkStats(), hk.WalkStats()
+        rho = hk.approx_dirhkpr(p4_graph, self.T, f, p4_subset, self.EPS,
+                                master_seed=self.SEED, stats=stats)
+        cap = hk.walk_cap(self.T, self.EPS, "eps")
+        ref = replay_estimate(p4_graph, p4_subset, self.T, f, self.EPS, self.SEED, cap, ref_stats)
+        assert np.array_equal(rho, ref)
+        assert_same_stats(stats, ref_stats)
+        assert 0 < stats.walks_aborted < stats.walks_started
+
+    def test_replays_scalar_walks_on_dolphins(self, dolphins_problem):
+        graph, subset, f = dolphins_problem.graph, dolphins_problem.subset, dolphins_problem.b2
+        t, eps = 20.0, 0.3
+        stats, ref_stats = hk.WalkStats(), hk.WalkStats()
+        rho = hk.approx_dirhkpr(graph, t, f, subset, eps, master_seed=5, stats=stats)
+        ref = replay_estimate(graph, subset, t, f, eps, 5, hk.walk_cap(t, eps, "eps"), ref_stats)
+        assert np.array_equal(rho, ref)
+        assert_same_stats(stats, ref_stats)
+
+
+class TestPassBudget:
+    """The chunking of a lockstep pass does not change any output."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("budget", [3, 5])
+    def test_approx_dirhkpr(self, p4_graph, p4_subset, monkeypatch, block, budget):
+        if block is not None:
+            monkeypatch.setattr(walks, "WALK_BLOCK", block)
+        # cap floor(3 / 0.6) = 5 exceeds every chunk, so walks get cut.
+        f = np.array([1.0, -0.5])
+        stats, small_stats = hk.WalkStats(), hk.WalkStats()
+        rho = hk.approx_dirhkpr(p4_graph, 3.0, f, p4_subset, 0.6, master_seed=4, stats=stats)
+        monkeypatch.setattr(walks, "PASS_BUDGET", budget)
+        small = hk.approx_dirhkpr(p4_graph, 3.0, f, p4_subset, 0.6, master_seed=4,
+                                  stats=small_stats)
+        assert np.array_equal(rho, small)
+        assert_same_stats(stats, small_stats)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_greens_solver(self, p4_problem, dolphins_problem, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(walks, "WALK_BLOCK", block)
+        runs = [
+            lambda: hk.greens_solver(p4_problem, 0.25, 0.4, seed=6),
+            lambda: hk.greens_solver(dolphins_problem, 0.4, 0.5, seed=6),
+        ]
+        full = [run() for run in runs]
+        for budget, run, want in zip((40, 4000), runs, full):
+            monkeypatch.setattr(walks, "PASS_BUDGET", budget)
+            got = run()
+            assert np.array_equal(got.x_hat, want.x_hat)
+            assert (got.walks_started, got.walk_steps_total, got.walks_aborted) == (
+                want.walks_started, want.walk_steps_total, want.walks_aborted)
