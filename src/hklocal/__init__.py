@@ -42,7 +42,6 @@ from .dirichlet import (
 from .walks import (
     DEFAULT_SAMPLE_CONSTANT,
     SignedSplit,
-    WalkConfig,
     WalkStats,
     approx_dirhkpr,
     dirichlet_walk,

@@ -183,9 +183,13 @@ def draw_weighted_t(schedule: SolverSchedule, u: np.ndarray) -> tuple[np.ndarray
 
 def _draw_times(schedule: SolverSchedule) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
     """Times and weights of all r_outer samples from one call on the
-    substream (seed, PHASE_SCHEDULE, 0), and that stream for what follows."""
+    substream (seed, PHASE_SCHEDULE, 0), and that stream for what follows.
+    Sample i maps its uniform U_i to (i + U_i) / r: this stratified draw
+    keeps the Riemann-sum mean, and its variance is at most that of r
+    independent draws."""
     rng = substream(schedule.master_seed, PHASE_SCHEDULE, 0)
-    ts, weights = draw_weighted_t(schedule, rng.random(schedule.r_outer))
+    r = schedule.r_outer
+    ts, weights = draw_weighted_t(schedule, (np.arange(r) + rng.random(r)) / r)
     return ts, weights, rng
 
 
@@ -265,11 +269,11 @@ def local_linear_solver(
     with probability at least 1 - gamma the error is within
     gamma * (||b1|| + ||x_S|| + ||x_rie||).  Through the eigenbasis that
     average is V (c * V^T b1) with c = (1 / r) sum_i w_i exp(-t_i lambda),
-    which is how it is computed: all r_outer uniforms come from one call on
-    the substream (seed, PHASE_SCHEDULE, 0), and c is a matrix product over
-    chunks of at most PASS_BUDGET // s samples, so the samples never take
-    more than about PASS_BUDGET entries at once.  ``workers`` must be at
-    least 1 and does not change the output.
+    which is how it is computed: all r_outer uniforms come, stratified, from
+    one call on the substream (seed, PHASE_SCHEDULE, 0), and c is a matrix
+    product over chunks of at most PASS_BUDGET // s samples, so the samples
+    never take more than about PASS_BUDGET entries at once.  ``workers``
+    must be at least 1 and does not change the output.
     """
     start = time.perf_counter()
     _check_workers(workers)

@@ -5,18 +5,19 @@ the moment they step outside the subset; aborted walks contribute nothing.
 One lockstep engine runs every estimate.  A walk group is one sample, one
 signed part and one block of at most ``WALK_BLOCK`` walks; it draws from the
 counter-based substream keyed by (the sample's seed, part, block): first
-every walk's start, then every walk's capped Poisson length, then, in walk
-order, one uniform u per step of each walk's length (a walk that aborts
-early leaves the rest of its uniforms unused).  A step from a vertex of
-degree deg moves to its neighbor number floor(u * deg), clamped to deg - 1,
-in adjacency order.  The walks of all groups of a call advance together as
-numpy arrays, in chunks of at most ``PASS_BUDGET`` entries, and surviving
-walks are counted per group as integers.  A sample's estimate therefore
-depends only on its own seed and time, not on the other samples of the call
-or on the chunking.  The ``workers`` arguments are accepted and must be at
-least 1, but they do not change the output or how it is computed.
-:func:`dirichlet_walk` is the one-walk reference the engine is tested
-against.
+every walk's start, then every walk's capped Poisson length, then one uint64
+group key.  Step uniforms are hashed from that key (mix is the SplitMix64
+finaliser, phi = 0x9E3779B97F4A7C15, arithmetic modulo 2**64): walk j has
+the key w = mix(key + j * phi), and its step k the uniform
+u = (mix(w + k * phi) >> 11) * 2**-53, which moves it to neighbor number
+floor(u * deg), clamped to deg - 1, in adjacency order.  The walks of all
+groups of a call advance together as numpy arrays, in chunks of whole groups
+of at most ``PASS_BUDGET`` entries, and surviving walks are counted per
+group as integers.  A sample's estimate therefore depends only on its own
+seed and time, not on the other samples of the call or on the chunking.
+The ``workers`` arguments are accepted and must be at least 1, but they do
+not change the output or how it is computed.  :func:`dirichlet_walk` is the
+one-walk reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from .graph import Graph, VertexSubset, _restrict
 
 __all__ = [
-    "WalkConfig",
     "SignedSplit",
     "WalkStats",
     "substream",
@@ -56,10 +56,10 @@ PHASE_SCHEDULE = 2
 # of this many, block b drawing from its own substream.
 WALK_BLOCK = 1 << 16
 
-# Entries one lockstep pass holds at once: one per walk, one per pre-drawn
-# step uniform and one per subset vertex for each group's counts.  A larger
-# pass runs as consecutive chunks with the same output; the group being
-# opened (WALK_BLOCK starts and lengths) is held besides.
+# Entries one lockstep chunk holds at once: one per walk and one per subset
+# vertex for each group's counts.  A larger pass runs as consecutive chunks
+# of whole groups with the same output; the next group (WALK_BLOCK walks) is
+# held besides.  A chunk always takes at least one group, so no walk is cut.
 PASS_BUDGET = 1 << 20
 
 CapMode = Literal["eps", "two_t", "none"]
@@ -91,39 +91,6 @@ def walk_cap(t: float, epsilon: float, mode: CapMode) -> int | None:
     if mode == "none":
         return None
     raise ValueError(f"unknown cap mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    """Resolved sampling parameters for one estimator call."""
-
-    t: float
-    epsilon: float
-    cap_mode: CapMode
-    cap: int | None
-    r: int
-    master_seed: int
-
-    @classmethod
-    def from_params(
-        cls,
-        t: float,
-        epsilon: float,
-        n: int,
-        master_seed: int,
-        cap_mode: CapMode = "eps",
-        constant: float = DEFAULT_SAMPLE_CONSTANT,
-    ) -> "WalkConfig":
-        if not (math.isfinite(t) and t > 0):
-            raise ValueError(f"t must be positive and finite, got {t}")
-        return cls(
-            t=float(t),
-            epsilon=float(epsilon),
-            cap_mode=cap_mode,
-            cap=walk_cap(t, epsilon, cap_mode),
-            r=sample_count(epsilon, n, constant),
-            master_seed=int(master_seed),
-        )
 
 
 @dataclass(frozen=True)
@@ -203,63 +170,25 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-@dataclass
-class _Block:
-    """One walk group, a (sample, signed part, block), while its walks run.
-
-    After the group's start uniforms and Poisson lengths, walk i's step
-    uniforms are stream positions offs[i]:offs[i + 1].  ``walk`` is the first
-    walk not yet finished; a chunk can cut it after ``done`` steps, leaving
-    it at local vertex ``vertex`` (-1 once it left S).
-    """
-
-    rng: np.random.Generator
-    row: int
-    starts: np.ndarray
-    offs: np.ndarray
-    held: np.ndarray  # offs[i] + i: entries a chunk holds for walks before i
-    walk: int = 0
-    done: int = 0
-    vertex: int = -1
-
-    @property
-    def finished(self) -> bool:
-        return self.walk == self.starts.size
-
-    def take(self, room: int, buf: np.ndarray, base: int):
-        """The next walks that fit in ``room`` entries, the last one possibly
-        cut short; their step uniforms are drawn into buf[base:]."""
-        w, done, offs, held = self.walk, self.done, self.offs, self.held
-        first = offs[w] + done
-        # Walks w..e-1 take held[e] - held[w] - done entries; take all that fit.
-        e = int(np.searchsorted(held, held[w] + done + room, side="right")) - 1
-        left = room - int(held[e] - held[w] - done)
-        cut = e < self.starts.size and left >= 2
-        last = offs[e] + left - 1 if cut else offs[e]
-        idx = np.arange(w, e + cut)
-        cur = self.starts[idx]
-        if done:
-            cur[0] = self.vertex
-        pos = base + np.maximum(offs[idx] - first, 0)
-        end = base + np.minimum(offs[idx + 1], last) - first
-        row = np.full(idx.size, self.row)
-        if cut:
-            row[-1] = -1  # deposits nowhere; its vertex carries to the next chunk
-        self.walk, self.done = e, int(last - offs[e])
-        n = int(last - first)
-        self.rng.random(out=buf[base:base + n])
-        return cur, pos, end, row, n
-
-    def skip_cut_walk(self) -> None:
-        """The cut walk left S: draw past the rest of its uniforms."""
-        rest = int(self.offs[self.walk + 1] - self.offs[self.walk]) - self.done
-        for skipped in range(0, rest, PASS_BUDGET):
-            self.rng.random(min(PASS_BUDGET, rest - skipped))
-        self.walk, self.done = self.walk + 1, 0
+# SplitMix64 (Steele, Lea & Flood 2014): the golden-ratio increment and the
+# finaliser's constants.  Every operand is np.uint64 so that the arithmetic
+# wraps modulo 2**64; numpy 1.24 turns uint64 combined with a Python int into
+# float64.
+_PHI = np.uint64(0x9E3779B97F4A7C15)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
-def _blocks(parts, ts, seeds, r, epsilon, cap_mode):
-    """Open the walk groups in order: sample, then signed part, then block."""
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser, elementwise on a uint64 array."""
+    z = (z ^ (z >> _S30)) * _M1
+    z = (z ^ (z >> _S27)) * _M2
+    return z ^ (z >> _S31)
+
+
+def _groups(parts, ts, seeds, r, epsilon, cap_mode):
+    """Open the walk groups in order (sample, signed part, block); yield each
+    group's walk rows (sample * parts + part), starts, capped lengths and keys."""
     for i, (t, seed) in enumerate(zip(ts, seeds)):
         cap = walk_cap(float(t), epsilon, cap_mode)
         for p, (phase, cdf, support, _) in enumerate(parts):
@@ -270,86 +199,60 @@ def _blocks(parts, ts, seeds, r, epsilon, cap_mode):
                 k = rng.poisson(t, size)
                 if cap is not None:
                     k = np.minimum(k, cap)
-                offs = np.zeros(size + 1, dtype=np.int64)
-                np.cumsum(k, out=offs[1:])
-                yield _Block(rng, i * len(parts) + p, support[np.minimum(picks, support.size - 1)],
-                             offs, offs + np.arange(size + 1))
+                key = rng.integers(2**64, dtype=np.uint64)
+                yield (np.full(size, i * len(parts) + p), support[np.minimum(picks, support.size - 1)],
+                       k, _mix(key + np.arange(size, dtype=np.uint64) * _PHI))
 
 
 def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode, stats):
     """Sum of weights[i] * rho_i over the samples, all walks in lockstep.
 
-    Walks of every group advance together, in chunks of at most
-    PASS_BUDGET entries (one per walk, one per pre-drawn step uniform,
-    s per group for its counts).  A walk longer than a chunk is cut and
-    resumes in the next one.  Each group's draws follow its own stream, and
-    terminal-vertex counts are summed per (sample, part) as integers, so
-    the output does not depend on the chunking or on the other samples.
+    A chunk takes whole walk groups while their entries (one per walk, s per
+    group for its counts) fit in PASS_BUDGET, and at least one group, so no
+    walk is ever cut and every live walk of a chunk is at the same step.
+    Terminal-vertex counts are summed per (sample, part) as integers, so the
+    output depends neither on the chunking nor on the other samples.
     """
     ptr, degrees, nbrs = adjacency
     nparts, m = len(parts), ts.size
     acc = np.zeros(s, dtype=np.float64)
     pending = np.zeros((nparts, s), dtype=np.int64)  # counts of sample `first` so far
     first = steps = aborted = 0
-    buf = np.empty(max(PASS_BUDGET, 2))
-    blocks = _blocks(parts, ts, seeds, r, epsilon, cap_mode)
-    blk = next(blocks, None)
-    while blk is not None:
-        room, base, pieces = PASS_BUDGET, 0, []
-        while blk is not None:
-            if blk.finished:
-                blk = next(blocks, None)
-                continue
-            # A group's counts take s entries.  The first group of a chunk
-            # always gets room for one step, so every chunk makes progress.
-            room -= s
-            if room < 2 and pieces:
-                break
-            room = max(room, 2)
-            *piece, drawn = blk.take(room, buf, base)
-            pieces.append(piece)
-            room -= piece[0].size + drawn
-            base += drawn
-            if not blk.finished:
-                break
-        # Per walk: its local vertex, the buf index of its next step's
-        # uniform, the index past its last one in this chunk, and its row
-        # sample * nparts + part (-1 for a cut walk).
-        cur, pos, end, row = (np.concatenate(a) for a in zip(*pieces))
-        fin = pos == end
-        rows, verts = [row[fin]], [cur[fin]]
-        live = np.flatnonzero(~fin)
-        cur, pos, end, row = cur[live], pos[live], end[live], row[live]
-        moved, stayed = cur.size, rows[0].size
+    groups = _groups(parts, ts, seeds, r, epsilon, cap_mode)
+    group = next(groups, None)
+    while group is not None:
+        chunk, room = [], PASS_BUDGET
+        while group is not None and (not chunk or group[0].size + s <= room):
+            chunk.append(group)
+            room -= group[0].size + s
+            group = next(groups, None)
+        row, cur, length, key = (np.concatenate(a) for a in zip(*chunk))
+        rows, verts, step = [], [], 0
+        inside = np.ones(cur.size, dtype=bool)
         while cur.size:
-            deg = degrees[cur]
-            pick = np.minimum((buf[pos] * deg).astype(np.int64), deg - 1)
-            nxt = nbrs[ptr[cur] + pick]
-            inside = nxt >= 0
-            steps += cur.size
-            pos += 1
-            fin = inside & (pos == end)
+            # Walks still in S after `step` steps finish at length `step`.
+            fin = inside & (length == step)
             rows.append(row[fin])
-            verts.append(nxt[fin])
+            verts.append(cur[fin])
             live = np.flatnonzero(inside ^ fin)
-            cur, pos, end, row = nxt[live], pos[live], end[live], row[live]
+            row, cur, length, key = row[live], cur[live], length[live], key[live]
+            # A walk's key advances by phi per step, so step k of the walk
+            # with key w uses the uniform (mix(w + k * phi) >> 11) * 2**-53.
+            u = (_mix(key) >> _S11) * 2.0**-53
+            key += _PHI
+            deg = degrees[cur]
+            cur = nbrs[ptr[cur] + np.minimum((u * deg).astype(np.int64), deg - 1)]
+            inside = cur >= 0
+            steps += cur.size
+            aborted += cur.size - int(np.count_nonzero(inside))
+            step += 1
         rows, verts = np.concatenate(rows), np.concatenate(verts)
-        aborted += moved - (rows.size - stayed)
-        if blk is not None and blk.done:
-            carried = verts[rows < 0]
-            if carried.size:
-                blk.vertex = int(carried[0])
-            else:
-                blk.skip_cut_walk()
-                if blk.finished:
-                    blk = next(blocks, None)
-        # Samples before the current group's are complete: turn their counts
+        # Samples before the next group's are complete: turn their counts
         # into weighted pagerank estimates and add them in sample order.
-        stop = m if blk is None else blk.row // nparts
+        stop = m if group is None else int(group[0][0]) // nparts
         touched = min(stop + 1, m) - first
-        keep = rows >= 0
         counts = np.bincount(
-            (rows[keep] - first * nparts) * s + verts[keep], minlength=touched * nparts * s
+            (rows - first * nparts) * s + verts, minlength=touched * nparts * s
         ).reshape(touched, nparts, s)
         counts[0] += pending
         rho = np.zeros((stop - first, s), dtype=np.float64)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,3 +269,21 @@ def test_constant_override_changes_round_count(p4_files, tmp_path):
         assert code == 0
         outs.append(json.loads(out.read_text()))
     assert outs[0]["instrumentation"]["walks_started"] > outs[1]["instrumentation"]["walks_started"]
+
+
+def test_parser_reuse_after_rejected_flag(p4_files, capsys):
+    # The parser is built once per process; a run it rejects must not change
+    # what a later run in the same process parses.
+    argv = ["solve-greens", *_io_args(p4_files), "--gamma", "0.25", "--eps", "0.4", "--seed", "9"]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv[:-2], "--seed", "3", "--workers", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(argv) == 0
+    reused = capsys.readouterr().out
+    src = str(Path(hk.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "hklocal.cli", *argv], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert _strip_elapsed(reused) == _strip_elapsed(fresh)

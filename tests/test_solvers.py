@@ -182,14 +182,46 @@ class TestLocalLinearSolver:
         b = hk.local_linear_solver(doubled, 0.2, seed=5, operator=p4_op)
         assert np.array_equal(2.0 * a.x_hat, b.x_hat)
 
+    def test_grid_misses_bound_at_most_gamma_share(self):
+        # A 30 x 30 patch of a four-neighbour grid (s = 900) with signed
+        # values on the rows just above and below it.  At lambda1 ~ 0.005 the
+        # weight of a late sample is large, and independent time draws miss
+        # the local bound in 27 of these 200 runs; the promise is at most gamma.
+        side, patch, gamma = 32, 30, 0.1
+        ids = np.arange(side * side).reshape(side, side)
+        pairs = np.concatenate([
+            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+            np.stack([ids[:-1, :].ravel(), ids[1:, :].ravel()], axis=1),
+        ])
+        graph = hk.load_graph("".join(f"{a} {b}\n" for a, b in pairs))
+        inner = ids[1:1 + patch, 1:1 + patch].ravel()
+        subset = hk.VertexSubset.from_iterable(inner.tolist(), graph.n)
+        boundary = np.concatenate([ids[0, 1:1 + patch], ids[1 + patch, 1:1 + patch]])
+        rng = np.random.default_rng(1)
+        values = rng.uniform(0.5, 1.5, boundary.size) * np.where(
+            rng.random(boundary.size) < 0.5, -1.0, 1.0)
+        problem = hk.make_boundary_problem(
+            graph, dict(zip(boundary.tolist(), values.tolist())), subset)
+        op = hk.restricted_operator(graph, subset)
+        x_s = hk.exact_local_solution(problem, operator=op)
+        x_rie = hk.riemann_sum_solution(problem, hk.make_schedule(op.s, gamma), operator=op)
+        seeds = 200
+        misses = 0
+        for seed in range(seeds):
+            rep = hk.local_linear_solver(problem, gamma, seed=seed, operator=op)
+            bound = hk.error_bound(rep, np.linalg.norm(x_s), np.linalg.norm(x_rie))["local"]
+            misses += np.linalg.norm(rep.x_hat - x_s) > bound
+        assert misses <= gamma * seeds
+
 
 def per_sample_greens(problem, report, epsilon, keep=lambda t: True):
     """x_hat and WalkStats of a greens_solver report rebuilt from one-sample
     solver_approx_dirhkpr calls: the schedule stream (seed, 2, 0) gives every
-    uniform, then every child seed."""
+    uniform U_i, stratified to (i + U_i) / r, then every child seed."""
     sched = report.schedule
     rng = hk.substream(sched.master_seed, 2, 0)
-    ts, weights = hk.draw_weighted_t(sched, rng.random(sched.r_outer))
+    r = sched.r_outer
+    ts, weights = hk.draw_weighted_t(sched, (np.arange(r) + rng.random(r)) / r)
     seeds = rng.integers(0, 2**63, size=sched.r_outer)
     assert np.array_equal(ts, report.sampled_ts)
     stats = hk.WalkStats()

@@ -72,13 +72,6 @@ class TestWalkConfig:
         with pytest.raises(ValueError, match="constant"):
             hk.sample_count(0.3, 10, constant)
 
-    def test_from_params(self):
-        cfg = hk.WalkConfig.from_params(2.0, 0.25, 100, master_seed=5)
-        assert cfg.cap == int(2.0 / 0.25)
-        assert cfg.r == math.ceil(16.0 / 0.25**3 * math.log(100))
-        with pytest.raises(ValueError):
-            hk.WalkConfig.from_params(0.0, 0.25, 100, master_seed=5)
-
 
 class TestSignedSplit:
     def test_split(self):
@@ -253,21 +246,46 @@ def test_substream_independence():
     assert not np.array_equal(a, d)
 
 
+MASK64 = (1 << 64) - 1
+PHI = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z):
+    """SplitMix64 finaliser (Steele, Lea & Flood 2014) on a Python int."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def test_splitmix64_reference_vector():
+    # The first two outputs of SplitMix64 seeded with 0.
+    assert splitmix64(PHI) == 0xE220A8397B1DCDAF
+    assert splitmix64(2 * PHI) == 0x6E789E6AA1B965F4
+
+
 def replay_groups(seed, phase, t, r, block):
-    """Each walk group's stream in the engine's draw order: every start
-    uniform, then every Poisson length; the generator is left at the walks'
-    step uniforms, which follow in walk order."""
+    """Each walk group's draws in the engine's order: every start uniform,
+    then every Poisson length, then one uint64 group key."""
     for index, first in enumerate(range(0, r, block)):
         size = min(block, r - first)
         rng = hk.substream(seed, phase, index)
         starts = rng.random(size)
-        yield starts, rng.poisson(t, size), rng
+        lengths = rng.poisson(t, size)
+        yield starts, lengths, int(rng.integers(2**64, dtype=np.uint64))
 
 
 def replay_lengths(seed, t, r, block):
     """Positive-phase walk lengths as the engine draws them."""
     groups = replay_groups(seed, walks.PHASE_POSITIVE, t, r, block)
     return np.concatenate([lengths for _, lengths, _ in groups])
+
+
+def step_uniforms(group_key, j, k):
+    """Walk j's k step uniforms: step i is mix(w + i * phi) >> 11 scaled by
+    2**-53, with w = mix(group_key + j * phi)."""
+    w = splitmix64(group_key + j * PHI)
+    return [(splitmix64(w + i * PHI) >> 11) * 2.0**-53 for i in range(k)]
 
 
 class StepUniforms:
@@ -282,8 +300,8 @@ class StepUniforms:
 
 
 def replay_estimate(graph, subset, t, f, epsilon, seed, cap, stats):
-    """approx_dirhkpr rebuilt from scalar dirichlet_walk calls: each walk of a
-    group takes as many uniforms as its capped length, in walk order."""
+    """approx_dirhkpr rebuilt from scalar dirichlet_walk calls, walk j of a
+    group fed the hashed uniforms of its own key."""
     r = hk.sample_count(epsilon, graph.n)
     rho = np.zeros(subset.size)
     for phase, part, sign in (
@@ -296,11 +314,12 @@ def replay_estimate(graph, subset, t, f, epsilon, seed, cap, stats):
         support = np.flatnonzero(part)
         cdf = np.cumsum(part[support]) / norm
         counts = np.zeros(subset.size, dtype=np.int64)
-        for u, lengths, rng in replay_groups(seed, phase, t, r, walks.WALK_BLOCK):
+        for u, lengths, key in replay_groups(seed, phase, t, r, walks.WALK_BLOCK):
             picks = np.minimum(np.searchsorted(cdf, u, side="right"), support.size - 1)
-            for start, k in zip(subset.members[support[picks]], np.minimum(lengths, cap)):
+            for j, (start, k) in enumerate(zip(subset.members[support[picks]],
+                                               np.minimum(lengths, cap))):
                 end = hk.dirichlet_walk(graph, subset, int(start), int(k),
-                                        StepUniforms(rng.random(k)), stats)
+                                        StepUniforms(step_uniforms(key, j, int(k))), stats)
                 if end is not None:
                     counts[subset.local_index(end)] += 1
         rho += counts * (sign * norm / r)
@@ -394,7 +413,7 @@ class TestLockstepEngine:
 
 
 class TestStreamLayout:
-    """Each walk is dirichlet_walk fed its own slice of its group's stream."""
+    """Each walk is dirichlet_walk fed the hashed uniforms of its own key."""
 
     T, EPS, SEED = 3.0, 0.6, 17
 
@@ -430,7 +449,8 @@ class TestPassBudget:
     def test_approx_dirhkpr(self, p4_graph, p4_subset, monkeypatch, block, budget):
         if block is not None:
             monkeypatch.setattr(walks, "WALK_BLOCK", block)
-        # cap floor(3 / 0.6) = 5 exceeds every chunk, so walks get cut.
+        # A budget below one group's entries still runs every group whole,
+        # one group per chunk.
         f = np.array([1.0, -0.5])
         stats, small_stats = hk.WalkStats(), hk.WalkStats()
         rho = hk.approx_dirhkpr(p4_graph, 3.0, f, p4_subset, 0.6, master_seed=4, stats=stats)
