@@ -29,7 +29,6 @@ from .dirichlet import (
     DENSE_SIZE_LIMIT,
     CapacityError,
     DirichletOperator,
-    GreensFunction,
     SpectrumError,
     apply_heat_kernel,
     dump_matrix_csv,
@@ -37,6 +36,7 @@ from .dirichlet import (
     exact_dirhkpr,
     exact_local_solution,
     greens_function,
+    restricted_laplacian,
     restricted_operator,
 )
 from .walks import (

@@ -31,6 +31,7 @@ from .graph import (
     BoundaryProblem,
     Graph,
     GraphFormatError,
+    VertexSubset,
     load_boundary,
     load_graph_file,
     load_subset,
@@ -85,49 +86,39 @@ def _vector_csv(graph: Graph, members: np.ndarray, values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_rows(text: str, header: str) -> list[list[str]]:
+    """The comma-split data rows of a CSV whose first non-blank,
+    non-comment line must be ``header``."""
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    if lines and lines[0] != header:
+        raise GraphFormatError(f"unexpected CSV header {lines[0]!r}")
+    return [line.split(",") for line in lines[1:]]
+
+
 def load_vector_csv(text: str) -> dict[int, float]:
     """Round-trip loader for the vertex_id,value CSV schema."""
-    rows: dict[int, float] = {}
-    header_seen = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != "vertex_id,value":
-                raise GraphFormatError(f"unexpected CSV header {line!r}")
-            header_seen = True
-            continue
-        vid, value = line.split(",")
-        rows[int(vid)] = float(value)
-    return rows
+    return {int(vid): float(value) for vid, value in _csv_rows(text, "vertex_id,value")}
 
 
 def load_sweep_csv(text: str) -> list[tuple[float, float, float]]:
     """Round-trip loader for the t,l1_norm,max_abs_entry CSV schema."""
-    rows: list[tuple[float, float, float]] = []
-    header_seen = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != "t,l1_norm,max_abs_entry":
-                raise GraphFormatError(f"unexpected CSV header {line!r}")
-            header_seen = True
-            continue
-        t, l1, mx = line.split(",")
-        rows.append((float(t), float(l1), float(mx)))
-    return rows
+    return [(float(t), float(l1), float(mx))
+            for t, l1, mx in _csv_rows(text, "t,l1_norm,max_abs_entry")]
 
 
-def _load_problem(args: argparse.Namespace) -> BoundaryProblem:
+def _read_inputs(args: argparse.Namespace) -> tuple[Graph, dict[int, float], VertexSubset]:
+    """The graph, boundary vector and subset named by the I/O options."""
     graph = load_graph_file(args.graph)
     with open(args.subset, "r", encoding="utf-8") as fh:
         subset = load_subset(fh, graph)
     with open(args.boundary, "r", encoding="utf-8") as fh:
         b = load_boundary(fh, graph)
-    return make_boundary_problem(graph, b, subset)
+    return graph, b, subset
+
+
+def _load_problem(args: argparse.Namespace) -> BoundaryProblem:
+    return make_boundary_problem(*_read_inputs(args))
 
 
 def _attach_bounds(doc: dict, report, problem: BoundaryProblem, op=None) -> None:
@@ -156,12 +147,7 @@ def _attach_bounds(doc: dict, report, problem: BoundaryProblem, op=None) -> None
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    graph = load_graph_file(args.graph)
-    with open(args.subset, "r", encoding="utf-8") as fh:
-        subset = load_subset(fh, graph)
-    with open(args.boundary, "r", encoding="utf-8") as fh:
-        b = load_boundary(fh, graph)
-    violations = validate_b_boundable(graph, b, subset)
+    violations = validate_b_boundable(*_read_inputs(args))
     doc = {
         "format_version": 1,
         "command": "validate",

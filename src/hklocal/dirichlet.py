@@ -1,15 +1,18 @@
 """Dense restricted operators, Dirichlet spectra, and exact heat-kernel solves.
 
-This is the exact backend: the restricted normalized Laplacian of a
-connected subset, its eigenstructure, the Green's function, and the
-heat-kernel pagerank computed through the eigenbasis.  It doubles as the
-oracle every Monte-Carlo component is tested against, so sizes are capped and
-the spectrum's structural bounds are checked eagerly.
+This is the exact backend: the restricted normalized Laplacian L_S of a
+connected subset and its eigendecomposition.  Every exact quantity is a
+scalar function of L_S applied to one vector, f(L_S) b, and goes through
+:meth:`DirichletOperator.apply`: the Green's function solution (1 / lambda),
+the heat-kernel pagerank (exp(-t lambda)), and the solvers' sums of kernels.
+It doubles as the oracle every Monte-Carlo component is tested against, so
+sizes are capped and the spectrum's structural bounds are checked eagerly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -27,10 +30,10 @@ from .graph import (
 
 __all__ = [
     "DirichletOperator",
-    "GreensFunction",
     "CapacityError",
     "SpectrumError",
     "DENSE_SIZE_LIMIT",
+    "restricted_laplacian",
     "restricted_operator",
     "greens_function",
     "apply_heat_kernel",
@@ -57,21 +60,19 @@ class SpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class DirichletOperator:
-    """Restricted operators over a subset S with eigendecomposition.
+    """The spectrum of the restricted Laplacian L_S of a subset S.
 
-    ``laplacian`` is the s x s restriction of the normalized Laplacian (rows
-    and columns of S, degrees from the full graph).  ``eigenvalues`` are
-    ascending with orthonormal ``eigenvectors`` as columns.  Immutable;
-    concurrent reads are safe.
+    ``degrees`` are the full-graph degrees of the members of S, in local
+    order.  ``eigenvalues`` are ascending with orthonormal ``eigenvectors``
+    as columns, so L_S = V diag(lambda) V^T.  Every solve acts with a
+    function of L_S through :meth:`apply` and never reads the eigenvectors
+    itself.  Immutable; concurrent reads are safe.
     """
 
     subset: VertexSubset
     degrees: np.ndarray
-    laplacian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sqrt_degrees: np.ndarray
-    inv_sqrt_degrees: np.ndarray
 
     @property
     def s(self) -> int:
@@ -81,17 +82,12 @@ class DirichletOperator:
     def lambda1(self) -> float:
         return float(self.eigenvalues[0])
 
+    def apply(self, fn: Callable[[np.ndarray], np.ndarray], f: np.ndarray) -> np.ndarray:
+        """fn(L_S) @ f, as V (fn(lambda) * V^T f).
 
-@dataclass(frozen=True)
-class GreensFunction:
-    """Inverse of the restricted normalized Laplacian."""
-
-    matrix: np.ndarray
-    lambda1: float
-
-    @property
-    def spectral_norm(self) -> float:
-        return 1.0 / self.lambda1
+        ``fn`` takes the whole array of eigenvalues and acts elementwise.
+        """
+        return self.eigenvectors @ (fn(self.eigenvalues) * (self.eigenvectors.T @ f))
 
 
 def _check_spectrum(eigenvalues: np.ndarray, s: int) -> None:
@@ -111,25 +107,26 @@ def _check_spectrum(eigenvalues: np.ndarray, s: int) -> None:
 
 
 def _coupling(graph: Graph, subset: VertexSubset, sl: _Slice) -> tuple[np.ndarray, ...]:
-    """Degrees of S and the off-diagonal couplings of its restricted adjacency.
+    """The off-diagonal couplings of the restricted adjacency of S.
 
-    Returns ``(degrees, i, j, w)`` with w = 1 / sqrt(d_i d_j) for every
-    ordered pair of adjacent members (i, j), in local indices.
+    Returns ``(i, j, w)`` with w = 1 / sqrt(d_i d_j) for every ordered pair
+    of adjacent members (i, j), in local indices.
     """
     degrees = graph.degrees[subset.members].astype(np.float64)
     if np.any(degrees == 0):
         raise ValueError("subset contains isolated vertices")
     inside = sl.cols >= 0
     i, j = sl.rows[inside], sl.cols[inside]
-    return degrees, i, j, 1.0 / np.sqrt(degrees[i] * degrees[j])
+    return i, j, 1.0 / np.sqrt(degrees[i] * degrees[j])
 
 
-def restricted_operator(graph: Graph, subset: VertexSubset) -> DirichletOperator:
-    """Assemble the dense restricted Laplacian for S and eigendecompose.
+def restricted_laplacian(graph: Graph, subset: VertexSubset) -> np.ndarray:
+    """The dense s x s restricted normalized Laplacian L_S.
 
-    Requires the induced subgraph on S to be connected with a nonempty
-    vertex boundary (otherwise the restriction may be singular) and every
-    member to have positive degree.
+    Rows and columns of S, degrees from the full graph.  Requires the
+    induced subgraph on S to be connected with a nonempty vertex boundary
+    (otherwise the restriction may be singular) and every member to have
+    positive degree.
     """
     s = subset.size
     if s == 0:
@@ -141,28 +138,26 @@ def restricted_operator(graph: Graph, subset: VertexSubset) -> DirichletOperator
         raise ValueError("induced subgraph on S is not connected")
     if not np.any(sl.cols < 0):
         raise ValueError("vertex boundary of S is empty")
-    degrees, i, j, w = _coupling(graph, subset, sl)
+    i, j, w = _coupling(graph, subset, sl)
     lap = np.eye(s, dtype=np.float64)
     lap[i, j] = -w
-    eigenvalues, eigenvectors = np.linalg.eigh(lap)
-    _check_spectrum(eigenvalues, s)
-    return DirichletOperator(
-        subset=subset,
-        degrees=degrees,
-        laplacian=lap,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        sqrt_degrees=np.sqrt(degrees),
-        inv_sqrt_degrees=1.0 / np.sqrt(degrees),
-    )
+    return lap
 
 
-def greens_function(op: DirichletOperator) -> GreensFunction:
-    """Green's function of S: sum of (1/lambda_i) times each eigenprojection."""
+def restricted_operator(graph: Graph, subset: VertexSubset) -> DirichletOperator:
+    """Eigendecompose :func:`restricted_laplacian` for S, checking the spectrum."""
+    eigenvalues, eigenvectors = np.linalg.eigh(restricted_laplacian(graph, subset))
+    _check_spectrum(eigenvalues, subset.size)
+    degrees = graph.degrees[subset.members].astype(np.float64)
+    return DirichletOperator(subset, degrees, eigenvalues, eigenvectors)
+
+
+def greens_function(op: DirichletOperator) -> np.ndarray:
+    """Green's function of S, the s x s matrix L_S^-1: the sum of
+    (1/lambda_i) times each eigenprojection."""
     if op.eigenvalues[0] <= _EIGENVALUE_FLOOR:
         raise SpectrumError("cannot invert: eigenvalue at or below the numerical floor")
-    matrix = (op.eigenvectors / op.eigenvalues) @ op.eigenvectors.T
-    return GreensFunction(matrix=matrix, lambda1=op.lambda1)
+    return (op.eigenvectors / op.eigenvalues) @ op.eigenvectors.T
 
 
 def apply_heat_kernel(op: DirichletOperator, t: float, f: np.ndarray) -> np.ndarray:
@@ -172,9 +167,7 @@ def apply_heat_kernel(op: DirichletOperator, t: float, f: np.ndarray) -> np.ndar
     f = np.asarray(f, dtype=np.float64)
     if t == 0:
         return f.copy()
-    y = op.eigenvectors.T @ f
-    y *= np.exp(-t * op.eigenvalues)
-    return op.eigenvectors @ y
+    return op.apply(lambda lam: np.exp(-t * lam), f)
 
 
 def exact_dirhkpr(op: DirichletOperator, t: float, f: np.ndarray) -> np.ndarray:
@@ -191,7 +184,8 @@ def exact_dirhkpr(op: DirichletOperator, t: float, f: np.ndarray) -> np.ndarray:
         raise ValueError(f"preference vector has shape {f.shape}, expected ({op.s},)")
     if t == 0:
         return f.copy()
-    return apply_heat_kernel(op, t, f * op.inv_sqrt_degrees) * op.sqrt_degrees
+    root = np.sqrt(op.degrees)
+    return apply_heat_kernel(op, t, f * (1.0 / root)) * root
 
 
 def exact_local_solution(
@@ -199,11 +193,11 @@ def exact_local_solution(
 ) -> np.ndarray:
     """Exact local solution over S: the Green's function applied to b1.
 
-    Computed as V (V^T b1 / lambda) through the eigenbasis, without forming
-    the s x s Green's matrix.
+    Computed as L_S^-1 b1 through :meth:`DirichletOperator.apply`, without
+    forming the s x s Green's matrix.
     """
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
-    return op.eigenvectors @ ((op.eigenvectors.T @ problem.b1) / op.eigenvalues)
+    return op.apply(np.reciprocal, problem.b1)
 
 
 def estimate_lambda1(
@@ -222,7 +216,7 @@ def estimate_lambda1(
     s = subset.size
     if s == 0:
         raise ValueError("empty subset")
-    _, ri, ci, wt = _coupling(graph, subset, _restrict(graph, subset))
+    ri, ci, wt = _coupling(graph, subset, _restrict(graph, subset))
 
     def shifted(x: np.ndarray) -> np.ndarray:
         # (I - L_S/2) x = x/2 + M x / 2 with M the off-diagonal coupling.

@@ -346,13 +346,6 @@ def _vertex_boundary(sl: _Slice) -> np.ndarray:
     return np.unique(sl.nbrs[sl.cols < 0])
 
 
-def _edge_boundary(subset: VertexSubset, sl: _Slice) -> np.ndarray:
-    out = sl.cols < 0
-    inner, outer = subset.members[sl.rows[out]], sl.nbrs[out]
-    pairs = np.stack([np.minimum(inner, outer), np.maximum(inner, outer)], axis=1)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-
-
 def _is_connected(size: int, sl: _Slice) -> bool:
     if size == 0:
         return False
@@ -378,7 +371,11 @@ def vertex_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
 
 def edge_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
     """Edges with exactly one endpoint in S, as canonical (u, v) rows, u < v."""
-    return _edge_boundary(subset, _restrict(graph, subset))
+    sl = _restrict(graph, subset)
+    out = sl.cols < 0
+    inner, outer = subset.members[sl.rows[out]], sl.nbrs[out]
+    pairs = np.stack([np.minimum(inner, outer), np.maximum(inner, outer)], axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def is_connected_induced(graph: Graph, subset: VertexSubset) -> bool:
@@ -455,15 +452,14 @@ class BoundaryProblem:
     """A graph, a boundary vector b, and an admissible subset S.
 
     Holds the derived quantities used by every solver: the vertex boundary
-    ``delta_s``, the edge boundary ``partial_s``, and the folded boundary
-    vectors ``b1`` and ``b2`` over S (in local index order).
+    ``delta_s`` and the folded boundary vectors ``b1`` and ``b2`` over S (in
+    local index order).
     """
 
     graph: Graph
     b: Mapping[int, float]
     subset: VertexSubset
     delta_s: np.ndarray
-    partial_s: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
 
@@ -494,7 +490,6 @@ def make_boundary_problem(
         b=dict(b),
         subset=subset,
         delta_s=_frozen(delta),
-        partial_s=_frozen(_edge_boundary(subset, sl)),
         b1=_frozen(b1),
         b2=_frozen(b2),
     )

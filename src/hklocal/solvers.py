@@ -2,17 +2,17 @@
 
 Two backends approximate the local solution x_S = G b1 by sampling
 heat-kernel pagerank vectors at importance-weighted random times on the
-schedule grid: an exact backend that evaluates each sample through the
-eigenbasis, and a Monte-Carlo backend that estimates each sample with capped
-Dirichlet random walks.  A closed form Riemann-sum reference and the
-error-bound bookkeeping live here too.
+schedule grid: an exact backend that sums the samples as one function of
+the restricted Laplacian, and a Monte-Carlo backend that estimates each
+sample with capped Dirichlet random walks.  A closed form Riemann-sum
+reference and the error-bound bookkeeping live here too.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,18 +218,18 @@ def _riemann_direct(op: DirichletOperator, b2: np.ndarray, schedule: SolverSched
     acc = np.zeros(op.s, dtype=np.float64)
     for j in range(1, schedule.floor_n + 1):
         acc += exact_dirhkpr(op, j * schedule.step, b2)
-    return acc * schedule.step * op.inv_sqrt_degrees
+    return acc * schedule.step * (1.0 / np.sqrt(op.degrees))
 
 
 def _riemann_geometric(op: DirichletOperator, b1: np.ndarray, schedule: SolverSchedule) -> np.ndarray:
     # step * sum_{j=1..floor(N)} exp(-lambda * j * step), summed per eigenvalue
     # in closed form.  Identical to the literal sum up to roundoff.
-    lam = op.eigenvalues
-    q_log = -lam * schedule.step
-    denom = -np.expm1(q_log)
-    series = np.exp(q_log) * (-np.expm1(q_log * schedule.floor_n)) / denom
-    y = op.eigenvectors.T @ b1
-    return op.eigenvectors @ (series * schedule.step * y)
+    def series(lam: np.ndarray) -> np.ndarray:
+        q_log = -lam * schedule.step
+        total = np.exp(q_log) * (-np.expm1(q_log * schedule.floor_n)) / -np.expm1(q_log)
+        return total * schedule.step
+
+    return op.apply(series, b1)
 
 
 def riemann_sum_solution(
@@ -267,27 +267,29 @@ def local_linear_solver(
     rho of b2 at each, and returns (1 / r) sum_i (gamma / P(j_i)) rho_{t_i}
     carried back through D^{-1/2}.  Its mean is the Riemann sum x_rie, and
     with probability at least 1 - gamma the error is within
-    gamma * (||b1|| + ||x_S|| + ||x_rie||).  Through the eigenbasis that
-    average is V (c * V^T b1) with c = (1 / r) sum_i w_i exp(-t_i lambda),
-    which is how it is computed: all r_outer uniforms come, stratified, from
-    one call on the substream (seed, PHASE_SCHEDULE, 0), and c is a matrix
-    product over chunks of at most PASS_BUDGET // s samples, so the samples
-    never take more than about PASS_BUDGET entries at once.  ``workers``
-    must be at least 1 and does not change the output.
+    gamma * (||b1|| + ||x_S|| + ||x_rie||).  That average is c(L_S) b1
+    with c(lambda) = (1 / r) sum_i w_i exp(-t_i lambda), which is how it is
+    computed, by :meth:`DirichletOperator.apply`: all r_outer uniforms come,
+    stratified, from one call on the substream (seed, PHASE_SCHEDULE, 0),
+    and c is a matrix product over chunks of at most PASS_BUDGET // s
+    samples, so the samples never take more than about PASS_BUDGET entries
+    at once.  ``workers`` must be at least 1 and does not change the output.
     """
     start = time.perf_counter()
     _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     schedule = make_schedule(op.s, gamma, seed=seed, rate=op.lambda1)
     ts, weights, _ = _draw_times(schedule)
-    decay = np.zeros(op.s, dtype=np.float64)
-    rows = max(1, PASS_BUDGET // op.s)
-    for lo in range(0, ts.size, rows):
-        decay += weights[lo:lo + rows] @ np.exp(-np.outer(ts[lo:lo + rows], op.eigenvalues))
-    decay /= schedule.r_outer
-    x_hat = op.eigenvectors @ (decay * (op.eigenvectors.T @ problem.b1))
+
+    def decay(lam: np.ndarray) -> np.ndarray:
+        c = np.zeros(lam.size, dtype=np.float64)
+        rows = max(1, PASS_BUDGET // lam.size)
+        for lo in range(0, ts.size, rows):
+            c += weights[lo:lo + rows] @ np.exp(-np.outer(ts[lo:lo + rows], lam))
+        return c / schedule.r_outer
+
     return SolveReport(
-        x_hat=x_hat,
+        x_hat=op.apply(decay, problem.b1),
         sampled_ts=ts,
         walk_steps_total=0,
         elapsed=time.perf_counter() - start,
@@ -304,7 +306,6 @@ def greens_solver(
     seed: int,
     restricted_range: bool = False,
     workers: int = 1,
-    t_prime: float | None = None,
     constant: float = DEFAULT_SAMPLE_CONSTANT,
 ) -> SolveReport:
     """Monte-Carlo local solver: walk-based pagerank samples, cap floor(2t).
@@ -318,8 +319,9 @@ def greens_solver(
     power-iteration estimate :func:`estimate_lambda1`, which may slightly
     overestimate lambda1; the weighted estimator's variance stays bounded
     for every T only while the rate is below 2 lambda1.  The same estimate
-    gives t' under ``restricted_range`` when ``t_prime`` is not passed:
-    samples at t at or past t' contribute zero without simulating any walk.  Error is within
+    gives t' = :func:`restricted_threshold` under ``restricted_range``:
+    samples at t at or past t' contribute zero without simulating any walk.
+    When b2 is zero, x_hat is zero and no walk runs.  Error is within
     gamma * (||b1|| + ||x_S|| + ||x_rie||) + epsilon * ||b2||_1 with
     probability at least 1 - gamma.  ``workers`` must be at least 1 and
     does not change the output.
@@ -328,25 +330,24 @@ def greens_solver(
     _check_workers(workers)
     subset = problem.subset
     lambda1 = estimate_lambda1(problem.graph, subset)
-    if t_prime is None and restricted_range:
-        t_prime = restricted_threshold(lambda1, epsilon)
-    schedule = make_schedule(subset.size, gamma, epsilon=epsilon, seed=seed, rate=lambda1)
+    schedule = make_schedule(
+        subset.size, gamma, epsilon=epsilon, seed=seed, rate=lambda1,
+        lambda1=lambda1 if restricted_range else None,
+    )
     ts, weights, rng = _draw_times(schedule)
     # Child seeds are drawn for every sample, skipped or not, so the
     # simulated samples match between restricted and full runs.
     child_seeds = rng.integers(0, 2**63, size=schedule.r_outer)
-    keep = np.ones(ts.size, dtype=bool)
-    if restricted_range and t_prime is not None:
-        keep = ts < t_prime
+    keep = ts < schedule.t_prime if restricted_range else np.ones(ts.size, dtype=bool)
     totals = WalkStats()
-    acc = solver_approx_dirhkpr(
-        problem.graph, ts[keep], problem.b2, subset, epsilon, child_seeds[keep],
-        constant=constant, stats=totals, weights=weights[keep],
-    )
+    acc = np.zeros(subset.size)
+    if np.any(problem.b2):
+        acc = solver_approx_dirhkpr(
+            problem.graph, ts[keep], problem.b2, subset, epsilon, child_seeds[keep],
+            constant=constant, stats=totals, weights=weights[keep],
+        )
     inv_sqrt_deg = 1.0 / np.sqrt(problem.degrees_s.astype(np.float64))
     x_hat = acc / schedule.r_outer * inv_sqrt_deg
-    if restricted_range and t_prime is not None:
-        schedule = replace(schedule, t_prime=t_prime)
     return SolveReport(
         x_hat=x_hat,
         sampled_ts=ts,

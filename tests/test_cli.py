@@ -115,6 +115,21 @@ class TestSolveCommands:
         inst = json.loads(capsys.readouterr().out)["instrumentation"]
         assert (inst["abort_rate"], inst["mean_walk_length"]) == (0.0, 0.0)
 
+    def test_solve_greens_cancelling_boundary_is_zero(self, tmp_path, capsys):
+        # On the path 0-1-2 with S = {1}, b(0) = 1 and b(2) = -1 fold into
+        # b1 = 0 exactly: a valid problem whose solution is zero.
+        (tmp_path / "g").write_text("0 1\n1 2\n")
+        (tmp_path / "s").write_text("1\n")
+        (tmp_path / "b").write_text("0 1.0\n2 -1.0\n")
+        files = {k: str(tmp_path / k[0]) for k in ("graph", "subset", "boundary")}
+        assert run(["validate", *_io_args(files)]) == 0
+        capsys.readouterr()
+        assert run(["solve-greens", "--gamma", "0.3", "--eps", "0.5", *_io_args(files)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["x_hat"] == {"1": 0.0}
+        assert doc["instrumentation"]["walks_started"] == 0
+        assert doc["error_bounds"]["observed_error"] == 0.0
+
     def test_eps_below_gamma_exits_two(self, p4_files, capsys):
         code = run([
             "solve-greens", *_io_args(p4_files),

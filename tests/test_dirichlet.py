@@ -22,12 +22,13 @@ def p3_op(p3_problem):
 
 
 class TestRestrictedOperator:
-    def test_p4_matrix_and_spectrum(self, p4_op):
-        assert p4_op.laplacian.tolist() == [[1.0, -0.5], [-0.5, 1.0]]
+    def test_p4_matrix_and_spectrum(self, p4_problem, p4_op):
+        lap = hk.restricted_laplacian(p4_problem.graph, p4_problem.subset)
+        assert lap.tolist() == [[1.0, -0.5], [-0.5, 1.0]]
         assert p4_op.eigenvalues == pytest.approx([0.5, 1.5], abs=1e-14)
 
-    def test_p3_singleton(self, p3_op):
-        assert p3_op.laplacian.tolist() == [[1.0]]
+    def test_p3_singleton(self, p3_problem, p3_op):
+        assert hk.restricted_laplacian(p3_problem.graph, p3_problem.subset).tolist() == [[1.0]]
         assert p3_op.lambda1 == pytest.approx(1.0, abs=1e-14)
 
     def test_lambda1_floor_random(self):
@@ -50,7 +51,20 @@ class TestRestrictedOperator:
         for prob in problems:
             op = hk.restricted_operator(prob.graph, prob.subset)
             recon = (op.eigenvectors * op.eigenvalues) @ op.eigenvectors.T
-            assert np.max(np.abs(recon - op.laplacian)) < 1e-10
+            assert np.max(np.abs(recon - hk.restricted_laplacian(prob.graph, prob.subset))) < 1e-10
+
+    def test_apply_matches_laplacian_and_inverse(self, dolphins_problem):
+        rng = np.random.default_rng(41)
+        problems = [dolphins_problem] + [
+            random_problem(rng, random_connected_graph(rng, int(rng.integers(3, 40))))
+            for _ in range(20)
+        ]
+        for prob in problems:
+            op = hk.restricted_operator(prob.graph, prob.subset)
+            lap = hk.restricted_laplacian(prob.graph, prob.subset)
+            f = rng.normal(size=op.s)
+            assert np.max(np.abs(op.apply(lambda lam: lam, f) - lap @ f)) <= 1e-12
+            assert np.max(np.abs(op.apply(np.reciprocal, lap @ f) - f)) <= 1e-12
 
     def test_disconnected_rejected(self, p4_graph):
         sub = hk.VertexSubset.from_iterable([0, 3], p4_graph.n)
@@ -71,11 +85,11 @@ class TestRestrictedOperator:
 
 class TestGreensFunction:
     def test_p3_identity(self, p3_op):
-        assert hk.greens_function(p3_op).matrix.tolist() == [[1.0]]
+        assert hk.greens_function(p3_op).tolist() == [[1.0]]
 
     def test_p4_closed_form(self, p4_op):
         expected = np.array([[4.0, 2.0], [2.0, 4.0]]) / 3.0
-        assert hk.greens_function(p4_op).matrix == pytest.approx(expected, abs=1e-14)
+        assert hk.greens_function(p4_op) == pytest.approx(expected, abs=1e-14)
 
     def test_inverse_identities_random(self):
         rng = np.random.default_rng(5)
@@ -84,10 +98,11 @@ class TestGreensFunction:
             prob = random_problem(rng, g)
             op = hk.restricted_operator(g, prob.subset)
             gf = hk.greens_function(op)
+            lap = hk.restricted_laplacian(g, prob.subset)
             eye = np.eye(op.s)
-            assert np.max(np.abs(gf.matrix @ op.laplacian - eye)) < 1e-10
-            assert np.max(np.abs(op.laplacian @ gf.matrix - eye)) < 1e-10
-            norm = np.linalg.norm(gf.matrix, 2)
+            assert np.max(np.abs(gf @ lap - eye)) < 1e-10
+            assert np.max(np.abs(lap @ gf - eye)) < 1e-10
+            norm = np.linalg.norm(gf, 2)
             assert 0.5 <= norm <= (1.0 / op.lambda1) * (1 + 1e-10)
 
     def test_integral_of_heat_kernel_matches(self):
@@ -99,11 +114,11 @@ class TestGreensFunction:
             g = random_connected_graph(rng, int(rng.integers(4, 10)))
             prob = random_problem(rng, g, max_size=4)
             op = hk.restricted_operator(g, prob.subset)
-            gf = hk.greens_function(op).matrix
+            gf = hk.greens_function(op)
             horizon = hk.make_schedule(op.s, gamma).T
             h = 0.02
             steps = int(horizon / h)
-            stepper = scipy.linalg.expm(-h * op.laplacian)
+            stepper = scipy.linalg.expm(-h * hk.restricted_laplacian(g, prob.subset))
             acc = 0.5 * np.eye(op.s)
             cur = np.eye(op.s)
             for _ in range(steps):
@@ -168,9 +183,10 @@ class TestExactDirhkpr:
         op = hk.restricted_operator(dolphins_problem.graph, dolphins_problem.subset)
         f = dolphins_problem.b2
         t = 4.0
-        dhalf = np.diag(op.sqrt_degrees)
-        dhalf_inv = np.diag(op.inv_sqrt_degrees)
-        reference = f @ (dhalf_inv @ scipy.linalg.expm(-t * op.laplacian) @ dhalf)
+        lap = hk.restricted_laplacian(dolphins_problem.graph, dolphins_problem.subset)
+        dhalf = np.diag(np.sqrt(op.degrees))
+        dhalf_inv = np.diag(1.0 / np.sqrt(op.degrees))
+        reference = f @ (dhalf_inv @ scipy.linalg.expm(-t * lap) @ dhalf)
         assert hk.exact_dirhkpr(op, t, f) == pytest.approx(reference, abs=1e-11)
 
 
@@ -212,11 +228,11 @@ class TestLambda1Estimate:
 
 
 def test_dump_matrix_csv_round_trip(p4_problem):
-    op = hk.restricted_operator(p4_problem.graph, p4_problem.subset)
+    lap = hk.restricted_laplacian(p4_problem.graph, p4_problem.subset)
     buf = io.StringIO()
-    hk.dump_matrix_csv(op.laplacian, buf)
+    hk.dump_matrix_csv(lap, buf)
     rows = [
         [float(x) for x in line.split(",")]
         for line in buf.getvalue().strip().splitlines()
     ]
-    assert np.array_equal(np.array(rows), op.laplacian)
+    assert np.array_equal(np.array(rows), lap)

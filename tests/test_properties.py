@@ -136,9 +136,8 @@ def test_b1_and_laplacian_match_loops(problem):
         (min(int(v), int(u)), max(int(v), int(u)))
         for v in subset.members for u in graph.neighbors(v) if not subset.mask[u]
     )
-    assert [tuple(row) for row in problem.partial_s.tolist()] == partial
-    op = hk.restricted_operator(graph, subset)
-    assert np.array_equal(op.laplacian, reference_laplacian(graph, subset))
+    assert [tuple(row) for row in hk.edge_boundary(graph, subset).tolist()] == partial
+    assert np.array_equal(hk.restricted_laplacian(graph, subset), reference_laplacian(graph, subset))
 
 
 @PROPERTY

@@ -97,7 +97,7 @@ def test_weighted_draw_enumeration_is_riemann_sum(p4_problem, p4_op):
         assert t == pytest.approx((k + 1) * gamma, rel=1e-12)
         acc += probs[k] * w * hk.exact_dirhkpr(p4_op, t, p4_problem.b2)
     x_rie = hk.riemann_sum_solution(p4_problem, sched, operator=p4_op)
-    assert np.max(np.abs(acc * p4_op.inv_sqrt_degrees - x_rie)) <= 1e-12
+    assert np.max(np.abs(acc / np.sqrt(p4_op.degrees) - x_rie)) <= 1e-12
 
     uniform = hk.make_schedule(2, gamma, rate=0.0)
     ts, ws = hk.draw_weighted_t(uniform, (np.arange(n) + 0.5) / n)
@@ -245,12 +245,10 @@ class TestGreensSolver:
         assert (rep.walks_started, rep.walk_steps_total, rep.walks_aborted) == (
             stats.walks_started, stats.steps_simulated, stats.walks_aborted)
 
-    def test_restricted_run_sums_kept_samples(self, p4_problem, p4_op):
+    def test_restricted_run_sums_kept_samples(self, p4_problem):
         gamma, eps = 0.25, 0.4
-        t_prime = hk.restricted_threshold(p4_op.lambda1, eps)
-        trimmed = hk.greens_solver(
-            p4_problem, gamma, eps, seed=11, restricted_range=True, t_prime=t_prime
-        )
+        trimmed = hk.greens_solver(p4_problem, gamma, eps, seed=11, restricted_range=True)
+        t_prime = trimmed.schedule.t_prime
         assert 0 < trimmed.samples_skipped < trimmed.schedule.r_outer
         x_hat, stats = per_sample_greens(p4_problem, trimmed, eps, keep=lambda t: t < t_prime)
         assert np.array_equal(trimmed.x_hat, x_hat)
@@ -276,18 +274,17 @@ class TestGreensSolver:
             hk.greens_solver(p4_problem, 0.3, 0.1, seed=0)
 
     def test_forced_zero_threshold(self, p4_problem):
-        rep = hk.greens_solver(p4_problem, 0.25, 0.4, seed=3, restricted_range=True, t_prime=0.0)
+        # t' = ln(1 / 0.999) / lambda1 is below gamma, the smallest grid time.
+        rep = hk.greens_solver(p4_problem, 0.25, 0.999, seed=3, restricted_range=True)
         assert np.array_equal(rep.x_hat, np.zeros(2))
         assert rep.samples_skipped == rep.schedule.r_outer
         assert rep.walk_steps_total == 0
 
-    def test_restricted_range_safety(self, p4_problem, p4_op):
+    def test_restricted_range_safety(self, p4_problem):
         gamma, eps = 0.25, 0.4
-        t_prime = hk.restricted_threshold(p4_op.lambda1, eps)
         full = hk.greens_solver(p4_problem, gamma, eps, seed=11)
-        trimmed = hk.greens_solver(
-            p4_problem, gamma, eps, seed=11, restricted_range=True, t_prime=t_prime
-        )
+        trimmed = hk.greens_solver(p4_problem, gamma, eps, seed=11, restricted_range=True)
+        t_prime = trimmed.schedule.t_prime
         skipped = trimmed.samples_skipped
         assert skipped == int((full.sampled_ts >= t_prime).sum())
         # Each skipped sample would have entered x_hat with the weight the
