@@ -27,8 +27,10 @@ from .graph import (
 )
 from .dirichlet import (
     DENSE_SIZE_LIMIT,
+    KRYLOV_MIN_SIZE,
     CapacityError,
     DirichletOperator,
+    KrylovOperator,
     SpectrumError,
     apply_heat_kernel,
     dump_matrix_csv,

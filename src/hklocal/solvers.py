@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import (
-    DirichletOperator,
+    Operator,
     estimate_lambda1,
     exact_dirhkpr,
     restricted_operator,
@@ -209,7 +209,7 @@ class SolveReport:
     samples_skipped: int = 0
 
 
-def _riemann_direct(op: DirichletOperator, b2: np.ndarray, schedule: SolverSchedule) -> np.ndarray:
+def _riemann_direct(op: Operator, b2: np.ndarray, schedule: SolverSchedule) -> np.ndarray:
     if op.s * schedule.floor_n > _DIRECT_SUM_LIMIT:
         raise MemoryError(
             f"direct Riemann sum needs {schedule.floor_n} kernel evaluations on s = {op.s}; "
@@ -221,9 +221,10 @@ def _riemann_direct(op: DirichletOperator, b2: np.ndarray, schedule: SolverSched
     return acc * schedule.step * (1.0 / np.sqrt(op.degrees))
 
 
-def _riemann_geometric(op: DirichletOperator, b1: np.ndarray, schedule: SolverSchedule) -> np.ndarray:
-    # step * sum_{j=1..floor(N)} exp(-lambda * j * step), summed per eigenvalue
-    # in closed form.  Identical to the literal sum up to roundoff.
+def _riemann_geometric(op: Operator, b1: np.ndarray, schedule: SolverSchedule) -> np.ndarray:
+    # step * sum_{j=1..floor(N)} exp(-lambda * j * step), summed per
+    # eigenvalue or Ritz value in closed form.  Identical to the literal sum
+    # up to roundoff.
     def series(lam: np.ndarray) -> np.ndarray:
         q_log = -lam * schedule.step
         total = np.exp(q_log) * (-np.expm1(q_log * schedule.floor_n)) / -np.expm1(q_log)
@@ -235,13 +236,13 @@ def _riemann_geometric(op: DirichletOperator, b1: np.ndarray, schedule: SolverSc
 def riemann_sum_solution(
     problem: BoundaryProblem,
     schedule: SolverSchedule,
-    operator: DirichletOperator | None = None,
+    operator: Operator | None = None,
     mode: str = "geometric",
 ) -> np.ndarray:
     """Right Riemann sum of the heat-kernel integral for x_S on the schedule grid.
 
     Satisfies ||x_S - x_rie|| <= gamma * (||b1|| + ||x_S||).  The default
-    geometric mode sums each eigencomponent in closed form (O(s^3) total);
+    geometric mode sums the series in closed form per eigenvalue or Ritz value;
     ``mode="direct"`` evaluates every grid point and is capacity-guarded.
     """
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
@@ -257,23 +258,25 @@ def local_linear_solver(
     gamma: float,
     seed: int,
     workers: int = 1,
-    operator: DirichletOperator | None = None,
+    operator: Operator | None = None,
 ) -> SolveReport:
     """Approximate x_S by averaging exact heat-kernel pagerank samples.
 
     Draws r_outer grid times t_i = j_i * gamma with P(j) proportional to
     exp(-lambda1 * gamma * (j - 1)) (:func:`draw_weighted_t` at rate
-    lambda1, the operator's bottom eigenvalue), evaluates the exact pagerank
-    rho of b2 at each, and returns (1 / r) sum_i (gamma / P(j_i)) rho_{t_i}
-    carried back through D^{-1/2}.  Its mean is the Riemann sum x_rie, and
-    with probability at least 1 - gamma the error is within
-    gamma * (||b1|| + ||x_S|| + ||x_rie||).  That average is c(L_S) b1
-    with c(lambda) = (1 / r) sum_i w_i exp(-t_i lambda), which is how it is
-    computed, by :meth:`DirichletOperator.apply`: all r_outer uniforms come,
+    lambda1, the operator's bottom eigenvalue or Ritz value), evaluates the
+    exact pagerank rho of b2 at each, and returns
+    (1 / r) sum_i (gamma / P(j_i)) rho_{t_i} carried back through D^{-1/2}.
+    Its mean is the Riemann sum x_rie, and with probability at least
+    1 - gamma the error is within gamma * (||b1|| + ||x_S|| + ||x_rie||).
+    That average is c(L_S) b1 with c(lambda) =
+    (1 / r) sum_i w_i exp(-t_i lambda), which is how it is
+    computed, by the operator's ``apply``: all r_outer uniforms come,
     stratified, from one call on the substream (seed, PHASE_SCHEDULE, 0),
-    and c is a matrix product over chunks of at most PASS_BUDGET // s
-    samples, so the samples never take more than about PASS_BUDGET entries
-    at once.  ``workers`` must be at least 1 and does not change the output.
+    and c is a matrix product over chunks of at most PASS_BUDGET // m
+    samples for m eigenvalues or Ritz values, so the samples never take
+    more than about PASS_BUDGET entries at once.  ``workers`` must be at
+    least 1 and does not change the output.
     """
     start = time.perf_counter()
     _check_workers(workers)
@@ -316,9 +319,9 @@ def greens_solver(
     run in one lockstep pass, one call of :func:`solver_approx_dirhkpr` with
     their times, child seeds and weights; sample i's estimate is exactly
     the one-sample call with (t_i, child seed i).  The rate is the
-    power-iteration estimate :func:`estimate_lambda1`, which may slightly
-    overestimate lambda1; the weighted estimator's variance stays bounded
-    for every T only while the rate is below 2 lambda1.  The same estimate
+    Lanczos estimate :func:`estimate_lambda1`, a Ritz value that may
+    slightly overestimate lambda1; the weighted estimator's variance stays
+    bounded for every T only while the rate is below 2 lambda1.  The same estimate
     gives t' = :func:`restricted_threshold` under ``restricted_range``:
     samples at t at or past t' contribute zero without simulating any walk.
     When b2 is zero, x_hat is zero and no walk runs.  Error is within

@@ -114,6 +114,35 @@ def random_problem(
     raise RuntimeError("could not generate an admissible random problem")
 
 
+def grid_patch(patch: int, seed: int = 1):
+    """A (patch + 2)-square four-neighbour grid with its inner patch x patch
+    block as S and signed values, drawn from the seed, on the rows just
+    above and below S.  Vertex r * (patch + 2) + c sits at row r, column c.
+
+    Returns (edge pairs, members of S, boundary vertices, boundary values).
+    """
+    side = patch + 2
+    ids = np.arange(side * side).reshape(side, side)
+    pairs = np.concatenate([
+        np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+        np.stack([ids[:-1, :].ravel(), ids[1:, :].ravel()], axis=1),
+    ])
+    inner = ids[1:1 + patch, 1:1 + patch].ravel()
+    boundary = np.concatenate([ids[0, 1:1 + patch], ids[1 + patch, 1:1 + patch]])
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.5, 1.5, boundary.size) * np.where(
+        rng.random(boundary.size) < 0.5, -1.0, 1.0)
+    return pairs, inner, boundary, values
+
+
+def grid_patch_problem(patch: int, seed: int = 1) -> hk.BoundaryProblem:
+    """The boundary problem of :func:`grid_patch`."""
+    pairs, inner, boundary, values = grid_patch(patch, seed)
+    graph = hk.load_graph("".join(f"{a} {b}\n" for a, b in pairs))
+    subset = hk.VertexSubset.from_iterable(inner.tolist(), graph.n)
+    return hk.make_boundary_problem(graph, dict(zip(boundary.tolist(), values.tolist())), subset)
+
+
 def harmonic_solve(problem: hk.BoundaryProblem) -> np.ndarray:
     """Independent oracle: assemble and solve the harmonic system directly.
 

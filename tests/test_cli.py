@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 import hklocal as hk
+from conftest import grid_patch, grid_patch_problem
 from hklocal.cli import load_sweep_csv, load_vector_csv, run
 from hklocal.fixtures import (
     dolphins_boundary_path,
@@ -263,6 +266,61 @@ class TestSweep:
         assert code == 0
         rows = load_sweep_csv(out.read_text())
         assert rows[-1][0] == pytest.approx(108738.936, abs=0.01)
+
+
+def _grid_files(tmp_path, patch):
+    """Write the :func:`grid_patch` problem as CLI input files."""
+    pairs, inner, boundary, values = grid_patch(patch)
+    files = {"graph": tmp_path / "grid.edges", "subset": tmp_path / "grid.subset",
+             "boundary": tmp_path / "grid.boundary"}
+    files["graph"].write_text("".join(f"{a} {b}\n" for a, b in pairs))
+    files["subset"].write_text("".join(f"{v}\n" for v in inner))
+    files["boundary"].write_text(
+        "".join(f"{v} {x!r}\n" for v, x in zip(boundary.tolist(), values.tolist())))
+    return {k: str(v) for k, v in files.items()}
+
+
+class TestKrylovBackend:
+    def test_past_the_dense_limit(self, tmp_path, capsys):
+        # A 65 x 65 patch: s = 4225 is above DENSE_SIZE_LIMIT.
+        patch = 65
+        files = _grid_files(tmp_path, patch)
+        assert patch * patch > hk.DENSE_SIZE_LIMIT
+        assert run(["solve-exact", *_io_args(files)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        pairs, inner, boundary, values = grid_patch(patch)
+        x = np.array([doc["x_s"][str(v)] for v in inner])
+        # The harmonic system assembled and solved with scipy.sparse.
+        n, s = (patch + 2) ** 2, inner.size
+        deg = np.bincount(pairs.ravel(), minlength=n).astype(np.float64)
+        local = np.full(n, -1)
+        local[inner] = np.arange(s)
+        u, v = np.concatenate([pairs, pairs[:, ::-1]]).T
+        w = 1.0 / np.sqrt(deg[u] * deg[v])
+        inside = (local[u] >= 0) & (local[v] >= 0)
+        cross = (local[u] >= 0) & (local[v] < 0)
+        coupling = scipy.sparse.coo_matrix(
+            (w[inside], (local[u[inside]], local[v[inside]])), shape=(s, s))
+        b = np.zeros(n)
+        b[boundary] = values
+        rhs = np.bincount(local[u[cross]], weights=w[cross] * b[v[cross]], minlength=s)
+        expected = scipy.sparse.linalg.spsolve((scipy.sparse.identity(s) - coupling).tocsc(), rhs)
+        assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert run(["solve-local", *_io_args(files), "--gamma", "0.3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["error_bounds"]["local"] > 0.0
+
+    def test_sweep_matches_the_dense_oracle(self, tmp_path, capsys):
+        files = _grid_files(tmp_path, 30)
+        assert run(["sweep-norms", *_io_args(files), "--points", "60"]) == 0
+        rows = load_sweep_csv(capsys.readouterr().out)
+        problem = grid_patch_problem(30)
+        dense = hk.DirichletOperator.from_subset(problem.graph, problem.subset)
+        scale = np.abs(problem.b2).sum()
+        for t, l1, top in rows:
+            rho = np.abs(hk.exact_dirhkpr(dense, t, problem.b2))
+            assert abs(l1 - rho.sum()) <= 1e-11 * max(rho.sum(), scale)
+            assert abs(top - rho.max()) <= 1e-11 * max(rho.max(), scale)
 
 
 def test_diagnostics_go_to_stderr_only(p4_files, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import hklocal as hk
-from conftest import harmonic_solve, random_connected_graph, random_problem
+from conftest import grid_patch_problem, harmonic_solve, random_connected_graph, random_problem
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,115 @@ class TestExactLocalSolution:
             assert hk.exact_local_solution(prob) == pytest.approx(
                 harmonic_solve(prob), abs=1e-10
             )
+
+
+@pytest.fixture(scope="module")
+def oracle_pairs(dolphins_problem):
+    """(problem, dense operator, Krylov operator) on dolphins (s = 20), the
+    30 x 30 grid patch (s = 900) and 20 random problems, every operator
+    built directly, whatever restricted_operator would choose."""
+    rng = np.random.default_rng(43)
+    problems = [dolphins_problem, grid_patch_problem(30)] + [
+        random_problem(rng, random_connected_graph(rng, int(rng.integers(3, 40))))
+        for _ in range(20)
+    ]
+    return [
+        (prob, hk.DirichletOperator.from_subset(prob.graph, prob.subset),
+         hk.KrylovOperator.from_subset(prob.graph, prob.subset))
+        for prob in problems
+    ]
+
+
+def close_to_dense(krylov, dense, f, tol=1e-12):
+    """Normwise agreement relative to the larger of the output and the input.
+
+    The input is the scale for contractions: at t = 5000, e^{-t lambda} is
+    conditioned only to about t * eps relative to its own tiny output, on
+    the dense path as much as on the Krylov one.
+    """
+    scale = max(np.linalg.norm(dense), np.linalg.norm(f))
+    return np.linalg.norm(krylov - dense) <= tol * scale
+
+
+class TestKrylovOperator:
+    def test_apply_matches_dense(self, oracle_pairs):
+        fns = [np.reciprocal] + [
+            lambda lam, t=t: np.exp(-t * lam) for t in (0.5, 4.0, 37.0, 5000.0)
+        ]
+        for prob, dense, krylov in oracle_pairs:
+            for fn in fns:
+                assert close_to_dense(krylov.apply(fn, prob.b1), dense.apply(fn, prob.b1), prob.b1)
+
+    def test_solver_sums_match_dense(self, oracle_pairs):
+        # The local solver's weighted decay and the Riemann sum's geometric
+        # series, each evaluated on the Ritz values.
+        for prob, dense, krylov in oracle_pairs:
+            sched = hk.make_schedule(dense.s, 0.2)
+            rie = [hk.riemann_sum_solution(prob, sched, operator=op) for op in (dense, krylov)]
+            assert close_to_dense(rie[1], rie[0], prob.b1)
+            local = [hk.local_linear_solver(prob, 0.2, seed=3, operator=op)
+                     for op in (dense, krylov)]
+            assert np.array_equal(local[0].sampled_ts, local[1].sampled_ts)
+            assert close_to_dense(local[1].x_hat, local[0].x_hat, prob.b1)
+
+    def test_lambda1_matches_dense(self, oracle_pairs):
+        for _, dense, krylov in oracle_pairs:
+            assert krylov.lambda1 == pytest.approx(dense.lambda1, rel=1e-12)
+
+    def test_zero_vector_gives_zeros(self, oracle_pairs):
+        for _, dense, krylov in oracle_pairs[:2]:
+            zero = np.zeros(krylov.s)
+            for op in (dense, krylov):
+                assert np.array_equal(op.apply(np.reciprocal, zero), zero)
+                rows = op.apply(lambda lam: np.exp(-np.outer([1.0, 2.0], lam)), zero)
+                assert rows.shape == (2, op.s) and not np.any(rows)
+
+    def test_many_times_from_one_call(self, oracle_pairs):
+        # A 1-d array of times gives one row per time.  t = 0 is f exactly,
+        # and a time at which every e^{-t theta} underflows gives zeros.
+        times = np.array([0.0, 0.5, 37.0, 5000.0, 1e9])
+        for prob, dense, krylov in oracle_pairs[:2]:
+            f = prob.b2
+            for op in (dense, krylov):
+                rows = hk.exact_dirhkpr(op, times, f)
+                assert rows.shape == (times.size, op.s)
+                assert np.array_equal(rows[0], f)
+                assert not np.any(rows[-1])
+                for t, row in zip(times, rows):
+                    assert close_to_dense(row, hk.exact_dirhkpr(dense, float(t), f), f)
+
+    def test_tiny_outputs_keep_their_relative_accuracy(self, oracle_pairs):
+        # e^{-t lambda1} = 1e-100 and 1e-250 on the grid patch: squared
+        # norms of such estimates underflow, and e^{-t theta} underflows at
+        # Ritz values that have not converged yet; neither may stop Lanczos.
+        # Both paths are conditioned to about t * eps relative (5e-11 here).
+        prob, dense, krylov = oracle_pairs[1]
+        for decades in (100, 250):
+            t = decades * math.log(10.0) / dense.lambda1
+            expected = hk.apply_heat_kernel(dense, t, prob.b1)
+            scale = np.max(np.abs(expected))
+            assert scale > 0.0
+            error = hk.apply_heat_kernel(krylov, t, prob.b1) - expected
+            assert np.linalg.norm(error / scale) <= 1e-9 * np.linalg.norm(expected / scale)
+
+    @pytest.mark.parametrize("cls", [hk.DirichletOperator, hk.KrylovOperator])
+    def test_rejections_hold_for_both(self, p4_graph, cls):
+        with pytest.raises(ValueError, match="not connected"):
+            cls.from_subset(p4_graph, hk.VertexSubset.from_iterable([0, 3], p4_graph.n))
+        with pytest.raises(ValueError, match="boundary"):
+            cls.from_subset(p4_graph, hk.VertexSubset.from_iterable(range(4), p4_graph.n))
+
+    def test_restricted_operator_switches_at_krylov_min_size(self, oracle_pairs):
+        for prob, _, krylov in oracle_pairs[:2]:
+            op = hk.restricted_operator(prob.graph, prob.subset)
+            big = prob.subset.size >= hk.KRYLOV_MIN_SIZE
+            assert isinstance(op, hk.KrylovOperator if big else hk.DirichletOperator)
+            # One lambda1 run serves the Krylov operator and the estimate.
+            assert hk.estimate_lambda1(prob.graph, prob.subset) == krylov.lambda1
+
+    def test_greens_function_needs_the_dense_operator(self, oracle_pairs):
+        with pytest.raises(TypeError):
+            hk.greens_function(oracle_pairs[0][2])
 
 
 class TestLambda1Estimate:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hklocal as hk
+from conftest import grid_patch_problem
 
 
 @pytest.fixture(scope="module")
@@ -187,22 +188,9 @@ class TestLocalLinearSolver:
         # values on the rows just above and below it.  At lambda1 ~ 0.005 the
         # weight of a late sample is large, and independent time draws miss
         # the local bound in 27 of these 200 runs; the promise is at most gamma.
-        side, patch, gamma = 32, 30, 0.1
-        ids = np.arange(side * side).reshape(side, side)
-        pairs = np.concatenate([
-            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
-            np.stack([ids[:-1, :].ravel(), ids[1:, :].ravel()], axis=1),
-        ])
-        graph = hk.load_graph("".join(f"{a} {b}\n" for a, b in pairs))
-        inner = ids[1:1 + patch, 1:1 + patch].ravel()
-        subset = hk.VertexSubset.from_iterable(inner.tolist(), graph.n)
-        boundary = np.concatenate([ids[0, 1:1 + patch], ids[1 + patch, 1:1 + patch]])
-        rng = np.random.default_rng(1)
-        values = rng.uniform(0.5, 1.5, boundary.size) * np.where(
-            rng.random(boundary.size) < 0.5, -1.0, 1.0)
-        problem = hk.make_boundary_problem(
-            graph, dict(zip(boundary.tolist(), values.tolist())), subset)
-        op = hk.restricted_operator(graph, subset)
+        gamma = 0.1
+        problem = grid_patch_problem(30)
+        op = hk.restricted_operator(problem.graph, problem.subset)
         x_s = hk.exact_local_solution(problem, operator=op)
         x_rie = hk.riemann_sum_solution(problem, hk.make_schedule(op.s, gamma), operator=op)
         seeds = 200
