@@ -7,7 +7,10 @@ in input files may be arbitrary non-negative integers; they are compacted to
 
 from __future__ import annotations
 
+import logging
 import math
+import re
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
@@ -33,6 +36,9 @@ __all__ = [
     "compute_b2",
     "write_edge_list",
 ]
+
+
+log = logging.getLogger(__name__)
 
 
 class GraphFormatError(ValueError):
@@ -70,6 +76,41 @@ def _parse_id(token: str, ln: int) -> int:
     if v >= _ID_LIMIT:
         raise GraphFormatError(f"line {ln}: vertex id {v} does not fit in 64 bits")
     return v
+
+
+# A comment line after its \n, up to its line break.  It stops at every
+# character on which str.splitlines breaks, so it never swallows a line.
+_COMMENT = re.compile("\n[ \t]*#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def _bulk_ids(text: str, per_line: int) -> np.ndarray | None:
+    """The (m, per_line) ids of a text whose lines are blank, comments or
+    ``per_line`` ids, tokenised in whole-text passes.
+
+    None, so that the caller runs its per-line parser, unless the data is
+    ASCII digits, spaces, tabs and LF or CRLF line ends and no id has over 18
+    digits: on such text this agrees with ``int`` exactly.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    data = _COMMENT.sub("\n", "\n" + text)
+    # Anything not ASCII becomes "?", which the alphabet check declines.
+    b = np.frombuffer(data.encode("ascii", "replace"), dtype=np.uint8)
+    digit = (b - np.uint8(48)) < np.uint8(10)
+    newline = b == np.uint8(10)
+    if not (digit | newline | (b == np.uint8(32)) | (b == np.uint8(9))).all():
+        return None
+    edge = np.zeros(len(b) + 2, dtype=bool)
+    edge[1:-1] = digit
+    starts = np.flatnonzero(edge[1:] & ~edge[:-1])
+    ends = np.flatnonzero(edge[:-1] & ~edge[1:])
+    # Tokens after each line break; the text starts with one.
+    counts = np.diff(np.searchsorted(starts, np.flatnonzero(newline)), append=len(starts))
+    if (ends - starts).max(initial=0) > 18 or ((counts != 0) & (counts != per_line)).any():
+        return None
+    # np.fromstring reads a text of blanks alone as [0].
+    ids = np.fromstring(data, dtype=np.int64, sep=" ") if len(starts) else np.zeros(0, np.int64)
+    return ids.reshape(-1, per_line)
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -120,10 +161,12 @@ class Graph:
 
         Self-loops are rejected; duplicate pairs (in either orientation)
         collapse to a single edge.  ``vertex_ids`` may list extra isolated
-        vertices to keep in storage.
+        vertices to keep in storage.  An (m, 2) array of pairs is used as is.
         """
         try:
-            pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+            if not isinstance(pairs, np.ndarray):
+                pairs = list(pairs)
+            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
             extra = np.array(list(() if vertex_ids is None else vertex_ids), dtype=np.int64)
         except OverflowError:
             raise GraphFormatError("vertex id does not fit in 64 bits") from None
@@ -142,7 +185,7 @@ class Graph:
         edges = np.stack([keys // n, keys % n], axis=1)
         src = np.concatenate([edges[:, 0], edges[:, 1]])
         dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        indices = dst[np.argsort(src * n + dst)]
+        indices = np.sort(src * n + dst) % n
         degrees = np.bincount(src, minlength=n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
@@ -189,12 +232,21 @@ def load_graph(source: str | IO[str]) -> Graph:
         On self-loops, non-integer, negative or out-of-range (2^63 and up)
         ids, or malformed lines, with the offending line number.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
+    start = time.perf_counter()
+    text = source if isinstance(source, str) else source.read()
+    pairs, parser = _bulk_ids(text, 2), "bulk"
+    if pairs is None or (pairs[:, 0] == pairs[:, 1]).any():
+        pairs, parser = _edge_lines(text), "per-line"
+    graph = Graph.from_edges(pairs)
+    log.info("loaded %d vertices and %d edges with the %s parser in %.4f s",
+             graph.n, graph.edge_count, parser, time.perf_counter() - start)
+    return graph
+
+
+def _edge_lines(text: str) -> list[tuple[int, int]]:
+    """The edges of a text, one line at a time; names the first bad line."""
     pairs: list[tuple[int, int]] = []
-    for ln, raw in enumerate(lines, start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -205,7 +257,7 @@ def load_graph(source: str | IO[str]) -> Graph:
         if u == v:
             raise GraphFormatError(f"line {ln}: self-loop at vertex {u}")
         pairs.append((u, v))
-    return Graph.from_edges(pairs)
+    return pairs
 
 
 def load_graph_file(path: str | Path) -> Graph:
@@ -268,11 +320,22 @@ class VertexSubset:
 
 def load_subset(source: str | IO[str], graph: Graph) -> VertexSubset:
     """Read one original vertex id per line into a :class:`VertexSubset`."""
-    if not isinstance(source, str):
-        source = source.read()
+    text = source if isinstance(source, str) else source.read()
+    ids = _bulk_ids(text, 1)
+    if ids is not None and len(ids):
+        pos = np.searchsorted(graph.original_ids, ids.ravel())
+        if pos.max() < graph.n and (graph.original_ids[pos] == ids.ravel()).all():
+            members = np.sort(pos)
+            if (members[1:] != members[:-1]).all():
+                return VertexSubset.from_iterable(members.tolist(), graph.n)
+    return _subset_lines(text, graph)
+
+
+def _subset_lines(text: str, graph: Graph) -> VertexSubset:
+    """The subset of a text, one line at a time; names the first bad line."""
     members = []
     seen = set()
-    for ln, raw in enumerate(source.splitlines(), start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

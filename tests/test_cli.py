@@ -330,6 +330,16 @@ def test_diagnostics_go_to_stderr_only(p4_files, capsys, monkeypatch):
     json.loads(captured.out)  # stdout holds exactly the result document
 
 
+def test_graph_load_logged_at_info_only(p4_files, capsys, monkeypatch):
+    monkeypatch.setenv("SOLVER_LOG", "info")
+    assert run(["solve-exact", *_io_args(p4_files)]) == 0
+    err = capsys.readouterr().err
+    assert "[INFO] hklocal.graph: loaded 4 vertices and 3 edges with the bulk parser in " in err
+    monkeypatch.delenv("SOLVER_LOG")
+    assert run(["solve-exact", *_io_args(p4_files)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_constant_override_changes_round_count(p4_files, tmp_path):
     outs = []
     for constant in ("16.0", "4.0"):

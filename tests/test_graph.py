@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import hklocal as hk
-from conftest import random_connected_graph, random_problem
+from hklocal import graph as graph_module
+from conftest import grid_patch, random_connected_graph, random_problem
 
 
 class TestLoadGraph:
@@ -76,6 +77,51 @@ class TestLoadGraph:
                 for u in g.neighbors(v):
                     assert g.has_edge(int(u), v)
             assert all(g.degrees[v] == len(g.neighbors(v)) for v in range(g.n))
+
+
+class TestBulkParse:
+    """Text the whole-text tokeniser must take without the per-line parsers,
+    which are replaced here by ones that fail."""
+
+    @pytest.fixture(autouse=True)
+    def no_per_line_parser(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the per-line parser ran")
+
+        monkeypatch.setattr(graph_module, "_edge_lines", refuse)
+        monkeypatch.setattr(graph_module, "_subset_lines", refuse)
+
+    def test_header_comment(self):
+        g = hk.load_graph("# header\n0 1\n1 2\n")
+        assert g.edge_count == 2
+        assert list(g.degrees) == [1, 2, 1]
+
+    @pytest.mark.parametrize("scale", [1, 7])
+    def test_generated_file(self, tmp_path, scale):
+        # The layout of the benchmark's generated inputs: one header line,
+        # then "u v" lines; scale 7 gives ids that are not 0..n-1.
+        edges = grid_patch(38)[0] * scale
+        path = tmp_path / "grid.edges"
+        path.write_text("# 40x40 four-neighbour grid\n"
+                        + "".join(f"{u} {v}\n" for u, v in edges.tolist()))
+        g = hk.load_graph_file(path)
+        expected = hk.Graph.from_edges([tuple(row) for row in edges.tolist()])
+        for name in ("edges", "indptr", "indices", "degrees", "original_ids"):
+            assert np.array_equal(getattr(g, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "# only a comment\n",
+        "\t0 1 \r\n1\t2\t\r\n",
+        "# café → \r\n  # indented\n\n007 8\n",
+        f"{'9' * 18} 1\n1 2",
+    ])
+    def test_blanks_crlf_and_comments(self, text):
+        hk.load_graph(text)
+
+    def test_subset(self, p4_graph):
+        sub = hk.load_subset("# members\n2\n 1 \r\n", p4_graph)
+        assert list(sub.members) == [1, 2]
 
 
 class TestVertexSubset:

@@ -1,11 +1,13 @@
-"""Property tests: total parsers, and the vectorised restriction of a graph
-to S against literal-loop references on generated graphs and subsets."""
+"""Property tests: total parsers, the whole-text tokeniser against the
+per-line parsers, and the vectorised restriction of a graph to S against
+literal-loop references on generated graphs and subsets."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hklocal as hk
+from hklocal import graph as graph_module
 from conftest import (
     harmonic_solve,
     reference_b1,
@@ -77,6 +79,63 @@ def test_load_boundary_parses_or_raises_format_error(text):
     b = _parses(lambda t: hk.load_boundary(t, GRAPH), text)
     if b is not None:
         assert all(np.isfinite(v) for v in b.values())
+
+
+# Text on which the tokeniser must decline or agree with the per-line parsers:
+# every character on which str.splitlines breaks, also inside comments, ids
+# that int() reads but a digit scan does not, and ids around 2^63.  Most lines
+# are well formed, so that many texts reach the tokeniser's last check.
+_LINE_ENDS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+_BLANKS = st.sampled_from(["", " ", "\t", " \t "])
+_ODD_IDS = st.one_of(
+    st.integers(0, 4).map(str),
+    st.sampled_from(["+3", "-3", "1_0", "1+2", "007", "\u0663", "9" * 18, "1" + "0" * 18,
+                     "9" * 19, "1" + "0" * 19, str(MAX_ID), str(MAX_ID + 1)]),
+)
+_COMMENT_TAILS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["a\x0b0 1", "\r1 2", "\x0c3", "\x850 4", "\u20282", "\x1d 1 3"]),
+)
+
+
+def _odd_texts(per_line):
+    tokens = st.one_of(st.lists(_ODD_IDS, min_size=per_line, max_size=per_line),
+                       st.lists(_ODD_IDS, max_size=3))
+    line = st.one_of(
+        st.tuples(_BLANKS, tokens, st.sampled_from([" ", "\t", "  "]), _BLANKS)
+        .map(lambda p: p[0] + p[2].join(p[1]) + p[3]),
+        st.tuples(_BLANKS, _COMMENT_TAILS).map(lambda p: f"{p[0]}#{p[1]}"),
+    )
+    return st.lists(st.tuples(line, _LINE_ENDS), max_size=6).map(
+        lambda lines: "".join(line + end for line, end in lines))
+
+
+def _outcome(load, fields, text):
+    """The arrays a loader returns, with their dtypes, or its error message."""
+    try:
+        result = load(text)
+    except hk.GraphFormatError as exc:
+        return str(exc)
+    return [(getattr(result, f).dtype.str, getattr(result, f).tolist()) for f in fields]
+
+
+GRAPH_FIELDS = ("edges", "indptr", "indices", "degrees", "original_ids")
+SUBSET_FIELDS = ("members", "local_of")
+
+
+@PROPERTY
+@given(st.one_of(EDGE_TEXTS, _odd_texts(2)))
+@example("0 1\n2+3\n")  # one token to int(), two digit runs to a scan
+def test_load_graph_matches_per_line_parser(text):
+    per_line = _outcome(lambda t: hk.Graph.from_edges(graph_module._edge_lines(t)), GRAPH_FIELDS, text)
+    assert _outcome(hk.load_graph, GRAPH_FIELDS, text) == per_line
+
+
+@PROPERTY
+@given(st.one_of(SUBSET_TEXTS, _odd_texts(1)))
+def test_load_subset_matches_per_line_parser(text):
+    per_line = _outcome(lambda t: graph_module._subset_lines(t, GRAPH), SUBSET_FIELDS, text)
+    assert _outcome(lambda t: hk.load_subset(t, GRAPH), SUBSET_FIELDS, text) == per_line
 
 
 @st.composite
