@@ -15,8 +15,12 @@ structural bounds eagerly.
 
 from __future__ import annotations
 
+import itertools
+import logging
+import threading
+import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
@@ -30,6 +34,8 @@ from .graph import (
     _restrict,
     _Slice,
 )
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "DirichletOperator",
@@ -130,8 +136,12 @@ class KrylovOperator:
     ``ritz_values`` are the ascending Ritz values of the Lanczos run from
     D^{1/2} 1 that fixed ``lambda1`` (see :func:`estimate_lambda1`).  Same
     surface as :class:`DirichletOperator`: ``s``, ``degrees``, ``lambda1``
-    and :meth:`apply`, in O(|E(S)|) memory instead of O(s^2).  Immutable;
-    concurrent reads are safe.
+    and :meth:`apply`, in O(|E(S)|) memory instead of O(s^2).  The fields
+    are immutable; the one cached state is the Lanczos run (:class:`_Run`)
+    of the last vector applied from, so that applies from one vector share
+    one basis.  Concurrent applies are safe: a run is swapped in by one
+    assignment, each apply keeps the run it started with, and a run is
+    extended only under its lock.
     """
 
     degrees: np.ndarray
@@ -139,6 +149,7 @@ class KrylovOperator:
     cols: np.ndarray
     weights: np.ndarray
     ritz_values: np.ndarray
+    _run: _Run | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_subset(cls, graph: Graph, subset: VertexSubset) -> KrylovOperator:
@@ -164,22 +175,45 @@ class KrylovOperator:
         tridiagonal T_k, as the dense operator evaluates it on the
         eigenvalues, with the same optional leading axis of m functions.
         k is not fixed: the run stops when successive estimates of
-        fn(T_k) e1 agree (:func:`_settled`), or on breakdown.
+        fn(T_k) e1 agree (:func:`_settled`), or on breakdown.  From the
+        previous apply's vector the checkpoints are replayed, and the run is
+        extended only if ``fn`` needs more steps.
         """
         f = np.asarray(f, dtype=np.float64)
         largest = float(np.max(np.abs(f), initial=0.0))
         if largest == 0.0:
             return np.zeros(np.shape(fn(self.ritz_values[:1]))[:-1] + (self.s,))
-        norm = largest * float(np.linalg.norm(f / largest))
-        times = _laplacian_times(self.rows, self.cols, self.weights, self.s)
-        basis: list[np.ndarray] = []
+        run, state = self._run, "reused"
+        if run is None or not np.array_equal(run.start, f):
+            run, state = _Run(self, f, largest), "new"
+            object.__setattr__(self, "_run", run)
         previous = None
-        for tridiagonal, end in _lanczos(times, f / norm, basis):
-            theta, estimate, noise = _estimate(fn, tridiagonal)
+        for i in itertools.count():
+            with run.lock:
+                if i == len(run.checks):
+                    tridiagonal, end = next(run.steps)
+                    run.checks.append((*np.linalg.eigh(tridiagonal), end))
+                    state = "extended" if state == "reused" else state
+            theta, vectors, end = run.checks[i]
+            estimate, noise = _estimate(fn, theta, vectors)
             if end or (previous is not None and _settled(estimate, noise, theta, *previous)):
                 break
             previous = estimate, theta
-        return norm * (estimate @ np.array(basis[:theta.size]))
+        log.debug("Krylov apply: %d steps, %s run", theta.size, state)
+        return run.norm * (estimate @ np.array(run.basis[:theta.size]))
+
+
+class _Run:
+    """A Lanczos run from a copy of f: its basis, its live steps, and the
+    eigenpairs of T_k with the end flag per checkpoint reached so far."""
+
+    def __init__(self, op: KrylovOperator, f: np.ndarray, largest: float) -> None:
+        self.start, self.norm = f.copy(), largest * float(np.linalg.norm(f / largest))
+        self.basis: list[np.ndarray] = []
+        self.checks: list[tuple[np.ndarray, np.ndarray, bool]] = []
+        times = _laplacian_times(op.rows, op.cols, op.weights, op.s)
+        self.steps = _lanczos(times, f / self.norm, self.basis)
+        self.lock = threading.Lock()
 
 
 # Either backend: both have ``s``, ``degrees``, ``lambda1`` and ``apply``.
@@ -299,16 +333,15 @@ def _bottom_settled(theta: np.ndarray, previous: np.ndarray) -> bool:
 
 
 def _estimate(
-    fn: Callable[[np.ndarray], np.ndarray], tridiagonal: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Ritz values, fn(T) e1 per function, and how far adding one ulp of
-    the largest Ritz value to every Ritz value moves fn(T) e1 (in the
+    fn: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """fn(T) e1 per function from the eigenpairs of T, and how far adding one
+    ulp of the largest Ritz value to every Ritz value moves it (in the
     eigenbasis of T, which keeps norms): the rounding floor of the estimate."""
-    theta, vectors = np.linalg.eigh(tridiagonal)
     k = theta.size
     both = fn(np.concatenate([theta, theta + _EPS * theta[-1]])) * np.tile(vectors[0], 2)
     coefficients = both[..., :k]
-    return theta, coefficients @ vectors.T, both[..., k:] - coefficients
+    return coefficients @ vectors.T, both[..., k:] - coefficients
 
 
 def _settled(
@@ -369,9 +402,12 @@ def restricted_operator(graph: Graph, subset: VertexSubset) -> Operator:
     and positive degrees, and checks the spectrum's structural bounds, on
     the eigenvalues or on the Ritz values of the lambda1 run.
     """
-    if subset.size < KRYLOV_MIN_SIZE:
-        return DirichletOperator.from_subset(graph, subset)
-    return KrylovOperator.from_subset(graph, subset)
+    start = time.perf_counter()
+    dense = subset.size < KRYLOV_MIN_SIZE
+    op = (DirichletOperator if dense else KrylovOperator).from_subset(graph, subset)
+    log.info("%s operator: s = %d, lambda1 = %.6g, built in %.4f s",
+             "dense" if dense else "krylov", op.s, op.lambda1, time.perf_counter() - start)
+    return op
 
 
 def greens_function(op: DirichletOperator) -> np.ndarray:

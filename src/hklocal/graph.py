@@ -176,11 +176,21 @@ class Graph:
             if u < 0 or v < 0:
                 raise GraphFormatError(f"negative vertex id in edge ({u}, {v})")
             raise GraphFormatError(f"self-loop at vertex {u}")
-        original = _sorted_unique(np.concatenate([pairs.ravel(), extra]))
-        n = len(original)
+        # One argsort gives the distinct ids and each id's rank among them.
         # Compaction preserves order, so the key lo * n + hi of a canonical
         # row sorts edges lexicographically, and likewise for CSR slots.
-        compact = np.searchsorted(original, pairs)
+        ids = np.concatenate([pairs.ravel(), extra])
+        order = np.argsort(ids)
+        ordered = ids[order]
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        original = ordered[first]
+        n = len(original)
+        # Ranks count first occurrences past the smallest id.  They overwrite
+        # ordered and ids, no longer read, to spare two temporaries' pages.
+        first[:1] = False
+        ids[order] = np.cumsum(first, out=ordered)
+        compact = ids[:pairs.size].reshape(-1, 2)
         keys = _sorted_unique(compact.min(axis=1) * n + compact.max(axis=1))
         edges = np.stack([keys // n, keys % n], axis=1)
         src = np.concatenate([edges[:, 0], edges[:, 1]])

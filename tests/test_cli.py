@@ -340,6 +340,28 @@ def test_graph_load_logged_at_info_only(p4_files, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_operator_stage_logged_at_info_only(p4_files, capsys, monkeypatch):
+    monkeypatch.setenv("SOLVER_LOG", "info")
+    assert run(["solve-exact", *_io_args(p4_files)]) == 0
+    err = capsys.readouterr().err
+    assert "[INFO] hklocal.dirichlet: dense operator: s = 2, lambda1 = 0.5, built in " in err
+    monkeypatch.delenv("SOLVER_LOG")
+    assert run(["solve-exact", *_io_args(p4_files)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_solve_local_applies_share_one_lanczos_run(tmp_path, capsys, monkeypatch):
+    # The solver, the Green's solution and the Riemann sum all apply from
+    # b1: the first builds the Lanczos run, the other two replay it.
+    monkeypatch.setenv("SOLVER_LOG", "debug")
+    files = _grid_files(tmp_path, 15)
+    assert run(["solve-local", *_io_args(files), "--gamma", "0.3", "--seed", "1"]) == 0
+    err = capsys.readouterr().err
+    assert "[INFO] hklocal.dirichlet: krylov operator: s = 225, lambda1 = " in err
+    states = [line.rsplit(", ", 1)[1] for line in err.splitlines() if "Krylov apply" in line]
+    assert len(states) == 3 and states[0] == "new run" and "new run" not in states[1:]
+
+
 def test_constant_override_changes_round_count(p4_files, tmp_path):
     outs = []
     for constant in ("16.0", "4.0"):

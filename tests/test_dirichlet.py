@@ -1,7 +1,11 @@
 """Restricted operators, Green's functions, and exact heat-kernel pagerank."""
 
 import io
+import itertools
+import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -327,6 +331,113 @@ class TestKrylovOperator:
     def test_greens_function_needs_the_dense_operator(self, oracle_pairs):
         with pytest.raises(TypeError):
             hk.greens_function(oracle_pairs[0][2])
+
+
+def fresh(krylov):
+    """The same Krylov operator with no cached Lanczos run."""
+    return hk.KrylovOperator(krylov.degrees, krylov.rows, krylov.cols, krylov.weights,
+                             krylov.ritz_values)
+
+
+@pytest.fixture(scope="module")
+def grid15():
+    """A Krylov operator on a 15 x 15 grid patch (s = 225) and its problem."""
+    prob = grid_patch_problem(15)
+    return prob, hk.KrylovOperator.from_subset(prob.graph, prob.subset)
+
+
+class TestKrylovRunCache:
+    """Applies from the vector of the previous apply replay its Lanczos run;
+    every output must be bit-identical to a fresh operator's."""
+
+    def test_every_order_from_one_vector(self, grid15):
+        # Every exact solve a report makes from b1, in every order.
+        prob, krylov = grid15
+        sched = hk.make_schedule(prob.subset.size, 0.2)
+        applies = {
+            "greens": lambda op: op.apply(np.reciprocal, prob.b1),
+            "heat": lambda op: hk.apply_heat_kernel(op, 4.0, prob.b1),
+            "heat_times": lambda op: hk.apply_heat_kernel(op, np.array([0.5, 37.0]), prob.b1),
+            "riemann": lambda op: hk.riemann_sum_solution(prob, sched, operator=op),
+            "local": lambda op: hk.local_linear_solver(prob, 0.2, seed=3, operator=op).x_hat,
+        }
+        expected = {name: call(fresh(krylov)) for name, call in applies.items()}
+        for order in itertools.permutations(applies):
+            op = fresh(krylov)
+            for name in order:
+                assert np.array_equal(applies[name](op), expected[name]), order
+
+    def test_run_extends_when_fn_needs_more_steps(self, grid15, caplog):
+        prob, krylov = grid15
+        op = fresh(krylov)
+        caplog.set_level(logging.DEBUG, logger="hklocal.dirichlet")
+        short = hk.apply_heat_kernel(op, 0.01, prob.b1)
+        long = op.apply(np.reciprocal, prob.b1)
+        again = op.apply(np.reciprocal, prob.b1)
+        steps, states = zip(*(r.getMessage().split(" steps, ")
+                              for r in caplog.records if r.name == "hklocal.dirichlet"))
+        assert states == ("new run", "extended run", "reused run")
+        assert int(steps[0].split()[-1]) < int(steps[1].split()[-1]) == int(steps[2].split()[-1])
+        assert np.array_equal(short, hk.apply_heat_kernel(fresh(krylov), 0.01, prob.b1))
+        assert np.array_equal(long, fresh(krylov).apply(np.reciprocal, prob.b1))
+        assert np.array_equal(again, long)
+
+    def test_alternating_vectors(self, grid15):
+        prob, krylov = grid15
+        op = fresh(krylov)
+        for f in (prob.b1, prob.b2, prob.b1, prob.b1, prob.b2):
+            for fn in (np.reciprocal, lambda lam: np.exp(-4.0 * lam)):
+                assert np.array_equal(op.apply(fn, f), fresh(krylov).apply(fn, f))
+
+    def test_zero_vector_between_applies(self, grid15):
+        prob, krylov = grid15
+        op = fresh(krylov)
+        expected = fresh(krylov).apply(np.reciprocal, prob.b1)
+        assert np.array_equal(op.apply(np.reciprocal, prob.b1), expected)
+        assert not np.any(op.apply(np.reciprocal, np.zeros(op.s)))
+        assert np.array_equal(op.apply(np.reciprocal, prob.b1), expected)
+
+    def test_vector_changed_in_place(self, grid15):
+        # The run is keyed on a copy of f: a caller that changes its array
+        # after an apply gets a new run, not the stale one.
+        prob, krylov = grid15
+        op = fresh(krylov)
+        f = prob.b1.copy()
+        op.apply(np.reciprocal, f)
+        f[::2] = prob.b2[::2]
+        assert np.array_equal(op.apply(np.reciprocal, f), fresh(krylov).apply(np.reciprocal, f))
+
+    def test_concurrent_applies_match_serial(self, grid15):
+        # Four threads, more than the cores, share one operator, switching
+        # often.  Equal copies of b1 and b2 hit each other's runs, so one
+        # thread may extend a run while another replays it.
+        prob, krylov = grid15
+        vectors = [prob.b1, prob.b2, prob.b1.copy(), prob.b2.copy()]
+        fns = [lambda lam: np.exp(-0.01 * lam), np.reciprocal, lambda lam: np.exp(-4.0 * lam)]
+        expected = [[fresh(krylov).apply(fn, f) for fn in fns] for f in vectors]
+        op = fresh(krylov)
+        results = [[] for _ in vectors]
+        barrier = threading.Barrier(len(vectors))
+
+        def work(i):
+            barrier.wait(timeout=60)
+            for _ in range(5):
+                results[i].append([op.apply(fn, vectors[i]) for fn in fns])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(vectors))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            assert len(got) == 5
+            assert all(np.array_equal(g, w) for rep in got for g, w in zip(rep, want))
 
 
 class TestLambda1Estimate:
