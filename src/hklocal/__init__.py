@@ -46,9 +46,7 @@ from .walks import (
     SignedSplit,
     WalkStats,
     approx_dirhkpr,
-    dirichlet_walk,
     sample_count,
-    sample_poisson,
     solver_approx_dirhkpr,
     split_signed,
     substream,

@@ -2,22 +2,24 @@
 
 Walks step to uniformly chosen neighbors in the full graph and are aborted
 the moment they step outside the subset; aborted walks contribute nothing.
-One lockstep engine runs every estimate.  A walk group is one sample, one
-signed part and one block of at most ``WALK_BLOCK`` walks; it draws from the
-counter-based substream keyed by (the sample's seed, part, block): first
-every walk's start, then every walk's capped Poisson length, then one uint64
-group key.  Step uniforms are hashed from that key (mix is the SplitMix64
-finaliser, phi = 0x9E3779B97F4A7C15, arithmetic modulo 2**64): walk j has
-the key w = mix(key + j * phi), and its step k the uniform
-u = (mix(w + k * phi) >> 11) * 2**-53, which moves it to neighbor number
-floor(u * deg), clamped to deg - 1, in adjacency order.  The walks of all
-groups of a call advance together as numpy arrays, in chunks of whole groups
-of at most ``PASS_BUDGET`` entries, and surviving walks are counted per
-group as integers.  A sample's estimate therefore depends only on its own
-seed and time, not on the other samples of the call or on the chunking.
-The ``workers`` arguments are accepted and must be at least 1, but they do
-not change the output or how it is computed.  :func:`dirichlet_walk` is the
-one-walk reference the engine is tested against.
+One lockstep engine runs every estimate, and every draw it makes is a hash.
+With mix the SplitMix64 finaliser, phi = 0x9E3779B97F4A7C15, arithmetic
+modulo 2**64 and u(x) = (mix(x) >> 11) * 2**-53, the walks of one sample
+and signed part share the group key g = mix(mix(seed) + phase * phi), and
+walk j has the key w = mix(g + j * phi).  The walk starts at the vertex that
+u(w + START) picks from the part's CDF; its step k moves to neighbor number
+floor(u(w + k * phi) * deg), clamped to deg - 1, in adjacency order; and its
+Poisson(t) length is the inverse CDF at u(w + LENGTH), tested lazily: a
+walk still in S after k steps finishes there once u(w + LENGTH) <= F_t(k)
+or k reaches the cap, so a walk that aborts never needs its length.  F_t(k)
+sums exp(i ln t - t - lgamma(i + 1)) over i <= k and is 1 from the first
+i > t whose term underflows to 0.  The walks of all samples advance
+together as numpy arrays, in chunks of the flat (sample, part, walk) order
+of about ``PASS_BUDGET`` entries, and surviving walks are counted per
+sample and part as integers.  A sample's estimate therefore depends only on
+its own seed and time, not on the other samples of the call or on the
+chunking.  The ``workers`` arguments are accepted and must be at least 1,
+but they do not change the output or how it is computed.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ __all__ = [
     "sample_count",
     "walk_cap",
     "split_signed",
-    "sample_poisson",
-    "dirichlet_walk",
     "approx_dirhkpr",
     "solver_approx_dirhkpr",
     "DEFAULT_SAMPLE_CONSTANT",
@@ -46,27 +46,23 @@ __all__ = [
 
 DEFAULT_SAMPLE_CONSTANT = 16.0
 
-# Substream phases.  Positive/negative walk blocks are independent of each
-# other and of the solver-level draws.
+# Stream phases: the positive and negative walk groups, and the solvers'
+# schedule substream.
 PHASE_POSITIVE = 0
 PHASE_NEGATIVE = 1
 PHASE_SCHEDULE = 2
 
-# Walks per group: each (sample, signed part) splits its walks into blocks
-# of this many, block b drawing from its own substream.
-WALK_BLOCK = 1 << 16
-
-# Entries one lockstep chunk holds at once: one per walk and one per subset
-# vertex for each group's counts.  A larger pass runs as consecutive chunks
-# of whole groups with the same output; the next group (WALK_BLOCK walks) is
-# held besides.  A chunk always takes at least one group, so no walk is cut.
+# Entries one lockstep chunk holds at once: one per walk, and s per
+# (sample, part) row it touches for that row's counts.  A chunk takes
+# PASS_BUDGET * r // (r + s) walks, at least one; a larger pass runs as
+# consecutive chunks with the same output.
 PASS_BUDGET = 1 << 20
 
 CapMode = Literal["eps", "two_t", "none"]
 
 
 def substream(master_seed: int, phase: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one walk block or solver sample."""
+    """Independent counter-based stream for the solvers' schedule draws."""
     key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, (phase << 56) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -124,47 +120,6 @@ class WalkStats:
     walks_aborted: int = 0
 
 
-def sample_poisson(t: float, rng: np.random.Generator) -> int:
-    """Draw a Poisson(t) walk length; t = 0 is the degenerate point mass at 0."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return int(rng.poisson(t))
-
-
-def dirichlet_walk(
-    graph: Graph,
-    subset: VertexSubset,
-    start: int,
-    k: int,
-    rng: np.random.Generator,
-    stats: WalkStats | None = None,
-) -> int | None:
-    """Run k uniform-neighbor steps from ``start``; abort on leaving S.
-
-    Returns the terminal vertex if every visited vertex stays in S, else
-    None.  k = 0 returns the start vertex.  ``start`` must belong to S.
-    """
-    if start not in subset:
-        raise ValueError(f"walk start {start} is not in the subset")
-    indptr = graph.indptr
-    indices = graph.indices
-    mask = subset.mask
-    if stats is not None:
-        stats.walks_started += 1
-    cur = int(start)
-    for _ in range(k):
-        lo = indptr[cur]
-        nxt = int(indices[lo + rng.integers(indptr[cur + 1] - lo)])
-        if stats is not None:
-            stats.steps_simulated += 1
-        if not mask[nxt]:
-            if stats is not None:
-                stats.walks_aborted += 1
-            return None
-        cur = nxt
-    return cur
-
-
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -177,6 +132,10 @@ def _check_workers(workers: int) -> None:
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+# Increments of a walk's start and length uniforms over its key: odd, and
+# apart from k * phi for every k below 2**40, so they never meet a step's.
+_START = np.uint64(0xD1B54A32D192ED03)
+_LENGTH = np.uint64(0x8CB92BA72F3D8DD7)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -186,74 +145,82 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def _groups(parts, ts, seeds, r, epsilon, cap_mode):
-    """Open the walk groups in order (sample, signed part, block); yield each
-    group's walk rows (sample * parts + part), starts, capped lengths and keys."""
-    for i, (t, seed) in enumerate(zip(ts, seeds)):
-        cap = walk_cap(float(t), epsilon, cap_mode)
-        for p, (phase, cdf, support, _) in enumerate(parts):
-            for block, first in enumerate(range(0, r, WALK_BLOCK)):
-                size = min(WALK_BLOCK, r - first)
-                rng = substream(seed, phase, block)
-                picks = np.searchsorted(cdf, rng.random(size), side="right")
-                k = rng.poisson(t, size)
-                if cap is not None:
-                    k = np.minimum(k, cap)
-                key = rng.integers(2**64, dtype=np.uint64)
-                yield (np.full(size, i * len(parts) + p), support[np.minimum(picks, support.size - 1)],
-                       k, _mix(key + np.arange(size, dtype=np.uint64) * _PHI))
+def _uniform(z: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) from the top 53 bits of mix(z)."""
+    return (_mix(z) >> _S11) * 2.0**-53
 
 
 def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode, stats):
     """Sum of weights[i] * rho_i over the samples, all walks in lockstep.
 
-    A chunk takes whole walk groups while their entries (one per walk, s per
-    group for its counts) fit in PASS_BUDGET, and at least one group, so no
-    walk is ever cut and every live walk of a chunk is at the same step.
-    Terminal-vertex counts are summed per (sample, part) as integers, so the
-    output depends neither on the chunking nor on the other samples.
+    A chunk is a range of the flat (sample, part, walk) order, and every
+    live walk of a chunk is at the same step.  Terminal-vertex counts are
+    summed per (sample, part) as integers and carried from one chunk to the
+    next, so the output depends neither on the chunking nor on the other
+    samples.
     """
     ptr, degrees, nbrs = adjacency
     nparts, m = len(parts), ts.size
+    per_sample = nparts * r
+    # One group key per (sample, part) row, and each row's t, ln t and cap.
+    phases = np.array([phase for phase, *_ in parts], dtype=np.uint64)
+    row_keys = _mix(_mix(seeds)[:, None] + phases * _PHI).ravel()
+    row_t = np.repeat(ts, nparts)
+    row_log_t = np.log(row_t)
+    caps = (walk_cap(float(t), epsilon, cap_mode) for t in ts)
+    row_cap = np.repeat([math.inf if cap is None else cap for cap in caps], nparts)
+    width = max(1, PASS_BUDGET * r // (r + s))
     acc = np.zeros(s, dtype=np.float64)
-    pending = np.zeros((nparts, s), dtype=np.int64)  # counts of sample `first` so far
-    first = steps = aborted = 0
-    groups = _groups(parts, ts, seeds, r, epsilon, cap_mode)
-    group = next(groups, None)
-    while group is not None:
-        chunk, room = [], PASS_BUDGET
-        while group is not None and (not chunk or group[0].size + s <= room):
-            chunk.append(group)
-            room -= group[0].size + s
-            group = next(groups, None)
-        row, cur, length, key = (np.concatenate(a) for a in zip(*chunk))
-        rows, verts, step = [], [], 0
+    pending = 0  # counts of sample `first` from earlier chunks
+    steps = aborted = 0
+    for a in range(0, m * per_sample, width):
+        b = min(a + width, m * per_sample)
+        first, stop = a // per_sample, b // per_sample  # samples first..stop-1 end by b
+        lo, hi = a // r, (b - 1) // r + 1  # the chunk's (sample, part) rows
+        flat = np.arange(a, b)
+        row = flat // r
+        key = _mix(row_keys[row] + (flat - row * r).astype(np.uint64) * _PHI)
+        cur = np.empty(b - a, dtype=np.int64)
+        for p, (_, cdf, support, _) in enumerate(parts):
+            sel = row % nparts == p
+            picks = np.searchsorted(cdf, _uniform(key[sel] + _START), side="right")
+            cur[sel] = support[np.minimum(picks, support.size - 1)]
+        u_len = _uniform(key + _LENGTH)
+        row -= lo
+        t, log_t, cap = row_t[lo:hi], row_log_t[lo:hi], row_cap[lo:hi]
+        cdf = np.zeros(hi - lo)
+        rows, verts, k = [], [], 0
         inside = np.ones(cur.size, dtype=bool)
         while cur.size:
-            # Walks still in S after `step` steps finish at length `step`.
-            fin = inside & (length == step)
+            # F_t(k) per row.  Past the mean a term that underflowed ends the
+            # sum at 1, so an uncapped walk finishes even where the rounded
+            # sum stays below its uniform; at the cap every walk finishes.
+            pmf = np.exp(k * log_t - t - math.lgamma(k + 1))
+            cdf += pmf
+            cdf[((pmf == 0.0) & (k > t)) | (k >= cap)] = 1.0
+            # Walks still in S after k steps whose length uniform is at most
+            # F_t(k) have length k: they finish here.
+            fin = inside & (u_len <= cdf[row])
             rows.append(row[fin])
             verts.append(cur[fin])
             live = np.flatnonzero(inside ^ fin)
-            row, cur, length, key = row[live], cur[live], length[live], key[live]
-            # A walk's key advances by phi per step, so step k of the walk
-            # with key w uses the uniform (mix(w + k * phi) >> 11) * 2**-53.
-            u = (_mix(key) >> _S11) * 2.0**-53
+            row, cur, u_len, key = row[live], cur[live], u_len[live], key[live]
+            # Step k of the walk with key w uses the uniform of w + k * phi.
+            u = _uniform(key)
             key += _PHI
             deg = degrees[cur]
             cur = nbrs[ptr[cur] + np.minimum((u * deg).astype(np.int64), deg - 1)]
             inside = cur >= 0
             steps += cur.size
             aborted += cur.size - int(np.count_nonzero(inside))
-            step += 1
-        rows, verts = np.concatenate(rows), np.concatenate(verts)
-        # Samples before the next group's are complete: turn their counts
-        # into weighted pagerank estimates and add them in sample order.
-        stop = m if group is None else int(group[0][0]) // nparts
-        touched = min(stop + 1, m) - first
-        counts = np.bincount(
-            (rows - first * nparts) * s + verts, minlength=touched * nparts * s
-        ).reshape(touched, nparts, s)
+            k += 1
+        rows, verts = np.concatenate(rows) + (lo - first * nparts), np.concatenate(verts)
+        # Samples before `stop` are complete: turn their counts into
+        # weighted pagerank estimates and add them in sample order.
+        touched = (b - 1) // per_sample + 1 - first
+        counts = np.bincount(rows * s + verts, minlength=touched * nparts * s).reshape(
+            touched, nparts, s
+        )
         counts[0] += pending
         rho = np.zeros((stop - first, s), dtype=np.float64)
         for p, (_, _, _, scale) in enumerate(parts):
@@ -261,8 +228,7 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode, sta
             rho += counts[: stop - first, p] * scale
         for weight, sample in zip(weights[first:stop], rho):
             acc += weight * sample
-        pending = counts[stop - first] if stop < m else pending
-        first = stop
+        pending = counts[stop - first] if stop - first < touched else 0
     if stats is not None:
         stats.walks_started += r * nparts * m
         stats.steps_simulated += steps
@@ -287,11 +253,12 @@ def _mc_dirhkpr(
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    seeds = [int(v) for v in np.ravel(np.asarray(master_seed, dtype=object))]
+    seeds = np.ravel(np.asarray(master_seed, dtype=object))
+    seeds = np.array([int(v) % 2**64 for v in seeds], dtype=np.uint64)
     if weights is None:
         weights = np.ones(ts.size)
     weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-    if ts.ndim != 1 or not ts.size == len(seeds) == weights.size:
+    if ts.ndim != 1 or not ts.size == seeds.size == weights.size:
         raise ValueError("t, master_seed and weights must have one entry per sample")
     if not np.all(np.isfinite(ts) & (ts > 0)):
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -334,16 +301,19 @@ def approx_dirhkpr(
     For each signed part of f, runs r = ceil((c/eps^3) ln n) Poisson-length
     Dirichlet walks started from the normalized part and deposits the part's
     L1 mass (negated for the negative part) at each surviving terminal
-    vertex, then divides by r.  The r walks of a part run in blocks of
-    ``WALK_BLOCK`` walks, block b on the substream keyed by
-    (master_seed, part, b), and all of them advance in lockstep.  The zero
-    vector is a valid output when every walk aborts.
+    vertex, then divides by r.  Every start, step and length uniform is a
+    SplitMix64 hash of the walk's key, which comes from (master_seed, part,
+    walk index); no generator is drawn from.  A walk's length is the
+    Poisson(t) inverse CDF at its length uniform, tested lazily at each
+    step, and all walks advance in lockstep.  The zero vector is a valid
+    output when every walk aborts.
 
     Parameters
     ----------
     t : positive and finite.
     epsilon : accuracy/confidence knob in (0, 1).
-    master_seed : 64-bit stream key; a fixed seed gives bit-identical output.
+    master_seed : 64-bit stream key, taken modulo 2**64; a fixed seed gives
+        bit-identical output.
     workers : accepted for compatibility and must be at least 1; walks run
         serially and the value does not change the output.
     stats : counters to add to: r walks started per part, one step per live

@@ -1,5 +1,7 @@
 """Shared fixtures: tiny path graphs, the bundled dolphin network, random
-problem generators, and the independent oracles used across the suite."""
+problem generators, and the independent oracles used across the suite,
+among them the one-walk reference the lockstep walk engine is replayed
+against."""
 
 from __future__ import annotations
 
@@ -214,6 +216,41 @@ def reference_laplacian(graph: hk.Graph, subset: hk.VertexSubset) -> np.ndarray:
                 j = int(subset.local_of[u])
                 lap[i, j] = -1.0 / math.sqrt(float(graph.degrees[v]) * float(graph.degrees[u]))
     return lap
+
+
+def dirichlet_walk(
+    graph: hk.Graph,
+    subset: hk.VertexSubset,
+    start: int,
+    k: int,
+    rng,
+    stats: hk.WalkStats | None = None,
+) -> int | None:
+    """Run k uniform-neighbor steps from ``start``; abort on leaving S.
+
+    Returns the terminal vertex if every visited vertex stays in S, else
+    None.  k = 0 returns the start vertex.  ``start`` must belong to S.
+    ``rng.integers(d)`` picks each step's neighbor number below the degree d.
+    """
+    if start not in subset:
+        raise ValueError(f"walk start {start} is not in the subset")
+    indptr = graph.indptr
+    indices = graph.indices
+    mask = subset.mask
+    if stats is not None:
+        stats.walks_started += 1
+    cur = int(start)
+    for _ in range(k):
+        lo = indptr[cur]
+        nxt = int(indices[lo + rng.integers(indptr[cur + 1] - lo)])
+        if stats is not None:
+            stats.steps_simulated += 1
+        if not mask[nxt]:
+            if stats is not None:
+                stats.walks_aborted += 1
+            return None
+        cur = nxt
+    return cur
 
 
 def is_eps_approx(estimate: np.ndarray, truth: np.ndarray, eps: float) -> bool:

@@ -1,13 +1,17 @@
-"""Poisson sampling, Dirichlet walks, and the Monte-Carlo pagerank estimators."""
+"""Dirichlet walks, the walk engine's stream layout, and the Monte-Carlo
+pagerank estimators."""
 
+import bisect
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
 
 import hklocal as hk
 import hklocal.walks as walks
-from conftest import is_eps_approx
+from conftest import dirichlet_walk, is_eps_approx
 
 
 @pytest.fixture(scope="module")
@@ -37,23 +41,6 @@ def assert_unbiased_with_cap_removed(p4_graph, p4_subset):
     r = hk.sample_count(0.5, p4_graph.n, constant=4.0)
     sigma = np.sqrt(np.abs(truth) * f.sum() / (r * seeds)) + 1e-9
     assert np.all(np.abs(mean - truth) <= 3.0 * sigma + 0.01)
-
-
-class TestSamplePoisson:
-    def test_t_zero_degenerate(self):
-        rng = hk.substream(1, 0, 0)
-        assert all(hk.sample_poisson(0.0, rng) == 0 for _ in range(50))
-
-    def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            hk.sample_poisson(-1.0, hk.substream(1, 0, 0))
-
-    def test_moments(self):
-        rng = hk.substream(99, 0, 0)
-        draws = rng.poisson(5.0, size=1_000_000)
-        # CLT bounds: 4 sigma/sqrt(N) on the mean, moment check on variance
-        assert abs(draws.mean() - 5.0) < 0.02
-        assert abs(draws.var() - 5.0) < 0.05
 
 
 class TestWalkConfig:
@@ -86,23 +73,23 @@ class TestSignedSplit:
 class TestDirichletWalk:
     def test_zero_steps_returns_start(self, p4_graph, p4_subset):
         rng = hk.substream(0, 0, 0)
-        assert hk.dirichlet_walk(p4_graph, p4_subset, 1, 0, rng) == 1
+        assert dirichlet_walk(p4_graph, p4_subset, 1, 0, rng) == 1
 
     def test_start_outside_subset_rejected(self, p4_graph, p4_subset):
         with pytest.raises(ValueError, match="not in the subset"):
-            hk.dirichlet_walk(p4_graph, p4_subset, 0, 1, hk.substream(0, 0, 0))
+            dirichlet_walk(p4_graph, p4_subset, 0, 1, hk.substream(0, 0, 0))
 
     def test_singleton_always_aborts(self, p3_graph, p3_subset):
         rng = hk.substream(4, 0, 0)
         for k in (1, 2, 5):
-            assert hk.dirichlet_walk(p3_graph, p3_subset, 1, k, rng) is None
+            assert dirichlet_walk(p3_graph, p3_subset, 1, k, rng) is None
 
     def test_single_step_distribution(self, p4_graph, p4_subset):
         # from vertex 1: half the steps go to 2 (stay), half to 0 (abort)
         rng = hk.substream(7, 0, 0)
         trials = 100_000
         stayed = sum(
-            hk.dirichlet_walk(p4_graph, p4_subset, 1, 1, rng) is not None
+            dirichlet_walk(p4_graph, p4_subset, 1, 1, rng) is not None
             for _ in range(trials)
         )
         assert abs(stayed / trials - 0.5) < 0.01
@@ -111,7 +98,7 @@ class TestDirichletWalk:
         stats = hk.WalkStats()
         rng = hk.substream(3, 0, 0)
         for _ in range(100):
-            hk.dirichlet_walk(p4_graph, p4_subset, 1, 3, rng, stats)
+            dirichlet_walk(p4_graph, p4_subset, 1, 3, rng, stats)
         assert stats.walks_started == 100
         assert stats.steps_simulated <= 300
         assert stats.walks_aborted <= 100
@@ -163,6 +150,16 @@ class TestApproxDirhkpr:
         ]
         for other in runs[1:]:
             assert np.array_equal(runs[0], other)
+
+    def test_seed_taken_modulo_2_64(self, p4_graph, p4_subset):
+        f = np.array([2.0, -0.7])
+
+        def run(seed):
+            return hk.approx_dirhkpr(p4_graph, 2.0, f, p4_subset, 0.3, master_seed=seed)
+
+        assert np.array_equal(run(2**64 + 5), run(5))
+        assert np.array_equal(run(-1), run(2**64 - 1))
+        assert not np.array_equal(run(5), run(6))
 
     def test_nonnegativity_and_mass(self, p4_graph, p4_subset):
         f = np.array([1.2, 0.6])
@@ -248,6 +245,8 @@ def test_substream_independence():
 
 MASK64 = (1 << 64) - 1
 PHI = 0x9E3779B97F4A7C15
+# Increments of a walk's start and length uniforms over its key.
+START, LENGTH = 0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7
 
 
 def splitmix64(z):
@@ -258,34 +257,84 @@ def splitmix64(z):
     return z ^ (z >> 31)
 
 
+def unmix(z):
+    """Inverse of :func:`splitmix64`: undo each xor-shift and multiply."""
+    z &= MASK64
+    z ^= (z >> 31) ^ (z >> 62)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
 def test_splitmix64_reference_vector():
     # The first two outputs of SplitMix64 seeded with 0.
     assert splitmix64(PHI) == 0xE220A8397B1DCDAF
     assert splitmix64(2 * PHI) == 0x6E789E6AA1B965F4
+    for z in (0, 1, PHI, MASK64, 0x0123456789ABCDEF):
+        assert unmix(splitmix64(z)) == z
 
 
-def replay_groups(seed, phase, t, r, block):
-    """Each walk group's draws in the engine's order: every start uniform,
-    then every Poisson length, then one uint64 group key."""
-    for index, first in enumerate(range(0, r, block)):
-        size = min(block, r - first)
-        rng = hk.substream(seed, phase, index)
-        starts = rng.random(size)
-        lengths = rng.poisson(t, size)
-        yield starts, lengths, int(rng.integers(2**64, dtype=np.uint64))
+def test_start_and_length_increments_apart_from_steps():
+    # Step k of a walk hashes its key plus k * phi; the start and length
+    # uniforms would repeat a step's only if their increments (or their
+    # difference) were k * phi for a k a walk can reach.
+    inverse_phi = pow(PHI, -1, 1 << 64)
+    for c in (START, LENGTH, START - LENGTH, LENGTH - START):
+        k = (c * inverse_phi) & MASK64
+        assert 2**40 <= k <= MASK64 - 2**40
 
 
-def replay_lengths(seed, t, r, block):
-    """Positive-phase walk lengths as the engine draws them."""
-    groups = replay_groups(seed, walks.PHASE_POSITIVE, t, r, block)
-    return np.concatenate([lengths for _, lengths, _ in groups])
+def uniform(z):
+    """The engine's uniform on [0, 1): the top 53 bits of splitmix64(z)."""
+    return (splitmix64(z) >> 11) * 2.0**-53
 
 
-def step_uniforms(group_key, j, k):
-    """Walk j's k step uniforms: step i is mix(w + i * phi) >> 11 scaled by
-    2**-53, with w = mix(group_key + j * phi)."""
-    w = splitmix64(group_key + j * PHI)
-    return [(splitmix64(w + i * PHI) >> 11) * 2.0**-53 for i in range(k)]
+def walk_key(seed, phase, j):
+    """Key of walk j of the (seed, phase) group: mix(g + j * phi) with the
+    group key g = mix(mix(seed) + phase * phi)."""
+    group = splitmix64(splitmix64(seed) + phase * PHI)
+    return splitmix64(group + j * PHI)
+
+
+def seed_with_length_uniform(u, phase=walks.PHASE_POSITIVE, j=0):
+    """A master seed whose walk j of ``phase`` has the length uniform u, a
+    multiple of 2**-53 in [0, 1), found by inverting every hash."""
+    w = unmix(int(u * 2**53) << 11) - LENGTH
+    group = unmix(w) - j * PHI
+    seed = unmix(unmix(group) - phase * PHI)
+    assert uniform(walk_key(seed, phase, j) + LENGTH) == u
+    return seed
+
+
+def poisson_cdf(t, cap):
+    """F_t(0), F_t(1), ... summed term by term in float64 as the engine does,
+    up to the cap or to the first value of at least 1.  A term past t that
+    underflows to 0 sets F to 1."""
+    cdf, total, k = [], 0.0, 0
+    while cap is None or k <= cap:
+        pmf = math.exp(k * math.log(t) - t - math.lgamma(k + 1))
+        total = 1.0 if pmf == 0.0 and k > t else total + pmf
+        cdf.append(total)
+        if total >= 1.0:
+            break
+        k += 1
+    return cdf
+
+
+def walk_length(u, cdf, cap):
+    """Inverse CDF: the first k with u <= F_t(k), capped."""
+    k = bisect.bisect_left(cdf, u)
+    return k if cap is None else min(k, cap)
+
+
+def replay_lengths(seed, t, r, cap):
+    """Positive-part walk lengths of a one-sample call, from the inverse CDF."""
+    cdf = poisson_cdf(t, cap)
+    return np.array([
+        walk_length(uniform(walk_key(seed, walks.PHASE_POSITIVE, j) + LENGTH), cdf, cap)
+        for j in range(r)
+    ])
 
 
 class StepUniforms:
@@ -300,9 +349,12 @@ class StepUniforms:
 
 
 def replay_estimate(graph, subset, t, f, epsilon, seed, cap, stats):
-    """approx_dirhkpr rebuilt from scalar dirichlet_walk calls, walk j of a
-    group fed the hashed uniforms of its own key."""
+    """approx_dirhkpr rebuilt from scalar dirichlet_walk calls: walk j of a
+    part starts where its start uniform falls in the part's CDF, takes the
+    inverse-CDF length of its length uniform, and steps by the uniforms of
+    its key plus k * phi."""
     r = hk.sample_count(epsilon, graph.n)
+    lengths = poisson_cdf(t, cap)
     rho = np.zeros(subset.size)
     for phase, part, sign in (
         (walks.PHASE_POSITIVE, np.where(f > 0, f, 0.0), 1.0),
@@ -314,14 +366,14 @@ def replay_estimate(graph, subset, t, f, epsilon, seed, cap, stats):
         support = np.flatnonzero(part)
         cdf = np.cumsum(part[support]) / norm
         counts = np.zeros(subset.size, dtype=np.int64)
-        for u, lengths, key in replay_groups(seed, phase, t, r, walks.WALK_BLOCK):
-            picks = np.minimum(np.searchsorted(cdf, u, side="right"), support.size - 1)
-            for j, (start, k) in enumerate(zip(subset.members[support[picks]],
-                                               np.minimum(lengths, cap))):
-                end = hk.dirichlet_walk(graph, subset, int(start), int(k),
-                                        StepUniforms(step_uniforms(key, j, int(k))), stats)
-                if end is not None:
-                    counts[subset.local_index(end)] += 1
+        for j in range(r):
+            w = walk_key(seed, phase, j)
+            pick = min(bisect.bisect_right(cdf, uniform(w + START)), support.size - 1)
+            k = walk_length(uniform(w + LENGTH), lengths, cap)
+            steps = StepUniforms(uniform(w + i * PHI) for i in range(k))
+            end = dirichlet_walk(graph, subset, int(subset.members[support[pick]]), k, steps, stats)
+            if end is not None:
+                counts[subset.local_index(end)] += 1
         rho += counts * (sign * norm / r)
     return rho
 
@@ -331,42 +383,58 @@ def assert_same_stats(a, b):
         b.walks_started, b.steps_simulated, b.walks_aborted)
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, rather than hang, if the block outlasts
+    ``seconds`` (the engine checks for signals between steps)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def p4_whole(p4_graph):
+    return hk.VertexSubset.from_iterable(range(p4_graph.n), p4_graph.n)
+
+
 class TestLockstepEngine:
-    """approx_dirhkpr on P4 with S the whole graph, where no walk can abort."""
+    """approx_dirhkpr on P4 with S the whole graph, where no walk can abort,
+    so the steps simulated are the sum of the replayed walk lengths."""
 
     # cap floor(t / eps) = 5 binds for about 8% of Poisson(3) lengths.
     T, EPS, SEED = 3.0, 0.6, 17
 
-    @pytest.fixture(scope="class")
-    def whole(self, p4_graph):
-        return hk.VertexSubset.from_iterable(range(p4_graph.n), p4_graph.n)
-
-    def test_uncapped_walks_keep_all_mass(self, p4_graph, whole):
+    def test_uncapped_walks_keep_all_mass(self, p4_graph, p4_whole):
         r = hk.sample_count(self.EPS, p4_graph.n)
         # ||f||_1 / r = 1/2, so every deposit and every partial sum is exact.
         f = np.array([0.25, 0.0, 0.125, 0.125]) * r
         stats = hk.WalkStats()
         rho = hk.approx_dirhkpr(
-            p4_graph, self.T, f, whole, self.EPS, master_seed=self.SEED,
+            p4_graph, self.T, f, p4_whole, self.EPS, master_seed=self.SEED,
             cap_mode="none", stats=stats,
         )
         assert stats.walks_aborted == 0
         assert stats.walks_started == r
         assert rho.sum() == f.sum()
-        lengths = replay_lengths(self.SEED, self.T, r, walks.WALK_BLOCK)
-        assert stats.steps_simulated == int(lengths.sum())
+        assert stats.steps_simulated == int(replay_lengths(self.SEED, self.T, r, None).sum())
 
-    def test_default_cap_bounds_every_walk(self, p4_graph, whole):
+    def test_default_cap_bounds_every_walk(self, p4_graph, p4_whole):
         r = hk.sample_count(self.EPS, p4_graph.n)
         cap = hk.walk_cap(self.T, self.EPS, "eps")
         stats = hk.WalkStats()
         hk.approx_dirhkpr(
-            p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), whole, self.EPS,
+            p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
             master_seed=self.SEED, stats=stats,
         )
-        lengths = replay_lengths(self.SEED, self.T, r, walks.WALK_BLOCK)
-        assert (lengths > cap).any()
-        assert stats.steps_simulated == int(np.minimum(lengths, cap).sum())
+        assert (replay_lengths(self.SEED, self.T, r, None) > cap).any()
+        assert stats.steps_simulated == int(replay_lengths(self.SEED, self.T, r, cap).sum())
         assert stats.steps_simulated <= r * cap
         assert stats.walks_aborted == 0
 
@@ -374,30 +442,29 @@ class TestLockstepEngine:
         # S = {1} in P3: every walk of positive length aborts on its first
         # step, which counts as simulated; zero-length walks survive.
         r = hk.sample_count(self.EPS, p3_graph.n)
+        cap = hk.walk_cap(self.T, self.EPS, "eps")
         stats = hk.WalkStats()
         rho = hk.approx_dirhkpr(
             p3_graph, self.T, np.array([1.0]), p3_subset, self.EPS,
             master_seed=self.SEED, stats=stats,
         )
-        moved = int((replay_lengths(self.SEED, self.T, r, walks.WALK_BLOCK) > 0).sum())
+        moved = int((replay_lengths(self.SEED, self.T, r, cap) > 0).sum())
         assert stats.steps_simulated == stats.walks_aborted == moved
         assert round(rho[0] * r) == r - moved
 
-    def test_counters_sum_across_blocks(self, p4_graph, p4_subset, whole, monkeypatch):
-        block = 7
-        monkeypatch.setattr(walks, "WALK_BLOCK", block)
+    def test_counters_sum_across_chunks(self, p4_graph, p4_subset, p4_whole, monkeypatch):
+        monkeypatch.setattr(walks, "PASS_BUDGET", 7)
         r = hk.sample_count(self.EPS, p4_graph.n)
-        assert r > 10 * block
+        assert r > 10 * 7
         cap = hk.walk_cap(self.T, self.EPS, "eps")
         stats = hk.WalkStats()
         hk.approx_dirhkpr(
-            p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), whole, self.EPS,
+            p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
             master_seed=self.SEED, stats=stats,
         )
-        lengths = replay_lengths(self.SEED, self.T, r, block)
-        assert (lengths > cap).any()
+        assert (replay_lengths(self.SEED, self.T, r, None) > cap).any()
         assert (stats.walks_started, stats.walks_aborted) == (r, 0)
-        assert stats.steps_simulated == int(np.minimum(lengths, cap).sum())
+        assert stats.steps_simulated == int(replay_lengths(self.SEED, self.T, r, cap).sum())
         # On S = {1, 2} walks abort: survivors and aborted walks account for
         # every started walk, and the estimator stays unbiased.
         f = np.array([1.0, 0.5])
@@ -411,16 +478,77 @@ class TestLockstepEngine:
         assert survivors + stats.walks_aborted == r
         assert_unbiased_with_cap_removed(p4_graph, p4_subset)
 
+    def test_length_uniform_equal_to_cdf_finishes(self, p4_graph, p4_whole):
+        # At t = 5000, F_t(0) = e^-t underflows to exactly 0.  Walk 0's
+        # length uniform is 0 too, so u <= F_t(0) holds and the walk has
+        # length 0; a strict u < F would run it to where F first exceeds 0.
+        t, seed = 5000.0, seed_with_length_uniform(0.0)
+        r = hk.sample_count(self.EPS, p4_graph.n)
+        cap = hk.walk_cap(t, self.EPS, "eps")
+        lengths = replay_lengths(seed, t, r, cap)
+        assert lengths[0] == 0 and lengths[1:].min() > 4000
+        stats = hk.WalkStats()
+        hk.approx_dirhkpr(
+            p4_graph, t, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
+            master_seed=seed, stats=stats,
+        )
+        assert stats.steps_simulated == int(lengths.sum())
+
+
+class TestLazyLengths:
+    """The law of the lazily tested lengths on P4 with S the whole graph."""
+
+    EPS = 0.6
+
+    @pytest.mark.parametrize("t, constant, seeds", [(3.0, 160.0, 4), (5000.0, 32.0, 1)])
+    def test_mean_steps_match_capped_poisson(self, p4_graph, p4_whole, t, constant, seeds):
+        # cap floor(t / eps) is 5 at t = 3; at t = 5000, e^-t underflows.
+        cap = hk.walk_cap(t, self.EPS, "eps")
+        stats = hk.WalkStats()
+        for seed in range(seeds):
+            hk.approx_dirhkpr(
+                p4_graph, t, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
+                master_seed=seed, constant=constant, stats=stats,
+            )
+        assert stats.walks_aborted == 0
+        pmf = [math.exp(k * math.log(t) - t - math.lgamma(k + 1)) for k in range(cap)]
+        tail = 1.0 - math.fsum(pmf)  # P(length >= cap)
+        mean = math.fsum(k * p for k, p in enumerate(pmf)) + cap * tail
+        var = math.fsum(k * k * p for k, p in enumerate(pmf)) + cap * cap * tail - mean**2
+        n = stats.walks_started
+        assert abs(stats.steps_simulated / n - mean) <= 4.0 * math.sqrt(var / n)
+
+    @pytest.mark.parametrize("t", [20.0, 5000.0])
+    def test_uncapped_walk_terminates(self, p4_graph, p4_whole, t):
+        # Walk 0 has the largest length uniform, 1 - 2**-53.  At t = 20 the
+        # rounded sum of the pmf ends below it (F = 1 - 3.4e-15), so only the
+        # underflow rule ends that walk, at the first k > t whose term is 0;
+        # at t = 5000, e^-t underflows and the rounded sum ends above 1.
+        seed = seed_with_length_uniform(1.0 - 2.0**-53)
+        r = hk.sample_count(self.EPS, p4_graph.n)
+        cdf = poisson_cdf(t, None)
+        stats = hk.WalkStats()
+        with deadline(30):
+            hk.approx_dirhkpr(
+                p4_graph, t, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
+                master_seed=seed, cap_mode="none", stats=stats,
+            )
+        assert stats.walks_started == r and stats.walks_aborted == 0
+        assert stats.steps_simulated <= r * (len(cdf) - 1)
+        if t == 20.0:
+            assert cdf[-2] < 1.0 - 2.0**-53
+            assert stats.steps_simulated == int(replay_lengths(seed, t, r, None).sum())
+
 
 class TestStreamLayout:
     """Each walk is dirichlet_walk fed the hashed uniforms of its own key."""
 
     T, EPS, SEED = 3.0, 0.6, 17
 
-    @pytest.mark.parametrize("block", [None, 7])
-    def test_replays_scalar_walks(self, p4_graph, p4_subset, monkeypatch, block):
-        if block is not None:
-            monkeypatch.setattr(walks, "WALK_BLOCK", block)
+    @pytest.mark.parametrize("budget", [None, 7])
+    def test_replays_scalar_walks(self, p4_graph, p4_subset, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(walks, "PASS_BUDGET", budget)
         f = np.array([1.0, -0.5])
         stats, ref_stats = hk.WalkStats(), hk.WalkStats()
         rho = hk.approx_dirhkpr(p4_graph, self.T, f, p4_subset, self.EPS,
@@ -444,29 +572,38 @@ class TestStreamLayout:
 class TestPassBudget:
     """The chunking of a lockstep pass does not change any output."""
 
-    @pytest.mark.parametrize("block", [None, 7])
-    @pytest.mark.parametrize("budget", [3, 5])
-    def test_approx_dirhkpr(self, p4_graph, p4_subset, monkeypatch, block, budget):
-        if block is not None:
-            monkeypatch.setattr(walks, "WALK_BLOCK", block)
-        # A budget below one group's entries still runs every group whole,
-        # one group per chunk.
+    @pytest.mark.parametrize("samples", [None, 7])
+    @pytest.mark.parametrize("budget", [3, 5, 40])
+    def test_approx_dirhkpr(self, p4_graph, p4_subset, monkeypatch, budget, samples):
+        # These budgets cut chunks inside a (sample, part) group of walks
+        # and, with several samples, across samples.
         f = np.array([1.0, -0.5])
+        if samples is None:
+            def run(stats):
+                return hk.approx_dirhkpr(p4_graph, 3.0, f, p4_subset, 0.6, master_seed=4,
+                                         stats=stats)
+        else:
+            ts, seeds = np.linspace(0.5, 4.0, samples), np.arange(samples) + 40
+            weights = np.linspace(1.0, 2.0, samples)
+
+            def run(stats):
+                return hk.solver_approx_dirhkpr(p4_graph, ts, f, p4_subset, 0.6,
+                                                master_seed=seeds, weights=weights, stats=stats)
         stats, small_stats = hk.WalkStats(), hk.WalkStats()
-        rho = hk.approx_dirhkpr(p4_graph, 3.0, f, p4_subset, 0.6, master_seed=4, stats=stats)
+        rho = run(stats)
         monkeypatch.setattr(walks, "PASS_BUDGET", budget)
-        small = hk.approx_dirhkpr(p4_graph, 3.0, f, p4_subset, 0.6, master_seed=4,
-                                  stats=small_stats)
+        small = run(small_stats)
         assert np.array_equal(rho, small)
         assert_same_stats(stats, small_stats)
 
-    @pytest.mark.parametrize("block", [None, 7])
-    def test_greens_solver(self, p4_problem, dolphins_problem, monkeypatch, block):
-        if block is not None:
-            monkeypatch.setattr(walks, "WALK_BLOCK", block)
+    @pytest.mark.parametrize("constant", [None, 7])
+    def test_greens_solver(self, p4_problem, dolphins_problem, monkeypatch, constant):
+        # The sample constant sets the walks per group, and so where the
+        # budgets cut the groups.
+        extra = {} if constant is None else {"constant": constant}
         runs = [
-            lambda: hk.greens_solver(p4_problem, 0.25, 0.4, seed=6),
-            lambda: hk.greens_solver(dolphins_problem, 0.4, 0.5, seed=6),
+            lambda: hk.greens_solver(p4_problem, 0.25, 0.4, seed=6, **extra),
+            lambda: hk.greens_solver(dolphins_problem, 0.4, 0.5, seed=6, **extra),
         ]
         full = [run() for run in runs]
         for budget, run, want in zip((40, 4000), runs, full):
