@@ -23,7 +23,6 @@ from .graph import (
     make_boundary_problem,
     validate_b_boundable,
     vertex_boundary,
-    write_edge_list,
 )
 from .dirichlet import (
     DENSE_SIZE_LIMIT,
@@ -33,7 +32,6 @@ from .dirichlet import (
     KrylovOperator,
     SpectrumError,
     apply_heat_kernel,
-    dump_matrix_csv,
     estimate_lambda1,
     exact_dirhkpr,
     exact_local_solution,
@@ -55,7 +53,6 @@ from .walks import (
 from .solvers import (
     SolveReport,
     SolverSchedule,
-    draw_t,
     draw_weighted_t,
     error_bound,
     greens_solver,

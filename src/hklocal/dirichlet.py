@@ -21,8 +21,6 @@ import threading
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -52,7 +50,6 @@ __all__ = [
     "exact_dirhkpr",
     "exact_local_solution",
     "estimate_lambda1",
-    "dump_matrix_csv",
 ]
 
 # The dense s x s Laplacian, and what is built from it (the Green's matrix,
@@ -487,19 +484,3 @@ def estimate_lambda1(graph: Graph, subset: VertexSubset) -> float:
     start = np.sqrt(_degrees(graph, subset))
     return float(_ritz_values(_laplacian_times(*coupling, subset.size), start)[0])
 
-
-def dump_matrix_csv(matrix: np.ndarray, target: str | Path | IO[str]) -> None:
-    """Debug dump of a dense matrix, row-major, 17 significant digits."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-
-    def _write(fh: IO[str]) -> None:
-        for row in matrix:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(target)

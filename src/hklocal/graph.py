@@ -34,7 +34,6 @@ __all__ = [
     "make_boundary_problem",
     "compute_b1",
     "compute_b2",
-    "write_edge_list",
 ]
 
 
@@ -215,11 +214,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < len(nb) and nb[i] == v
-
     def compact_id(self, original: int) -> int:
         i = int(np.searchsorted(self.original_ids, original))
         if i < self.n and self.original_ids[i] == original:
@@ -275,12 +269,6 @@ def load_graph_file(path: str | Path) -> Graph:
         return load_graph(fh)
 
 
-def write_edge_list(graph: Graph, stream: IO[str]) -> None:
-    """Serialize a graph as 'u v' lines in original ids (canonical order)."""
-    for u, v in graph.edges:
-        stream.write(f"{graph.original_id(int(u))} {graph.original_id(int(v))}\n")
-
-
 @dataclass(frozen=True)
 class VertexSubset:
     """A validated vertex subset with local/global index maps.
@@ -320,9 +308,6 @@ class VertexSubset:
         if i < 0:
             raise KeyError(v)
         return i
-
-    def global_of(self, i: int) -> int:
-        return int(self.members[i])
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool(self.mask[v])

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# No solver calls exact_dirhkpr, but the benchmark's tracer wraps it under
+# this module's name.
 from .dirichlet import (
     Operator,
     estimate_lambda1,
@@ -37,7 +39,6 @@ __all__ = [
     "SolverSchedule",
     "SolveReport",
     "make_schedule",
-    "draw_t",
     "draw_weighted_t",
     "riemann_sum_solution",
     "local_linear_solver",
@@ -46,8 +47,6 @@ __all__ = [
     "restricted_threshold",
     "report_to_json",
 ]
-
-_DIRECT_SUM_LIMIT = 50_000_000  # s * floor(N) guard for the literal Riemann loop
 
 
 @dataclass(frozen=True)
@@ -145,23 +144,13 @@ def make_schedule(
     )
 
 
-def draw_t(schedule: SolverSchedule, rng: np.random.Generator) -> float:
-    """Sample t = j * gamma with j uniform on the integers [1, floor(N)].
-
-    The paper's draw; the solvers use :func:`draw_weighted_t`, which
-    reduces to it in law at rate 0.
-    """
-    j = int(rng.integers(1, schedule.floor_n + 1))
-    return j * schedule.step
-
-
 def draw_weighted_t(schedule: SolverSchedule, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map uniforms u to importance-sampled times t = j * gamma and weights gamma / P(j).
 
     j follows the geometric law truncated to the integers [1, floor(N)],
     P(j) = q^(j-1) (1 - q) / (1 - q^floor(N)) with q = exp(-rate * gamma),
     drawn by the inverse CDF j = ceil(ln(1 - u (1 - q^floor(N))) / ln q);
-    rate 0 is the uniform law of :func:`draw_t`.  The weighted sample
+    rate 0 is the paper's uniform draw.  The weighted sample
     gamma / P(j) * rho_t has mean exactly the Riemann sum over the grid, for
     any rate; its variance stays bounded for every T only while
     rate < 2 lambda1.  Both solvers draw their times here from the uniforms
@@ -209,18 +198,6 @@ class SolveReport:
     samples_skipped: int = 0
 
 
-def _riemann_direct(op: Operator, b2: np.ndarray, schedule: SolverSchedule) -> np.ndarray:
-    if op.s * schedule.floor_n > _DIRECT_SUM_LIMIT:
-        raise MemoryError(
-            f"direct Riemann sum needs {schedule.floor_n} kernel evaluations on s = {op.s}; "
-            "use the geometric mode"
-        )
-    acc = np.zeros(op.s, dtype=np.float64)
-    for j in range(1, schedule.floor_n + 1):
-        acc += exact_dirhkpr(op, j * schedule.step, b2)
-    return acc * schedule.step * (1.0 / np.sqrt(op.degrees))
-
-
 def _riemann_geometric(op: Operator, b1: np.ndarray, schedule: SolverSchedule) -> np.ndarray:
     # step * sum_{j=1..floor(N)} exp(-lambda * j * step), summed per
     # eigenvalue or Ritz value in closed form.  Identical to the literal sum
@@ -237,20 +214,14 @@ def riemann_sum_solution(
     problem: BoundaryProblem,
     schedule: SolverSchedule,
     operator: Operator | None = None,
-    mode: str = "geometric",
 ) -> np.ndarray:
     """Right Riemann sum of the heat-kernel integral for x_S on the schedule grid.
 
-    Satisfies ||x_S - x_rie|| <= gamma * (||b1|| + ||x_S||).  The default
-    geometric mode sums the series in closed form per eigenvalue or Ritz value;
-    ``mode="direct"`` evaluates every grid point and is capacity-guarded.
+    Satisfies ||x_S - x_rie|| <= gamma * (||b1|| + ||x_S||).  The series is
+    summed in closed form per eigenvalue or Ritz value.
     """
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
-    if mode == "geometric":
-        return _riemann_geometric(op, problem.b1, schedule)
-    if mode == "direct":
-        return _riemann_direct(op, problem.b2, schedule)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _riemann_geometric(op, problem.b1, schedule)
 
 
 def local_linear_solver(

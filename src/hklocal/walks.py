@@ -8,23 +8,29 @@ modulo 2**64 and u(x) = (mix(x) >> 11) * 2**-53, the walks of one sample
 and signed part share the group key g = mix(mix(seed) + phase * phi), and
 walk j has the key w = mix(g + j * phi).  The walk starts at the vertex that
 u(w + START) picks from the part's CDF; its step k moves to neighbor number
-floor(u(w + k * phi) * deg), clamped to deg - 1, in adjacency order; and its
-Poisson(t) length is the inverse CDF at u(w + LENGTH), tested lazily: a
-walk still in S after k steps finishes there once u(w + LENGTH) <= F_t(k)
-or k reaches the cap, so a walk that aborts never needs its length.  F_t(k)
-sums exp(i ln t - t - lgamma(i + 1)) over i <= k and is 1 from the first
-i > t whose term underflows to 0.  The walks of all samples advance
-together as numpy arrays, in chunks of the flat (sample, part, walk) order
-of about ``PASS_BUDGET`` entries, and surviving walks are counted per
-sample and part as integers.  A sample's estimate therefore depends only on
-its own seed and time, not on the other samples of the call or on the
-chunking.  The ``workers`` arguments are accepted and must be at least 1,
-but they do not change the output or how it is computed.
+floor(u(w + k * phi) * deg) in adjacency order; and its Poisson(t) length is
+the inverse CDF at u(w + LENGTH), tested lazily: a walk still in S after k
+steps finishes there once u(w + LENGTH) <= F_t(k) or k reaches the cap, so
+a walk that aborts never needs its length.  F_t(k) sums
+exp(i ln t - t - lgamma(i + 1)) over i <= k and is 1 from the first i > t
+whose term underflows to 0.
+
+The walks of all samples advance together as numpy arrays, in chunks of
+whole (sample, part) rows, or pieces of one row, of about ``PASS_BUDGET``
+entries.  A chunk tabulates F_t(k) a block of k at a time and hashes the
+step uniforms of its live walks a block of steps at a time; surviving walks
+are counted per sample and part as integers.  A sample's estimate thus
+depends only on its own seed and time, not on the other samples of the
+call, the chunking or the blocks.  The ``workers`` arguments are accepted
+and must be at least 1, but they do not change the output or how it is
+computed.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Literal
 
@@ -44,6 +50,8 @@ __all__ = [
     "DEFAULT_SAMPLE_CONSTANT",
 ]
 
+log = logging.getLogger(__name__)
+
 DEFAULT_SAMPLE_CONSTANT = 16.0
 
 # Stream phases: the positive and negative walk groups, and the solvers'
@@ -57,6 +65,12 @@ PHASE_SCHEDULE = 2
 # PASS_BUDGET * r // (r + s) walks, at least one; a larger pass runs as
 # consecutive chunks with the same output.
 PASS_BUDGET = 1 << 20
+
+# Entries one block holds: a chunk hashes the uniforms of the next
+# max(1, UNIFORM_BUDGET // live) steps of its live walks, or tabulates F_t(k)
+# for max(1, UNIFORM_BUDGET // rows) values of k, at once.  Any value gives
+# the same output; blocks spread each numpy call over many steps.
+UNIFORM_BUDGET = 1 << 12
 
 CapMode = Literal["eps", "two_t", "none"]
 
@@ -150,18 +164,35 @@ def _uniform(z: np.ndarray) -> np.ndarray:
     return (_mix(z) >> _S11) * 2.0**-53
 
 
-def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode, stats):
+def _poisson_cdf(k0, lgamma, t, log_t, cap, carry):
+    """F_t(k) of every row, k-major, for k = k0, k0 + 1, ... (one per entry of
+    ``lgamma``, lgamma(k + 1)), summed on from each row's ``carry``; returns
+    the table and the sums to carry on.  Past the mean a term that underflowed
+    ends the sum at 1, so an uncapped walk finishes even where the rounded
+    sum stays below its uniform; at the cap every walk finishes."""
+    ks = np.arange(k0, k0 + lgamma.size)[:, None]
+    pmf = np.exp(ks * log_t - t - lgamma[:, None])
+    forced = np.logical_or.accumulate(((pmf == 0.0) & (ks > t)) | (ks >= cap))
+    pmf[0] += carry
+    table = np.cumsum(pmf, axis=0)
+    carry = table[-1].copy()
+    table[forced] = 1.0
+    return table, carry
+
+
+def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode):
     """Sum of weights[i] * rho_i over the samples, all walks in lockstep.
 
-    A chunk is a range of the flat (sample, part, walk) order, and every
-    live walk of a chunk is at the same step.  Terminal-vertex counts are
-    summed per (sample, part) as integers and carried from one chunk to the
-    next, so the output depends neither on the chunking nor on the other
-    samples.
+    A chunk is a group of whole (sample, part) rows, or a piece of one row
+    when r walks exceed the chunk width, and every live walk of a chunk is
+    at the same step.  Terminal-vertex counts are summed per (sample, part)
+    as integers and carried from one chunk to the next, so the output
+    depends neither on the chunking nor on the other samples.  Returns the
+    sum, the steps taken, the walks aborted and the step blocks run.
     """
     ptr, degrees, nbrs = adjacency
     nparts, m = len(parts), ts.size
-    per_sample = nparts * r
+    nrows, per_sample = m * nparts, nparts * r
     # One group key per (sample, part) row, and each row's t, ln t and cap.
     phases = np.array([phase for phase, *_ in parts], dtype=np.uint64)
     row_keys = _mix(_mix(seeds)[:, None] + phases * _PHI).ravel()
@@ -170,50 +201,69 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode, sta
     caps = (walk_cap(float(t), epsilon, cap_mode) for t in ts)
     row_cap = np.repeat([math.inf if cap is None else cap for cap in caps], nparts)
     width = max(1, PASS_BUDGET * r // (r + s))
+    if width >= r:
+        chunks = [(lo, min(lo + width // r, nrows), 0, r) for lo in range(0, nrows, width // r)]
+    else:
+        chunks = [(lo, lo + 1, j0, min(j0 + width, r))
+                  for lo in range(nrows) for j0 in range(0, r, width)]
     acc = np.zeros(s, dtype=np.float64)
     pending = 0  # counts of sample `first` from earlier chunks
-    steps = aborted = 0
-    for a in range(0, m * per_sample, width):
-        b = min(a + width, m * per_sample)
+    steps = aborted = blocks = 0
+    lgamma = np.empty(0)  # lgamma(k + 1) for the k tabulated so far
+    for lo, hi, j0, j1 in chunks:
+        a, b = lo * r + j0, (hi - 1) * r + j1  # the chunk's flat (sample, part, walk) range
         first, stop = a // per_sample, b // per_sample  # samples first..stop-1 end by b
-        lo, hi = a // r, (b - 1) // r + 1  # the chunk's (sample, part) rows
-        flat = np.arange(a, b)
-        row = flat // r
-        key = _mix(row_keys[row] + (flat - row * r).astype(np.uint64) * _PHI)
-        cur = np.empty(b - a, dtype=np.int64)
+        key = _mix(row_keys[lo:hi, None] + np.arange(j0, j1, dtype=np.uint64) * _PHI)
+        cur = np.empty(key.shape, dtype=np.int64)
         for p, (_, cdf, support, _) in enumerate(parts):
-            sel = row % nparts == p
-            picks = np.searchsorted(cdf, _uniform(key[sel] + _START), side="right")
-            cur[sel] = support[np.minimum(picks, support.size - 1)]
-        u_len = _uniform(key + _LENGTH)
-        row -= lo
+            part = slice((p - lo) % nparts, None, nparts)  # the chunk's rows of part p
+            picks = np.searchsorted(cdf, _uniform(key[part] + _START), side="right")
+            cur[part] = support[np.minimum(picks, support.size - 1)]
+        u_len = _uniform(key + _LENGTH).ravel()
+        key, cur = key.ravel(), cur.ravel()
+        row = np.repeat(np.arange(hi - lo), j1 - j0)
         t, log_t, cap = row_t[lo:hi], row_log_t[lo:hi], row_cap[lo:hi]
-        cdf = np.zeros(hi - lo)
-        rows, verts, k = [], [], 0
-        inside = np.ones(cur.size, dtype=bool)
+        k_end = cap.max() + 1  # every walk has finished by then (inf uncapped)
+        columns = int(min(max(1, UNIFORM_BUDGET // (hi - lo)), k_end))
+        offsets = np.arange(columns, dtype=np.uint64)[:, None] * _PHI
+        rows, verts, carry, k, table_end = [], [], 0.0, 0, 0
         while cur.size:
-            # F_t(k) per row.  Past the mean a term that underflowed ends the
-            # sum at 1, so an uncapped walk finishes even where the rounded
-            # sum stays below its uniform; at the cap every walk finishes.
-            pmf = np.exp(k * log_t - t - math.lgamma(k + 1))
-            cdf += pmf
-            cdf[((pmf == 0.0) & (k > t)) | (k >= cap)] = 1.0
-            # Walks still in S after k steps whose length uniform is at most
-            # F_t(k) have length k: they finish here.
-            fin = inside & (u_len <= cdf[row])
+            if k == table_end:
+                table_start, table_end = k, int(min(k + columns, k_end))
+                if table_end > lgamma.size:
+                    more = range(lgamma.size + 1, table_end + 1)
+                    lgamma = np.append(lgamma, [math.lgamma(i) for i in more])
+                table, carry = _poisson_cdf(k, lgamma[k:table_end], t, log_t, cap, carry)
+            # The next span steps of every live walk; step k of the walk with
+            # key w uses the uniform of w + k * phi.  A walk still in S after k
+            # steps has length k once its length uniform is at most F_t(k), and
+            # then for every later k: it takes `finish` steps of the block.
+            span = min(max(1, UNIFORM_BUDGET // cur.size), table_end - k)
+            f_t = table[k - table_start:k - table_start + span].take(row, axis=1)
+            finish = (u_len > f_t).sum(axis=0, dtype=np.min_scalar_type(span))
+            uniforms = _uniform(key + offsets[:span])
+            for i in range(span):
+                # Walks that finished or aborted keep their vertex (-1 once out).
+                moving = finish > i
+                if i:
+                    moving &= cur >= 0
+                n = int(np.count_nonzero(moving))
+                if not n:
+                    break
+                steps += n
+                nxt = nbrs[ptr[cur] + (uniforms[i] * degrees[cur]).astype(np.int64)]
+                cur = nxt if n == cur.size else np.where(moving, nxt, cur)
+            inside = cur >= 0
+            fin = np.flatnonzero(inside & (finish < span))
             rows.append(row[fin])
             verts.append(cur[fin])
-            live = np.flatnonzero(inside ^ fin)
-            row, cur, u_len, key = row[live], cur[live], u_len[live], key[live]
-            # Step k of the walk with key w uses the uniform of w + k * phi.
-            u = _uniform(key)
-            key += _PHI
-            deg = degrees[cur]
-            cur = nbrs[ptr[cur] + np.minimum((u * deg).astype(np.int64), deg - 1)]
-            inside = cur >= 0
-            steps += cur.size
-            aborted += cur.size - int(np.count_nonzero(inside))
-            k += 1
+            inside[fin] = False
+            live = np.flatnonzero(inside)
+            aborted += cur.size - live.size - fin.size
+            row, cur, u_len = row[live], cur[live], u_len[live]
+            key = key[live] + np.uint64(span * int(_PHI) % 2**64)
+            k += span
+            blocks += 1
         rows, verts = np.concatenate(rows) + (lo - first * nparts), np.concatenate(verts)
         # Samples before `stop` are complete: turn their counts into
         # weighted pagerank estimates and add them in sample order.
@@ -229,11 +279,7 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode, sta
         for weight, sample in zip(weights[first:stop], rho):
             acc += weight * sample
         pending = counts[stop - first] if stop - first < touched else 0
-    if stats is not None:
-        stats.walks_started += r * nparts * m
-        stats.steps_simulated += steps
-        stats.walks_aborted += aborted
-    return acc
+    return acc, steps, aborted, blocks
 
 
 def _mc_dirhkpr(
@@ -249,6 +295,7 @@ def _mc_dirhkpr(
     constant: float,
     stats: WalkStats | None,
 ) -> np.ndarray:
+    start = time.perf_counter()
     _check_workers(workers)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -278,10 +325,22 @@ def _mc_dirhkpr(
             support = np.flatnonzero(part)
             parts.append((phase, np.cumsum(part[support]) / norm, support, sign * norm / r))
     # Walks run on S's rows of the adjacency, in local indices: slot k of
-    # member i holds its neighbour's local index, or -1 outside S.
+    # member i holds its neighbour's local index, or -1 outside S.  A step's
+    # slot floor(u * deg) needs no clamp: u <= 1 - 2**-53 and deg < 2**53.
     degrees = graph.degrees[subset.members]
-    adjacency = (np.cumsum(degrees) - degrees, degrees, _restrict(graph, subset).cols)
-    return _lockstep(adjacency, subset.size, parts, ts, seeds, weights, r, epsilon, cap_mode, stats)
+    adjacency = (np.cumsum(degrees) - degrees, degrees.astype(np.float64),
+                 _restrict(graph, subset).cols)
+    acc, steps, aborted, blocks = _lockstep(
+        adjacency, subset.size, parts, ts, seeds, weights, r, epsilon, cap_mode
+    )
+    started, seconds = r * len(parts) * ts.size, time.perf_counter() - start
+    if stats is not None:
+        stats.walks_started += started
+        stats.steps_simulated += steps
+        stats.walks_aborted += aborted
+    log.info("%d walks started, %d steps, %d aborted, %d blocks in %.4f s (%.4g steps/s)",
+             started, steps, aborted, blocks, seconds, steps / max(seconds, 1e-9))
+    return acc
 
 
 def approx_dirhkpr(

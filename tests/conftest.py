@@ -1,7 +1,7 @@
 """Shared fixtures: tiny path graphs, the bundled dolphin network, random
 problem generators, and the independent oracles used across the suite,
 among them the one-walk reference the lockstep walk engine is replayed
-against."""
+against, the paper's uniform time draw and the literal Riemann sum."""
 
 from __future__ import annotations
 
@@ -251,6 +251,23 @@ def dirichlet_walk(
             return None
         cur = nxt
     return cur
+
+
+def draw_t(schedule: hk.SolverSchedule, rng: np.random.Generator) -> float:
+    """The paper's time draw: t = j * gamma with j uniform on the integers
+    [1, floor(N)].  The solvers use ``draw_weighted_t``, which reduces to it
+    in law at rate 0."""
+    j = int(rng.integers(1, schedule.floor_n + 1))
+    return j * schedule.step
+
+
+def riemann_direct(problem: hk.BoundaryProblem, schedule: hk.SolverSchedule, op) -> np.ndarray:
+    """Literal right Riemann sum for x_S: one exact pagerank per grid point,
+    against which the solvers' closed-form sum is checked."""
+    acc = np.zeros(op.s, dtype=np.float64)
+    for j in range(1, schedule.floor_n + 1):
+        acc += hk.exact_dirhkpr(op, j * schedule.step, problem.b2)
+    return acc * schedule.step * (1.0 / np.sqrt(op.degrees))
 
 
 def is_eps_approx(estimate: np.ndarray, truth: np.ndarray, eps: float) -> bool:

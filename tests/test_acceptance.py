@@ -92,7 +92,7 @@ def test_criterion_3_riemann_bound(p3_problem, p4_problem):
         x_s = hk.exact_local_solution(problem, operator=op)
         for gamma in (0.05, 0.01):
             sched = hk.make_schedule(op.s, gamma)
-            x_rie = hk.riemann_sum_solution(problem, sched, operator=op, mode="geometric")
+            x_rie = hk.riemann_sum_solution(problem, sched, operator=op)
             err = float(np.linalg.norm(x_s - x_rie))
             bound = gamma * float(np.linalg.norm(problem.b1) + np.linalg.norm(x_s))
             assert err <= bound

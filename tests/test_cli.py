@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -347,6 +348,31 @@ def test_operator_stage_logged_at_info_only(p4_files, capsys, monkeypatch):
     assert "[INFO] hklocal.dirichlet: dense operator: s = 2, lambda1 = 0.5, built in " in err
     monkeypatch.delenv("SOLVER_LOG")
     assert run(["solve-exact", *_io_args(p4_files)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_walks_logged_at_info_only(p4_files, capsys, monkeypatch):
+    # One line per estimator call, for hkpr-approx and solve-greens alike,
+    # with the counts the report states.
+    line = re.compile(r"\[INFO\] hklocal\.walks: (\d+) walks started, (\d+) steps, "
+                      r"(\d+) aborted, (\d+) blocks in [0-9.]+ s \([0-9.e+]+ steps/s\)$")
+    monkeypatch.setenv("SOLVER_LOG", "info")
+    assert run(["hkpr-approx", *_io_args(p4_files), "--t", "3", "--eps", "0.3"]) == 0
+    err = capsys.readouterr().err
+    (started, steps, aborted, blocks), = [
+        tuple(map(int, m.groups())) for m in map(line.match, err.splitlines()) if m]
+    assert started == hk.sample_count(0.3, 4) and 0 < aborted < started
+    assert steps >= aborted and blocks > 0
+    argv = ["solve-greens", *_io_args(p4_files), "--gamma", "0.25", "--eps", "0.4", "--seed", "7"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    inst = json.loads(captured.out)["instrumentation"]
+    (started, steps, aborted, _), = [
+        tuple(map(int, m.groups())) for m in map(line.match, captured.err.splitlines()) if m]
+    assert (started, steps, aborted) == (
+        inst["walks_started"], inst["walk_steps_total"], inst["walks_aborted"])
+    monkeypatch.delenv("SOLVER_LOG")
+    assert run(argv) == 0
     assert capsys.readouterr().err == ""
 
 

@@ -1,6 +1,5 @@
 """Restricted operators, Green's functions, and exact heat-kernel pagerank."""
 
-import io
 import itertools
 import logging
 import math
@@ -445,14 +444,3 @@ class TestLambda1Estimate:
         op = hk.restricted_operator(dolphins_problem.graph, dolphins_problem.subset)
         est = hk.estimate_lambda1(dolphins_problem.graph, dolphins_problem.subset)
         assert est == pytest.approx(op.lambda1, rel=1e-6)
-
-
-def test_dump_matrix_csv_round_trip(p4_problem):
-    lap = hk.restricted_laplacian(p4_problem.graph, p4_problem.subset)
-    buf = io.StringIO()
-    hk.dump_matrix_csv(lap, buf)
-    rows = [
-        [float(x) for x in line.split(",")]
-        for line in buf.getvalue().strip().splitlines()
-    ]
-    assert np.array_equal(np.array(rows), lap)

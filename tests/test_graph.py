@@ -1,6 +1,5 @@
 """Graph ingestion, subset machinery, and boundary-vector folding."""
 
-import io
 import math
 
 import numpy as np
@@ -54,14 +53,6 @@ class TestLoadGraph:
         full = hk.VertexSubset.from_iterable(range(62), 62)
         assert hk.is_connected_induced(dolphins_graph, full)
 
-    def test_ingestion_idempotence(self, dolphins_graph):
-        buf = io.StringIO()
-        hk.write_edge_list(dolphins_graph, buf)
-        reloaded = hk.load_graph(buf.getvalue())
-        assert np.array_equal(reloaded.indptr, dolphins_graph.indptr)
-        assert np.array_equal(reloaded.indices, dolphins_graph.indices)
-        assert np.array_equal(reloaded.original_ids, dolphins_graph.original_ids)
-
     def test_storage_is_immutable(self, p4_graph):
         with pytest.raises(ValueError):
             p4_graph.degrees[0] = 9
@@ -75,7 +66,7 @@ class TestLoadGraph:
             g = random_connected_graph(rng, int(rng.integers(2, 30)))
             for v in range(g.n):
                 for u in g.neighbors(v):
-                    assert g.has_edge(int(u), v)
+                    assert v in g.neighbors(int(u))
             assert all(g.degrees[v] == len(g.neighbors(v)) for v in range(g.n))
 
 
@@ -129,7 +120,7 @@ class TestVertexSubset:
         sub = hk.VertexSubset.from_iterable([5, 2, 9], 12)
         assert list(sub.members) == [2, 5, 9]
         for i in range(sub.size):
-            assert sub.local_index(sub.global_of(i)) == i
+            assert sub.local_index(int(sub.members[i])) == i
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hklocal as hk
-from conftest import grid_patch_problem
+from conftest import draw_t, grid_patch_problem, riemann_direct
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ class TestDrawT:
         sched = hk.make_schedule(2, 0.01)
         rng = hk.substream(0, 2, 0)
         for _ in range(200):
-            t = hk.draw_t(sched, rng)
+            t = draw_t(sched, rng)
             j = t / sched.step
             assert 1 <= round(j) <= sched.floor_n
             assert t == pytest.approx(round(j) * sched.step, rel=1e-12)
@@ -71,12 +71,12 @@ class TestDrawT:
         sched = hk.make_schedule(1, 0.5)
         assert sched.floor_n == 1
         rng = hk.substream(1, 2, 0)
-        assert hk.draw_t(sched, rng) == pytest.approx(0.5, rel=1e-12)
+        assert draw_t(sched, rng) == pytest.approx(0.5, rel=1e-12)
 
     def test_empirical_mean(self):
         sched = hk.make_schedule(2, 0.05)
         rng = hk.substream(5, 2, 0)
-        draws = np.array([hk.draw_t(sched, rng) for _ in range(100_000)])
+        draws = np.array([draw_t(sched, rng) for _ in range(100_000)])
         expected = (sched.floor_n + 1) / 2.0 * sched.step
         assert abs(draws.mean() - expected) / expected < 0.01
 
@@ -128,14 +128,9 @@ class TestRiemannSum:
 
     def test_geometric_matches_direct(self, p4_problem, p4_op):
         sched = hk.make_schedule(2, 0.05)
-        fast = hk.riemann_sum_solution(p4_problem, sched, operator=p4_op, mode="geometric")
-        slow = hk.riemann_sum_solution(p4_problem, sched, operator=p4_op, mode="direct")
+        fast = hk.riemann_sum_solution(p4_problem, sched, operator=p4_op)
+        slow = riemann_direct(p4_problem, sched, p4_op)
         assert fast == pytest.approx(slow, abs=1e-11)
-
-    def test_direct_capacity_guard(self, p4_problem, p4_op):
-        sched = hk.make_schedule(2, 1e-6)
-        with pytest.raises(MemoryError):
-            hk.riemann_sum_solution(p4_problem, sched, operator=p4_op, mode="direct")
 
     def test_zero_b1(self):
         g = hk.load_graph("0 1\n1 2\n2 3\n3 4")
@@ -325,7 +320,7 @@ class TestGreensSolver:
         sched = hk.make_schedule(2, 0.25, epsilon=0.25, seed=13)
         for i in range(3):
             rng = hk.substream(sched.master_seed, 2, i)
-            t = hk.draw_t(sched, rng)
+            t = draw_t(sched, rng)
             truth = hk.exact_dirhkpr(p4_op, t, p4_problem.b2)
             acc = np.zeros(2)
             runs = 60

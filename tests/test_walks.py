@@ -322,6 +322,31 @@ def poisson_cdf(t, cap):
     return cdf
 
 
+@pytest.mark.parametrize("width", [1, 7, None])
+def test_cdf_table_is_the_running_sum(width):
+    # The engine tabulates F_t for its rows a block of k at a time, carrying
+    # each row's sum from block to block.  Every block width gives each
+    # row's scalar running sum up to its cap, where F_t is 1, or up to the
+    # first value of at least 1: at t = 20 the sum ends below 1 and the
+    # underflow rule sets it to 1.
+    rows = [(3.0, 5), (3.0, None), (20.0, None), (20.0, 30)]
+    wants = [poisson_cdf(t, cap) for t, cap in rows]
+    end = max(len(want) for want in wants)
+    lgamma = np.array([math.lgamma(k + 1) for k in range(end)])
+    t = np.array([t for t, _ in rows])
+    cap = np.array([math.inf if cap is None else cap for _, cap in rows])
+    blocks, carry = [], 0.0
+    for k0 in range(0, end, width or end):
+        table, carry = walks._poisson_cdf(k0, lgamma[k0:k0 + (width or end)], t, np.log(t),
+                                          cap, carry)
+        blocks.append(table)
+    table = np.concatenate(blocks)
+    for column, (_, row_cap), want in zip(table.T, rows, wants):
+        n = len(want) if row_cap is None else row_cap
+        assert np.array_equal(column[:n], want[:n])
+        assert np.all(column[n:] == 1.0)
+
+
 def walk_length(u, cdf, cap):
     """Inverse CDF: the first k with u <= F_t(k), capped."""
     k = bisect.bisect_left(cdf, u)
@@ -346,6 +371,19 @@ class StepUniforms:
 
     def integers(self, n):
         return min(int(next(self._next) * n), n - 1)
+
+
+def test_step_slot_needs_no_clamp():
+    # The engine steps to slot floor(u * deg) with no clamp to deg - 1.  The
+    # rounded product is monotone in u, so the largest uniform, 1 - 2**-53,
+    # decides: for every degree below 2**53 its product stays below the
+    # degree.  StepUniforms keeps the clamp as the reference: a product that
+    # reached the degree would set the engine and the replays apart.
+    u = 1.0 - 2.0**-53
+    rng = np.random.default_rng(2024)
+    for degrees in (np.arange(1, 2**20 + 1), rng.integers(1, 2**52, size=2**20)):
+        degrees = degrees.astype(np.float64)
+        assert np.all((u * degrees).astype(np.int64) < degrees)
 
 
 def replay_estimate(graph, subset, t, f, epsilon, seed, cap, stats):
@@ -568,15 +606,24 @@ class TestStreamLayout:
         assert np.array_equal(rho, ref)
         assert_same_stats(stats, ref_stats)
 
+    # UNIFORM_BUDGET 1 runs one step a block and tabulates F_t one k at a
+    # time, as one pass at a time would; 2**20 runs blocks of several steps
+    # from the first one.  The default is test_replays_scalar_walks_on_dolphins.
+    @pytest.mark.parametrize("uniform_budget", [1, 1 << 20])
+    def test_replays_scalar_walks_on_dolphins_in_blocks(self, dolphins_problem, monkeypatch,
+                                                        uniform_budget):
+        monkeypatch.setattr(walks, "UNIFORM_BUDGET", uniform_budget)
+        self.test_replays_scalar_walks_on_dolphins(dolphins_problem)
+
 
 class TestPassBudget:
     """The chunking of a lockstep pass does not change any output."""
 
     @pytest.mark.parametrize("samples", [None, 7])
     @pytest.mark.parametrize("budget", [3, 5, 40])
-    def test_approx_dirhkpr(self, p4_graph, p4_subset, monkeypatch, budget, samples):
-        # These budgets cut chunks inside a (sample, part) group of walks
-        # and, with several samples, across samples.
+    def test_approx_dirhkpr(self, p4_graph, p4_subset, monkeypatch, budget, samples,
+                            uniform_budget=None):
+        # These budgets cut the r walks of a (sample, part) row into pieces.
         f = np.array([1.0, -0.5])
         if samples is None:
             def run(stats):
@@ -592,23 +639,46 @@ class TestPassBudget:
         stats, small_stats = hk.WalkStats(), hk.WalkStats()
         rho = run(stats)
         monkeypatch.setattr(walks, "PASS_BUDGET", budget)
+        if uniform_budget is not None:
+            monkeypatch.setattr(walks, "UNIFORM_BUDGET", uniform_budget)
         small = run(small_stats)
         assert np.array_equal(rho, small)
         assert_same_stats(stats, small_stats)
 
+    @pytest.mark.parametrize("uniform_budget", [1, 1 << 20])
+    @pytest.mark.parametrize("samples", [None, 7])
+    @pytest.mark.parametrize("budget", [3, 400])
+    def test_approx_dirhkpr_in_blocks(self, p4_graph, p4_subset, monkeypatch, budget, samples,
+                                      uniform_budget):
+        # Budget 400 takes three whole rows a chunk, so with several samples
+        # a chunk ends inside a sample.
+        self.test_approx_dirhkpr(p4_graph, p4_subset, monkeypatch, budget, samples,
+                                 uniform_budget)
+
     @pytest.mark.parametrize("constant", [None, 7])
-    def test_greens_solver(self, p4_problem, dolphins_problem, monkeypatch, constant):
+    def test_greens_solver(self, p4_problem, dolphins_problem, monkeypatch, constant,
+                           uniform_budget=None):
         # The sample constant sets the walks per group, and so where the
-        # budgets cut the groups.
+        # budgets cut the groups: budget 40 cuts P4's rows into pieces, and
+        # 4000 takes whole dolphins rows, several to a chunk.
         extra = {} if constant is None else {"constant": constant}
         runs = [
             lambda: hk.greens_solver(p4_problem, 0.25, 0.4, seed=6, **extra),
             lambda: hk.greens_solver(dolphins_problem, 0.4, 0.5, seed=6, **extra),
         ]
         full = [run() for run in runs]
+        if uniform_budget is not None:
+            monkeypatch.setattr(walks, "UNIFORM_BUDGET", uniform_budget)
         for budget, run, want in zip((40, 4000), runs, full):
             monkeypatch.setattr(walks, "PASS_BUDGET", budget)
             got = run()
             assert np.array_equal(got.x_hat, want.x_hat)
             assert (got.walks_started, got.walk_steps_total, got.walks_aborted) == (
                 want.walks_started, want.walk_steps_total, want.walks_aborted)
+
+    @pytest.mark.parametrize("uniform_budget", [1, 1 << 20])
+    @pytest.mark.parametrize("constant", [None, 7])
+    def test_greens_solver_in_blocks(self, p4_problem, dolphins_problem, monkeypatch, constant,
+                                     uniform_budget):
+        self.test_greens_solver(p4_problem, dolphins_problem, monkeypatch, constant,
+                                uniform_budget)
