@@ -124,6 +124,17 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+_TABLE_IDS = 4  # ids are dense when the largest is below _TABLE_IDS * (ids given) + 64
+
+
+def _compact_by_table(us, vs, extra, top):
+    """The distinct ids and the compact ids of us and vs, by a table of 0..top."""
+    seen = np.zeros(top + 1, dtype=bool)
+    seen[us] = seen[vs] = seen[extra] = True
+    rank = np.cumsum(seen, dtype=np.int64) - 1
+    return np.flatnonzero(seen), rank[us], rank[vs]
+
+
 def _lookup(graph: "Graph", token: str, ln: int) -> tuple[int, int]:
     """The original and compact id of a vertex named on line ``ln``."""
     orig = _parse_id(token, ln)
@@ -161,6 +172,7 @@ class Graph:
         Self-loops are rejected; duplicate pairs (in either orientation)
         collapse to a single edge.  ``vertex_ids`` may list extra isolated
         vertices to keep in storage.  An (m, 2) array of pairs is used as is.
+        Dense ids are compacted through a table, others by a sort, to the same graph.
         """
         try:
             if not isinstance(pairs, np.ndarray):
@@ -169,35 +181,43 @@ class Graph:
             extra = np.array(list(() if vertex_ids is None else vertex_ids), dtype=np.int64)
         except OverflowError:
             raise GraphFormatError("vertex id does not fit in 64 bits") from None
-        bad = (pairs < 0).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
-        if bad.any():
+        us, vs = pairs[:, 0], pairs[:, 1]
+        if pairs.min(initial=0) < 0 or (us == vs).any():
+            bad = (pairs < 0).any(axis=1) | (us == vs)
             u, v = (int(x) for x in pairs[np.argmax(bad)])
             if u < 0 or v < 0:
                 raise GraphFormatError(f"negative vertex id in edge ({u}, {v})")
             raise GraphFormatError(f"self-loop at vertex {u}")
-        # One argsort gives the distinct ids and each id's rank among them.
         # Compaction preserves order, so the key lo * n + hi of a canonical
-        # row sorts edges lexicographically, and likewise for CSR slots.
-        ids = np.concatenate([pairs.ravel(), extra])
-        order = np.argsort(ids)
-        ordered = ids[order]
-        first = np.ones(len(ids), dtype=bool)
-        first[1:] = ordered[1:] != ordered[:-1]
-        original = ordered[first]
+        # row sorts edges lexicographically.
+        top = max(pairs.max(initial=-1), extra.max(initial=-1))
+        if extra.min(initial=0) >= 0 and top < _TABLE_IDS * (pairs.size + extra.size) + 64:
+            original, cu, cv = _compact_by_table(us, vs, extra, top)
+        else:
+            # One argsort gives the distinct ids and each id's rank among them.
+            ids = np.concatenate([pairs.ravel(), extra])
+            order = np.argsort(ids)
+            ordered = ids[order]
+            first = np.ones(len(ids), dtype=bool)
+            first[1:] = ordered[1:] != ordered[:-1]
+            original = ordered[first]
+            first[:1] = False  # ranks count first occurrences past the smallest id
+            ids[order] = np.cumsum(first, out=ordered)  # over arrays no longer read
+            cu, cv = ids[:pairs.size:2], ids[1:pairs.size:2]
         n = len(original)
-        # Ranks count first occurrences past the smallest id.  They overwrite
-        # ordered and ids, no longer read, to spare two temporaries' pages.
-        first[:1] = False
-        ids[order] = np.cumsum(first, out=ordered)
-        compact = ids[:pairs.size].reshape(-1, 2)
-        keys = _sorted_unique(compact.min(axis=1) * n + compact.max(axis=1))
-        edges = np.stack([keys // n, keys % n], axis=1)
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        indices = np.sort(src * n + dst) % n
-        degrees = np.bincount(src, minlength=n).astype(np.int64)
+        keys = _sorted_unique(np.minimum(cu, cv) * n + np.maximum(cu, cv))
+        lo, hi = np.divmod(keys, n)
+        edges = np.stack([lo, hi], axis=1)
+        # Row v holds its lower neighbours, in the sorted reversed keys hi * n + lo,
+        # then its upper ones, in keys; each kind is placed past the other's slots.
+        below, above = np.bincount(hi, minlength=n), np.bincount(lo, minlength=n)
+        degrees = np.add(below, above, dtype=np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
+        slot, indices = np.arange(len(keys)), np.empty(2 * len(keys), dtype=np.int64)
+        indices[np.cumsum(below, out=below)[lo] + slot] = hi
+        row, nbr = np.divmod(np.sort(hi * n + lo), n, out=(hi, lo))
+        indices[(np.cumsum(above) - above)[row] + slot] = nbr
         return cls(
             n=n,
             edges=_frozen(edges),
@@ -241,9 +261,11 @@ def load_graph(source: str | IO[str]) -> Graph:
     pairs, parser = _bulk_ids(text, 2), "bulk"
     if pairs is None or (pairs[:, 0] == pairs[:, 1]).any():
         pairs, parser = _edge_lines(text), "per-line"
+    parse = time.perf_counter() - start
     graph = Graph.from_edges(pairs)
-    log.info("loaded %d vertices and %d edges with the %s parser in %.4f s",
-             graph.n, graph.edge_count, parser, time.perf_counter() - start)
+    build = time.perf_counter() - start - parse
+    log.info("loaded %d vertices and %d edges with the %s parser in %.4f s (parse %.4f s, "
+             "CSR build %.4f s)", graph.n, graph.edge_count, parser, parse + build, parse, build)
     return graph
 
 
@@ -285,7 +307,10 @@ class VertexSubset:
 
     @classmethod
     def from_iterable(cls, vertices: Iterable[int], n: int) -> "VertexSubset":
-        members = np.sort(np.array([int(v) for v in vertices], dtype=np.int64))
+        """The subset of compact ids; a 1-D int64 array skips a per-element int()."""
+        if getattr(vertices, "dtype", None) != np.int64 or np.ndim(vertices) != 1:
+            vertices = np.array([int(v) for v in vertices], dtype=np.int64)
+        members = np.sort(vertices)
         if len(members) and (members[0] < 0 or members[-1] >= n):
             raise ValueError(f"subset vertex out of range [0, {n})")
         if np.any(members[1:] == members[:-1]):
@@ -320,9 +345,8 @@ def load_subset(source: str | IO[str], graph: Graph) -> VertexSubset:
     if ids is not None and len(ids):
         pos = np.searchsorted(graph.original_ids, ids.ravel())
         if pos.max() < graph.n and (graph.original_ids[pos] == ids.ravel()).all():
-            members = np.sort(pos)
-            if (members[1:] != members[:-1]).all():
-                return VertexSubset.from_iterable(members.tolist(), graph.n)
+            if (np.diff(np.sort(pos)) != 0).all():
+                return VertexSubset.from_iterable(pos, graph.n)
     return _subset_lines(text, graph)
 
 
@@ -536,11 +560,14 @@ def make_boundary_problem(
     BoundaryConditionError
         Listing every violated admissibility condition.
     """
+    start = time.perf_counter()
     sl = _restrict(graph, subset)
     delta = _vertex_boundary(sl)
     violations = _violations(graph, b, subset, sl, delta)
     if violations:
         raise BoundaryConditionError(violations)
+    log.info("validated the boundary problem: s = %d, |delta S| = %d in %.4f s",
+             subset.size, len(delta), time.perf_counter() - start)
     b1 = _b1(graph, b, subset, sl)
     b2 = compute_b2(b1, graph, subset)
     return BoundaryProblem(

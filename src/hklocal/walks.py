@@ -68,8 +68,8 @@ PASS_BUDGET = 1 << 20
 
 # Entries one block holds: a chunk hashes the uniforms of the next
 # max(1, UNIFORM_BUDGET // live) steps of its live walks, or tabulates F_t(k)
-# for max(1, UNIFORM_BUDGET // rows) values of k, at once.  Any value gives
-# the same output; blocks spread each numpy call over many steps.
+# for up to max(1, UNIFORM_BUDGET // rows) values of k, at once.  Any value
+# gives the same output; blocks spread each numpy call over many steps.
 UNIFORM_BUDGET = 1 << 12
 
 CapMode = Literal["eps", "two_t", "none"]
@@ -224,12 +224,15 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode):
         row = np.repeat(np.arange(hi - lo), j1 - j0)
         t, log_t, cap = row_t[lo:hi], row_log_t[lo:hi], row_cap[lo:hi]
         k_end = cap.max() + 1  # every walk has finished by then (inf uncapped)
-        columns = int(min(max(1, UNIFORM_BUDGET // (hi - lo)), k_end))
-        offsets = np.arange(columns, dtype=np.uint64)[:, None] * _PHI
+        widest = int(min(max(1, UNIFORM_BUDGET // (hi - lo)), k_end))
+        offsets = np.arange(widest, dtype=np.uint64)[:, None] * _PHI
+        # Tables reach 4 standard deviations past the largest t, then double.
+        columns = min(widest, max(16, math.ceil(t.max() + 4.0 * math.sqrt(t.max()))))
         rows, verts, carry, k, table_end = [], [], 0.0, 0, 0
         while cur.size:
             if k == table_end:
                 table_start, table_end = k, int(min(k + columns, k_end))
+                columns = min(2 * columns, widest)
                 if table_end > lgamma.size:
                     more = range(lgamma.size + 1, table_end + 1)
                     lgamma = np.append(lgamma, [math.lgamma(i) for i in more])

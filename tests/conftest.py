@@ -1,6 +1,7 @@
 """Shared fixtures: tiny path graphs, the bundled dolphin network, random
 problem generators, and the independent oracles used across the suite,
-among them the one-walk reference the lockstep walk engine is replayed
+among them a dict-of-sets graph that ``Graph.from_edges`` is checked
+against, the one-walk reference the lockstep walk engine is replayed
 against, the paper's uniform time draw and the literal Riemann sum."""
 
 from __future__ import annotations
@@ -168,6 +169,36 @@ def harmonic_solve(problem: hk.BoundaryProblem) -> np.ndarray:
             else:
                 rhs[i] += float(b.get(u, 0.0)) * w
     return np.linalg.solve(system, rhs)
+
+
+def reference_graph(pairs, vertex_ids=()) -> dict:
+    """Literal-loop graph of (u, v) pairs and extra isolated ids: a dict of
+    neighbour sets, read out as the fields of :class:`hklocal.Graph` in lists.
+
+    Compact ids are positions among the sorted distinct original ids; rows
+    list neighbours in ascending order and ``edges`` each edge once, u < v,
+    in lexicographic order.
+    """
+    nbrs: dict[int, set[int]] = {}
+    for u, v in pairs:
+        nbrs.setdefault(int(u), set()).add(int(v))
+        nbrs.setdefault(int(v), set()).add(int(u))
+    for v in vertex_ids:
+        nbrs.setdefault(int(v), set())
+    original = sorted(nbrs)
+    compact = {v: i for i, v in enumerate(original)}
+    rows = [sorted(compact[u] for u in nbrs[v]) for v in original]
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return {
+        "n": len(original),
+        "edges": [[i, j] for i, row in enumerate(rows) for j in row if i < j],
+        "indptr": indptr,
+        "indices": [j for row in rows for j in row],
+        "degrees": [len(row) for row in rows],
+        "original_ids": original,
+    }
 
 
 def reference_vertex_boundary(graph: hk.Graph, subset: hk.VertexSubset) -> np.ndarray:

@@ -336,6 +336,18 @@ def test_graph_load_logged_at_info_only(p4_files, capsys, monkeypatch):
     assert run(["solve-exact", *_io_args(p4_files)]) == 0
     err = capsys.readouterr().err
     assert "[INFO] hklocal.graph: loaded 4 vertices and 3 edges with the bulk parser in " in err
+    assert re.search(r"bulk parser in [0-9.]+ s \(parse [0-9.]+ s, CSR build [0-9.]+ s\)$", err, re.M)
+    monkeypatch.delenv("SOLVER_LOG")
+    assert run(["solve-exact", *_io_args(p4_files)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_validation_logged_at_info_only(p4_files, capsys, monkeypatch):
+    # S = {1, 2} in P4 has the vertex boundary {0, 3}.
+    line = r"^\[INFO\] hklocal\.graph: validated the boundary problem: s = 2, \|delta S\| = 2 in [0-9.]+ s$"
+    monkeypatch.setenv("SOLVER_LOG", "info")
+    assert run(["solve-exact", *_io_args(p4_files)]) == 0
+    assert re.search(line, capsys.readouterr().err, re.M)
     monkeypatch.delenv("SOLVER_LOG")
     assert run(["solve-exact", *_io_args(p4_files)]) == 0
     assert capsys.readouterr().err == ""

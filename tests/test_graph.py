@@ -126,6 +126,20 @@ class TestVertexSubset:
         with pytest.raises(ValueError, match="duplicate"):
             hk.VertexSubset.from_iterable([1, 1], 4)
 
+    @pytest.mark.parametrize("vertices", [[3, 0, 2], [], [4, 0], [-1, 2], [1, 2, 1]])
+    def test_int64_array_matches_list(self, vertices):
+        # An int64 array is taken without a per-element int(); the checks,
+        # messages and arrays are those of the list, and the array is kept.
+        outcomes = []
+        for given in (vertices, np.array(vertices, dtype=np.int64)):
+            try:
+                sub = hk.VertexSubset.from_iterable(given, 4)
+                outcomes.append([(a.tolist(), a.flags.writeable) for a in (sub.members, sub.local_of)])
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert given.tolist() == vertices and given.flags.writeable
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
             hk.VertexSubset.from_iterable([4], 4)

@@ -1,8 +1,9 @@
 """Property tests: total parsers, the whole-text tokeniser against the
-per-line parsers, and the vectorised restriction of a graph to S against
-literal-loop references on generated graphs and subsets."""
+per-line parsers, the CSR build and the vectorised restriction of a graph
+to S against literal-loop references on generated graphs and subsets."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from hklocal import graph as graph_module
 from conftest import (
     harmonic_solve,
     reference_b1,
+    reference_graph,
     reference_is_connected,
     reference_laplacian,
     reference_vertex_boundary,
@@ -136,6 +138,58 @@ def test_load_graph_matches_per_line_parser(text):
 def test_load_subset_matches_per_line_parser(text):
     per_line = _outcome(lambda t: graph_module._subset_lines(t, GRAPH), SUBSET_FIELDS, text)
     assert _outcome(lambda t: hk.load_subset(t, GRAPH), SUBSET_FIELDS, text) == per_line
+
+
+# Small ids as they are, or moved far apart or next to 2^63 - 1, where they
+# must be compacted by a sort instead of a table; the last map reverses them.
+_ID_MAPS = [lambda v: v, lambda v: v + 2**40, lambda v: v * 10**6, lambda v: MAX_ID - v]
+
+
+@st.composite
+def edge_lists(draw):
+    """(u, v) pairs with repeats, some reversed, and extra isolated ids."""
+    edge = st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(edge, max_size=30))
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []:
+        pairs.append(draw(st.sampled_from([(u, v), (v, u)])))
+    extra = draw(st.lists(st.integers(0, 50), max_size=4))
+    to_id = draw(st.sampled_from(_ID_MAPS))
+    pairs = [(to_id(u), to_id(v)) for u, v in pairs]
+    if draw(st.booleans()):
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs, [to_id(v) for v in extra]
+
+
+def _assert_matches_reference(pairs, extra):
+    graph = hk.Graph.from_edges(pairs, extra)
+    expected = reference_graph(pairs, extra)
+    assert graph.n == expected.pop("n")
+    for name, values in expected.items():
+        array = getattr(graph, name)
+        assert (array.dtype, array.flags.writeable) == (np.int64, False), name
+        assert array.tolist() == values, name
+    assert graph.edges.shape == (len(expected["edges"]), 2)
+
+
+@PROPERTY
+@given(edge_lists())
+@example(([], []))
+@example(([], [7, 3]))
+def test_from_edges_matches_reference(case):
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("to_id, table_calls", [(_ID_MAPS[0], 1), (_ID_MAPS[1], 0)])
+def test_from_edges_compaction_paths(monkeypatch, to_id, table_calls):
+    # The same pairs under dense ids go through the id table, and moved past
+    # 2^40 through the sort; both give the reference graph.
+    calls = []
+    table = graph_module._compact_by_table
+    monkeypatch.setattr(graph_module, "_compact_by_table",
+                        lambda *args: calls.append(args) or table(*args))
+    pairs = [(to_id(u), to_id(v)) for u, v in [(0, 1), (4, 1), (1, 0), (2, 4), (9, 2)]]
+    _assert_matches_reference(pairs, [to_id(6), to_id(9)])
+    assert len(calls) == table_calls
 
 
 @st.composite

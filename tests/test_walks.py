@@ -516,6 +516,23 @@ class TestLockstepEngine:
         assert survivors + stats.walks_aborted == r
         assert_unbiased_with_cap_removed(p4_graph, p4_subset)
 
+    def test_cdf_tables_follow_the_walks(self, p4_graph, p4_whole, monkeypatch):
+        # Uncapped walks at t = 3 in pieces of 6: a piece tabulates F_t(k) for
+        # 16 values of k first, where nearly every walk has ended, and doubles
+        # from there, instead of UNIFORM_BUDGET // 6 = 682 values at once.
+        monkeypatch.setattr(walks, "PASS_BUDGET", 7)
+        widths, cdf = [], walks._poisson_cdf
+        monkeypatch.setattr(walks, "_poisson_cdf",
+                            lambda k0, lgamma, *rest: widths.append(lgamma.size) or cdf(k0, lgamma, *rest))
+        r = hk.sample_count(self.EPS, p4_graph.n)
+        stats = hk.WalkStats()
+        hk.approx_dirhkpr(
+            p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
+            master_seed=self.SEED, cap_mode="none", stats=stats,
+        )
+        assert stats.steps_simulated == int(replay_lengths(self.SEED, self.T, r, None).sum())
+        assert widths[0] == 16 and max(widths) <= 32
+
     def test_length_uniform_equal_to_cdf_finishes(self, p4_graph, p4_whole):
         # At t = 5000, F_t(0) = e^-t underflows to exactly 0.  Walk 0's
         # length uniform is 0 too, so u <= F_t(0) holds and the walk has
