@@ -2,14 +2,16 @@
 
 This is the exact backend: the restricted normalized Laplacian L_S of a
 connected subset.  Every exact quantity is a scalar function of L_S applied
-to one vector, f(L_S) b, and goes through the operator's ``apply(fn, f)``:
-the Green's function solution (1 / lambda), the heat-kernel pagerank
-(exp(-t lambda)), and the solvers' sums of kernels.  Below
-``KRYLOV_MIN_SIZE`` the operator is :class:`DirichletOperator`, a dense
-eigendecomposition that also serves as the oracle every other component is
-tested against; from that size on it is :class:`KrylovOperator`, which keeps
-only the sparse coupling and evaluates ``fn`` on the Ritz values of a
-Lanczos run (Saad, SIAM J. Numer. Anal. 1992).  Both check the spectrum's
+to one vector, f(L_S) b.  The Green's function solution L_S^-1 b goes
+through the operator's ``solve(f)``; the heat-kernel pagerank
+(exp(-t lambda)) and the solvers' sums of kernels go through
+``apply(fn, f)``.  Below ``KRYLOV_MIN_SIZE`` the operator is
+:class:`DirichletOperator`, a dense eigendecomposition that also serves as
+the oracle every other component is tested against; from that size on it
+is :class:`KrylovOperator`, which keeps only the sparse coupling and runs
+Lanczos from f (Saad, SIAM J. Numer. Anal. 1992): ``apply`` evaluates
+``fn`` on the Ritz values, and ``solve`` solves the tridiagonal system
+T_k y = e1 in O(k), with no eigensolve.  Both check the spectrum's
 structural bounds eagerly.
 """
 
@@ -87,10 +89,11 @@ class DirichletOperator:
     ``degrees`` are the full-graph degrees of the members of S, in local
     order.  ``eigenvalues`` are ascending with orthonormal ``eigenvectors``
     as columns, so L_S = V diag(lambda) V^T.  Every solve acts with a
-    function of L_S through :meth:`apply` and never reads the eigenvectors
-    itself.  This is the small-s backend of :func:`restricted_operator`,
-    the oracle :class:`KrylovOperator` is tested against, and the input of
-    :func:`greens_function`.  Immutable; concurrent reads are safe.
+    function of L_S through :meth:`apply` or :meth:`solve` and never reads
+    the eigenvectors itself.  This is the small-s backend of
+    :func:`restricted_operator`, the oracle :class:`KrylovOperator` is
+    tested against, and the input of :func:`greens_function`.  Immutable;
+    concurrent reads are safe.
     """
 
     subset: VertexSubset
@@ -123,6 +126,10 @@ class DirichletOperator:
         scaled = fn(self.eigenvalues) * (self.eigenvectors.T @ f)
         return (self.eigenvectors @ scaled.T).T
 
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """L_S^-1 @ f, the Green's function applied to f: ``apply(1/lambda, f)``."""
+        return self.apply(np.reciprocal, f)
+
 
 @dataclass(frozen=True)
 class KrylovOperator:
@@ -132,13 +139,15 @@ class KrylovOperator:
     :func:`_coupling`, so L_S x = x - bincount(rows, weights * x[cols]).
     ``ritz_values`` are the ascending Ritz values of the Lanczos run from
     D^{1/2} 1 that fixed ``lambda1`` (see :func:`estimate_lambda1`).  Same
-    surface as :class:`DirichletOperator`: ``s``, ``degrees``, ``lambda1``
-    and :meth:`apply`, in O(|E(S)|) memory instead of O(s^2).  The fields
-    are immutable; the one cached state is the Lanczos run (:class:`_Run`)
-    of the last vector applied from, so that applies from one vector share
-    one basis.  Concurrent applies are safe: a run is swapped in by one
-    assignment, each apply keeps the run it started with, and a run is
-    extended only under its lock.
+    surface as :class:`DirichletOperator`: ``s``, ``degrees``, ``lambda1``,
+    :meth:`apply` and :meth:`solve`, in O(|E(S)|) memory instead of
+    O(s^2).  :meth:`apply` eigendecomposes the tridiagonal T_k at its
+    checkpoints; :meth:`solve` needs no eigenpairs and factors T_k in O(k).
+    The fields are immutable; the one cached state is the Lanczos run
+    (:class:`_Run`) of the last vector applied or solved from, so that the
+    applies and the solve from one vector share one basis.  Concurrent calls
+    are safe: a run is swapped in by one assignment, each call keeps the run
+    it started with, and a run is extended only under its lock.
     """
 
     degrees: np.ndarray
@@ -180,40 +189,150 @@ class KrylovOperator:
         largest = float(np.max(np.abs(f), initial=0.0))
         if largest == 0.0:
             return np.zeros(np.shape(fn(self.ritz_values[:1]))[:-1] + (self.s,))
-        run, state = self._run, "reused"
-        if run is None or not np.array_equal(run.start, f):
-            run, state = _Run(self, f, largest), "new"
-            object.__setattr__(self, "_run", run)
+        run, state = self._run_from(f, largest)
         previous = None
         for i in itertools.count():
             with run.lock:
-                if i == len(run.checks):
-                    tridiagonal, end = next(run.steps)
-                    run.checks.append((*np.linalg.eigh(tridiagonal), end))
-                    state = "extended" if state == "reused" else state
-            theta, vectors, end = run.checks[i]
+                state = run.reach(i, state)
+                alpha, beta, end = run.checks[i]
+                if run.eigenpairs[i] is None:
+                    run.eigenpairs[i] = np.linalg.eigh(_tridiagonal(alpha, beta))
+            theta, vectors = run.eigenpairs[i]
             estimate, noise = _estimate(fn, theta, vectors)
-            if end or (previous is not None and _settled(estimate, noise, theta, *previous)):
+            if end or (previous is not None
+                       and _settled(estimate, noise, previous, (theta, previous_theta))):
                 break
-            previous = estimate, theta
+            previous, previous_theta = estimate, theta
         log.debug("Krylov apply: %d steps, %s run", theta.size, state)
-        return run.norm * (estimate @ np.array(run.basis[:theta.size]))
+        return run.norm * (estimate @ run.basis[:theta.size])
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """L_S^-1 @ f, as ||f|| Q_k y with T_k y = e1 after k Lanczos steps from f.
+
+        The Green's function applied to f, with no eigensolve: y comes from
+        the LDL^T factors of T_k (the Lanczos-CG equivalence), whose pivots
+        the run keeps as it grows, so each checkpoint pays one O(k) back
+        substitution.  Its rounding floor is the same solve with the
+        diagonal raised by one ulp of the lambda1 run's largest Ritz value,
+        the shift :func:`_estimate` takes from T_k's own.  The run stops,
+        and is shared with :meth:`apply`, as there.  A pivot <= 0 means L_S
+        is not positive definite and raises :class:`SpectrumError`.
+        """
+        f = np.asarray(f, dtype=np.float64)
+        largest = float(np.max(np.abs(f), initial=0.0))
+        if largest == 0.0:
+            return np.zeros(self.s)
+        run, state = self._run_from(f, largest)
+        previous = None
+        for i in itertools.count():
+            with run.lock:
+                state = run.reach(i, state)
+                alpha, beta, end = run.checks[i]
+                for factors in run.factors:
+                    factors.extend(alpha, beta)
+            y, shifted = (factors.solve(beta, alpha.size) for factors in run.factors)
+            if end or (previous is not None and _settled(y, shifted - y, previous)):
+                break
+            previous = y
+        log.debug("Krylov solve: %d steps, %s run", y.size, state)
+        return run.norm * (y @ run.basis[:y.size])
+
+    def _run_from(self, f: np.ndarray, largest: float) -> tuple[_Run, str]:
+        """The cached run if it started from f, else a new one, swapped in."""
+        run = self._run
+        if run is not None and np.array_equal(run.start, f):
+            return run, "reused"
+        run = _Run(self, f, largest)
+        object.__setattr__(self, "_run", run)
+        return run, "new"
 
 
 class _Run:
-    """A Lanczos run from a copy of f: its basis, its live steps, and the
-    eigenpairs of T_k with the end flag per checkpoint reached so far."""
+    """A Lanczos run from a copy of f: its basis, its live steps, and per
+    checkpoint reached so far the coefficients of T_k and the end flag; the
+    eigenpairs of T_k once an apply has needed them; and the LDL^T factors
+    of T_k and of its shifted copy once a solve has."""
 
     def __init__(self, op: KrylovOperator, f: np.ndarray, largest: float) -> None:
         self.start, self.norm = f.copy(), largest * float(np.linalg.norm(f / largest))
-        self.basis: list[np.ndarray] = []
+        # Rows 0..size-1 hold q_1, q_2, ...; a grow swaps in a larger copy,
+        # so a reader keeps valid rows in the array it read.
+        self.basis = np.empty((min(_LANCZOS_CHECK, op.s), op.s))
+        self.basis[0], self.size = f / self.norm, 1
         self.checks: list[tuple[np.ndarray, np.ndarray, bool]] = []
+        self.eigenpairs: list[tuple[np.ndarray, np.ndarray] | None] = []
+        self.factors = (_Factors(0.0), _Factors(_EPS * float(op.ritz_values[-1])))
         times = _laplacian_times(op.rows, op.cols, op.weights, op.s)
-        self.steps = _lanczos(times, f / self.norm, self.basis)
+        self.steps = _lanczos(times, self.basis[0], self._next_row)
         self.lock = threading.Lock()
 
+    def _next_row(self) -> np.ndarray:
+        """The basis row the next Lanczos vector is written into, doubling
+        the array when it is full."""
+        rows, s = self.basis.shape
+        if self.size == rows:
+            grown = np.empty((min(2 * rows, s), s))
+            grown[:rows] = self.basis
+            self.basis = grown
+        self.size += 1
+        return self.basis[self.size - 1]
 
-# Either backend: both have ``s``, ``degrees``, ``lambda1`` and ``apply``.
+    def reach(self, i: int, state: str) -> str:
+        """Step the run to checkpoint i if it has not got there (under the
+        lock), and the run's state for the log: extended if this stepped a
+        reused run."""
+        if i < len(self.checks):
+            return state
+        self.checks.append(next(self.steps))
+        self.eigenpairs.append(None)
+        return "extended" if state == "reused" else state
+
+
+class _Factors:
+    """T_k + shift I = L D L^T with L unit lower bidiagonal, grown with the run.
+
+    The pivots d_1 = alpha_1 + shift, d_{j+1} = alpha_{j+1} + shift -
+    beta_j^2 / d_j and the forward solve z = L^-1 e1, z_{j+1} =
+    -(beta_j / d_j) z_j, depend only on the first j coefficients, so they
+    are extended, never recomputed, as the run grows.
+    """
+
+    def __init__(self, shift: float) -> None:
+        self.shift = shift
+        self.pivots: list[float] = []
+        self.forward: list[float] = []
+
+    def extend(self, alpha: np.ndarray, beta: np.ndarray) -> None:
+        """Factor the steps of T_k not factored yet (under the run's lock)."""
+        d, z = self.pivots, self.forward
+        if len(d) == alpha.size:
+            return
+        a, b = alpha.tolist(), beta.tolist()
+        for j in range(len(d), len(a)):
+            if j == 0:
+                pivot, entry = a[0] + self.shift, 1.0
+            else:
+                ratio = b[j - 1] / d[j - 1]
+                pivot = a[j] + self.shift - b[j - 1] * ratio
+                entry = -ratio * z[j - 1]
+            if not pivot > 0.0:
+                raise SpectrumError(
+                    f"Lanczos pivot {pivot!r} at step {j + 1}: L_S is not positive definite")
+            d.append(pivot)
+            z.append(entry)
+
+    def solve(self, beta: np.ndarray, k: int) -> np.ndarray:
+        """(T_k + shift I)^-1 e1 by back substitution through L^T:
+        y_j = (z_j - beta_j y_{j+1}) / d_j."""
+        d, z, b = self.pivots, self.forward, beta.tolist()
+        y = [0.0] * k
+        y[k - 1] = last = z[k - 1] / d[k - 1]
+        for j in range(k - 2, -1, -1):
+            y[j] = last = (z[j] - b[j] * last) / d[j]
+        return np.array(y)
+
+
+# Either backend: both have ``s``, ``degrees``, ``lambda1``, ``apply`` and ``solve``.
 Operator = DirichletOperator | KrylovOperator
 
 
@@ -276,18 +395,21 @@ def _laplacian_times(
 
 
 def _lanczos(
-    times: Callable[[np.ndarray], np.ndarray], q: np.ndarray, basis: list | None = None
-) -> Iterator[tuple[np.ndarray, bool]]:
+    times: Callable[[np.ndarray], np.ndarray],
+    q: np.ndarray,
+    rows: Callable[[], np.ndarray] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
     """Plain Lanczos on the symmetric operator ``times`` from the unit vector q.
 
-    Yields ``(T_k, end)`` at check points: the k x k tridiagonal so far, and
+    Yields ``(alpha, beta, end)`` at check points: the diagonal (k entries)
+    and off-diagonal (k - 1) of the k x k tridiagonal T_k so far, and
     whether the run must end there, because the next coupling broke down
     (below eps, so q_1..q_k span an invariant subspace up to rounding) or
     because k reached s, where the Krylov space is the whole space.  Check
     points fall every _LANCZOS_CHECK steps, and once k passes
     4 * _LANCZOS_CHECK every k / 4 steps, so the O(k^3) eigensolves of the
-    checks stay a bounded share of the run.  Appends q_1, q_2, ... to
-    ``basis`` when one is given.
+    checks stay a bounded share of the run.  Writes q_2, q_3, ... into the
+    arrays ``rows()`` returns, when given, so a caller can keep the basis.
     """
     s = q.size
     alpha: list[float] = []
@@ -295,8 +417,6 @@ def _lanczos(
     q_prev, b = np.zeros_like(q), 0.0
     check = _LANCZOS_CHECK
     while True:
-        if basis is not None:
-            basis.append(q)
         v = times(q) - b * q_prev
         a = float(q @ v)
         v -= a * q
@@ -305,18 +425,23 @@ def _lanczos(
         k = len(alpha)
         end = b <= _EPS or k == s
         if end or k == check:
-            yield np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1), end
+            yield np.array(alpha), np.array(beta), end
             check += max(_LANCZOS_CHECK, k // 4)
         beta.append(b)
-        q_prev, q = q, v / b
+        q_prev, q = q, np.divide(v, b, out=None if rows is None else rows())
+
+
+def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The dense symmetric tridiagonal with diagonal alpha and off-diagonal beta."""
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
 def _ritz_values(times: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> np.ndarray:
     """Ascending Ritz values of a Lanczos run from ``start``, stopped once
     the smallest settles (:func:`_bottom_settled`)."""
     previous = None
-    for tridiagonal, end in _lanczos(times, start / np.linalg.norm(start)):
-        theta = np.linalg.eigvalsh(tridiagonal)
+    for alpha, beta, end in _lanczos(times, start / np.linalg.norm(start)):
+        theta = np.linalg.eigvalsh(_tridiagonal(alpha, beta))
         if end or (previous is not None and _bottom_settled(theta, previous)):
             return theta
         previous = theta
@@ -344,9 +469,8 @@ def _estimate(
 def _settled(
     estimate: np.ndarray,
     noise: np.ndarray,
-    theta: np.ndarray,
     previous: np.ndarray,
-    previous_theta: np.ndarray,
+    ritz: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> bool:
     """Whether every function's estimate changed since the previous check by
     at most _LANCZOS_TOL relative, plus its rounding floor ``noise`` (at
@@ -359,7 +483,9 @@ def _settled(
     underflow at the Ritz values reached so far only because the smallest
     has not converged yet, so such a row also waits for the smallest Ritz
     value to settle (every function applied here is largest at the bottom
-    of the spectrum).
+    of the spectrum), given the Ritz values of this and the previous check
+    as ``ritz``.  A solve passes none: its y_1 = e1^T T^-1 e1 is at least
+    1 / alpha_1, so no row of it is tiny.
     """
     change = estimate.copy()
     change[..., :previous.shape[-1]] -= previous
@@ -370,8 +496,9 @@ def _settled(
         return np.linalg.norm(x / scale, axis=-1)
 
     limit = _LANCZOS_TOL * norm(estimate) + norm(noise) + _TINY / scale[..., 0]
-    tiny_rows = largest[..., 0] < _TINY_ROW
-    settled = (norm(change) <= limit) & (~tiny_rows | _bottom_settled(theta, previous_theta))
+    settled = norm(change) <= limit
+    if ritz is not None:
+        settled &= ~(largest[..., 0] < _TINY_ROW) | _bottom_settled(*ritz)
     return bool(np.all(settled))
 
 
@@ -462,11 +589,11 @@ def exact_local_solution(
 ) -> np.ndarray:
     """Exact local solution over S: the Green's function applied to b1.
 
-    Computed as L_S^-1 b1 through the operator's ``apply``, without
+    Computed as L_S^-1 b1 through the operator's ``solve``, without
     forming the s x s Green's matrix.
     """
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
-    return op.apply(np.reciprocal, problem.b1)
+    return op.solve(problem.b1)
 
 
 def estimate_lambda1(graph: Graph, subset: VertexSubset) -> float:

@@ -116,7 +116,8 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """Distinct values of an int64 array in ascending order.
 
     Equal to np.unique, whose hashing was 50-70x slower than this sort on
-    300k int64 values (numpy 2.4, 2-vCPU VM).
+    300k int64 values (numpy 2.4, 2-vCPU VM), and whose first call in a
+    process took 12-18 ms.
     """
     a = np.sort(a)
     keep = np.ones(len(a), dtype=bool)
@@ -425,7 +426,7 @@ def _restrict(graph: Graph, subset: VertexSubset) -> _Slice:
 
 
 def _vertex_boundary(sl: _Slice) -> np.ndarray:
-    return np.unique(sl.nbrs[sl.cols < 0])
+    return _sorted_unique(sl.nbrs[sl.cols < 0])
 
 
 def _is_connected(size: int, sl: _Slice) -> bool:

@@ -389,15 +389,18 @@ def test_walks_logged_at_info_only(p4_files, capsys, monkeypatch):
 
 
 def test_solve_local_applies_share_one_lanczos_run(tmp_path, capsys, monkeypatch):
-    # The solver, the Green's solution and the Riemann sum all apply from
-    # b1: the first builds the Lanczos run, the other two replay it.
+    # The solver and the Riemann sum apply from b1 and the Green's solution
+    # solves from it: the solver builds the Lanczos run, the other two
+    # replay it.
     monkeypatch.setenv("SOLVER_LOG", "debug")
     files = _grid_files(tmp_path, 15)
     assert run(["solve-local", *_io_args(files), "--gamma", "0.3", "--seed", "1"]) == 0
     err = capsys.readouterr().err
     assert "[INFO] hklocal.dirichlet: krylov operator: s = 225, lambda1 = " in err
-    states = [line.rsplit(", ", 1)[1] for line in err.splitlines() if "Krylov apply" in line]
-    assert len(states) == 3 and states[0] == "new run" and "new run" not in states[1:]
+    calls = [(line.split("Krylov ", 1)[1].split(":")[0], line.rsplit(", ", 1)[1])
+             for line in err.splitlines() if "Krylov apply" in line or "Krylov solve" in line]
+    assert [kind for kind, _ in calls] == ["apply", "solve", "apply"]
+    assert calls[0][1] == "new run" and "new run" not in [state for _, state in calls[1:]]
 
 
 def test_constant_override_changes_round_count(p4_files, tmp_path):

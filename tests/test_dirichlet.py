@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import hklocal as hk
+from hklocal.dirichlet import _EPS as EPS
 from conftest import grid_patch_problem, harmonic_solve, random_connected_graph, random_problem
 
 
@@ -345,6 +346,70 @@ def grid15():
     return prob, hk.KrylovOperator.from_subset(prob.graph, prob.subset)
 
 
+def path_problem(s):
+    """The path 0..s+1 with S = 1..s, b(0) = 1 and b(s+1) = 3, and its exact
+    solution sqrt(2) (1 + 2i / (s+1)): linear in i, times sqrt(degree 2)."""
+    graph = hk.Graph.from_edges([(i, i + 1) for i in range(s + 1)])
+    subset = hk.VertexSubset.from_iterable(range(1, s + 1), graph.n)
+    prob = hk.make_boundary_problem(graph, {0: 1.0, s + 1: 3.0}, subset)
+    return prob, math.sqrt(2.0) * (1.0 + 2.0 * np.arange(1, s + 1) / (s + 1))
+
+
+class TestKrylovSolve:
+    """``solve`` is L_S^-1 f from the Lanczos tridiagonal, with no eigensolve."""
+
+    def test_matches_dense(self, oracle_pairs):
+        for prob, dense, krylov in oracle_pairs:
+            for f in (prob.b1, prob.b2):
+                expected = dense.solve(f)
+                assert np.array_equal(expected, dense.apply(np.reciprocal, f))
+                assert close_to_dense(fresh(krylov).solve(f), expected, f)
+
+    @pytest.mark.parametrize("s", [300, 1000])
+    def test_long_path(self, s):
+        # Lanczos runs to k = s here.  The dense eigensolve is itself
+        # accurate only to about eps / lambda1 (lambda1 = 5e-6 at s = 1000),
+        # the solve to the closed form much better.
+        prob, closed = path_problem(s)
+        dense = hk.DirichletOperator.from_subset(prob.graph, prob.subset)
+        x = hk.KrylovOperator.from_subset(prob.graph, prob.subset).solve(prob.b1)
+        assert close_to_dense(x, dense.solve(prob.b1), prob.b1, tol=10 * EPS / dense.lambda1)
+        assert np.max(np.abs(x / closed - 1.0)) <= 1e-12
+
+    def test_no_eigensolve_after_from_subset(self, grid15, monkeypatch):
+        prob, krylov = grid15
+        op = fresh(krylov)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        x = op.solve(prob.b1)
+        monkeypatch.undo()
+        assert calls == []
+        assert np.array_equal(x, fresh(krylov).solve(prob.b1))
+
+    def test_matches_reciprocal_apply(self, grid15):
+        prob, krylov = grid15
+        for f in (prob.b1, prob.b2):
+            expected = fresh(krylov).apply(np.reciprocal, f)
+            error = np.linalg.norm(fresh(krylov).solve(f) - expected)
+            assert error <= 1e-13 * np.linalg.norm(expected)
+
+    def test_zero_vector_gives_zeros(self, grid15):
+        _, krylov = grid15
+        assert np.array_equal(fresh(krylov).solve(np.zeros(krylov.s)), np.zeros(krylov.s))
+
+    def test_non_positive_pivot_raises(self, grid15):
+        # Coupling weights tripled: I - 3A is indefinite, so some pivot of
+        # its tridiagonal is negative.
+        prob, krylov = grid15
+        op = hk.KrylovOperator(krylov.degrees, krylov.rows, krylov.cols, 3.0 * krylov.weights,
+                               krylov.ritz_values)
+        with pytest.raises(hk.SpectrumError, match="pivot"):
+            op.solve(prob.b1)
+
+
 class TestKrylovRunCache:
     """Applies from the vector of the previous apply replay its Lanczos run;
     every output must be bit-identical to a fresh operator's."""
@@ -355,6 +420,7 @@ class TestKrylovRunCache:
         sched = hk.make_schedule(prob.subset.size, 0.2)
         applies = {
             "greens": lambda op: op.apply(np.reciprocal, prob.b1),
+            "solve": lambda op: op.solve(prob.b1),
             "heat": lambda op: hk.apply_heat_kernel(op, 4.0, prob.b1),
             "heat_times": lambda op: hk.apply_heat_kernel(op, np.array([0.5, 37.0]), prob.b1),
             "riemann": lambda op: hk.riemann_sum_solution(prob, sched, operator=op),
@@ -387,6 +453,7 @@ class TestKrylovRunCache:
         for f in (prob.b1, prob.b2, prob.b1, prob.b1, prob.b2):
             for fn in (np.reciprocal, lambda lam: np.exp(-4.0 * lam)):
                 assert np.array_equal(op.apply(fn, f), fresh(krylov).apply(fn, f))
+            assert np.array_equal(op.solve(f), fresh(krylov).solve(f))
 
     def test_zero_vector_between_applies(self, grid15):
         prob, krylov = grid15
@@ -413,7 +480,9 @@ class TestKrylovRunCache:
         prob, krylov = grid15
         vectors = [prob.b1, prob.b2, prob.b1.copy(), prob.b2.copy()]
         fns = [lambda lam: np.exp(-0.01 * lam), np.reciprocal, lambda lam: np.exp(-4.0 * lam)]
-        expected = [[fresh(krylov).apply(fn, f) for fn in fns] for f in vectors]
+        calls = [lambda op, f, fn=fn: op.apply(fn, f) for fn in fns[:2]]
+        calls += [lambda op, f: op.solve(f), lambda op, f: op.apply(fns[2], f)]
+        expected = [[call(fresh(krylov), f) for call in calls] for f in vectors]
         op = fresh(krylov)
         results = [[] for _ in vectors]
         barrier = threading.Barrier(len(vectors))
@@ -421,7 +490,7 @@ class TestKrylovRunCache:
         def work(i):
             barrier.wait(timeout=60)
             for _ in range(5):
-                results[i].append([op.apply(fn, vectors[i]) for fn in fns])
+                results[i].append([call(op, vectors[i]) for call in calls])
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(vectors))]
         interval = sys.getswitchinterval()

@@ -1,6 +1,7 @@
 """Property tests: total parsers, the whole-text tokeniser against the
-per-line parsers, the CSR build and the vectorised restriction of a graph
-to S against literal-loop references on generated graphs and subsets."""
+per-line parsers, the CSR build, the sort dedupe against np.unique, and the
+vectorised restriction of a graph to S against literal-loop references on
+generated graphs and subsets."""
 
 import numpy as np
 import pytest
@@ -237,6 +238,16 @@ def test_boundary_and_connectivity_match_loops(case):
     graph, subset = case
     assert np.array_equal(hk.vertex_boundary(graph, subset), reference_vertex_boundary(graph, subset))
     assert hk.is_connected_induced(graph, subset) == reference_is_connected(graph, subset)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**63), MAX_ID)), max_size=40))
+@example([])
+def test_sorted_unique_matches_np_unique(values):
+    # The vertex boundary dedupes with this sort instead of np.unique.
+    a = np.array(values, dtype=np.int64)
+    unique = graph_module._sorted_unique(a)
+    assert unique.dtype == np.int64 and np.array_equal(unique, np.unique(a))
 
 
 @PROPERTY
