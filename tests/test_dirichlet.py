@@ -282,6 +282,7 @@ class TestKrylovOperator:
             zero = np.zeros(krylov.s)
             for op in (dense, krylov):
                 assert np.array_equal(op.apply(np.reciprocal, zero), zero)
+                assert np.array_equal(op.solve(zero), zero)
                 rows = op.apply(lambda lam: np.exp(-np.outer([1.0, 2.0], lam)), zero)
                 assert rows.shape == (2, op.s) and not np.any(rows)
 
@@ -395,10 +396,6 @@ class TestKrylovSolve:
             expected = fresh(krylov).apply(np.reciprocal, f)
             error = np.linalg.norm(fresh(krylov).solve(f) - expected)
             assert error <= 1e-13 * np.linalg.norm(expected)
-
-    def test_zero_vector_gives_zeros(self, grid15):
-        _, krylov = grid15
-        assert np.array_equal(fresh(krylov).solve(np.zeros(krylov.s)), np.zeros(krylov.s))
 
     def test_non_positive_pivot_raises(self, grid15):
         # Coupling weights tripled: I - 3A is indefinite, so some pivot of
