@@ -87,28 +87,38 @@ def _bulk_ids(text: str, per_line: int) -> np.ndarray | None:
     ``per_line`` ids, tokenised in whole-text passes.
 
     None, so that the caller runs its per-line parser, unless the data is
-    ASCII digits, spaces, tabs and LF or CRLF line ends and no id has over 18
-    digits: on such text this agrees with ``int`` exactly.
+    ASCII digits, spaces, tabs and LF or CRLF line ends and every id is below
+    10^18, leading zeros allowed: on such text this agrees with ``int``
+    exactly.  The comment pass covers the text up to the last ``#``; no
+    comment line starts past it.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    data = _COMMENT.sub("\n", "\n" + text)
+    data = "\n" + text
+    last = data.rfind("#")
+    if last >= 0:
+        cut = data.find("\n", last)
+        cut = len(data) if cut < 0 else cut
+        data = _COMMENT.sub("\n", data[:cut]) + data[cut:]
     # Anything not ASCII becomes "?", which the alphabet check declines.
-    b = np.frombuffer(data.encode("ascii", "replace"), dtype=np.uint8)
-    digit = (b - np.uint8(48)) < np.uint8(10)
-    newline = b == np.uint8(10)
-    if not (digit | newline | (b == np.uint8(32)) | (b == np.uint8(9))).all():
+    raw = data.encode("ascii", "replace")
+    if raw.translate(None, b"0123456789 \t\n"):
         return None
-    edge = np.zeros(len(b) + 2, dtype=bool)
-    edge[1:-1] = digit
-    starts = np.flatnonzero(edge[1:] & ~edge[:-1])
-    ends = np.flatnonzero(edge[:-1] & ~edge[1:])
-    # Tokens after each line break; the text starts with one.
-    counts = np.diff(np.searchsorted(starts, np.flatnonzero(newline)), append=len(starts))
-    if (ends - starts).max(initial=0) > 18 or ((counts != 0) & (counts != per_line)).any():
+    b = np.frombuffer(raw, dtype=np.uint8)
+    digit = b >= np.uint8(48)  # past the alphabet check, digits are the bytes from "0" up
+    # The byte before each token, which the leading line break gives every
+    # token; a token counts for the last line break at or before that byte.
+    starts = np.flatnonzero(digit[1:] & ~digit[:-1])
+    counts = np.diff(np.searchsorted(starts, np.flatnonzero(b == np.uint8(10))),
+                     append=len(starts))
+    if ((counts != 0) & (counts != per_line)).any():
         return None
-    # np.fromstring reads a text of blanks alone as [0].
+    # np.fromstring reads a text of blanks alone as [0].  It parses with
+    # strtoll, which saturates at 2^63 - 1, so an id too long to fit fails
+    # the bound as well.
     ids = np.fromstring(data, dtype=np.int64, sep=" ") if len(starts) else np.zeros(0, np.int64)
+    if ids.max(initial=0) >= 10**18:
+        return None
     return ids.reshape(-1, per_line)
 
 

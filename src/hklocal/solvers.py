@@ -10,6 +10,7 @@ reference and the error-bound bookkeeping live here too.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ __all__ = [
     "restricted_threshold",
     "report_to_json",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,9 @@ def local_linear_solver(
     _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     schedule = make_schedule(op.s, gamma, seed=seed, rate=op.lambda1)
+    stage = time.perf_counter()
     ts, weights, _ = _draw_times(schedule)
+    stage = _log_sampling("local-linear-solver", schedule, stage)
 
     def decay(lam: np.ndarray) -> np.ndarray:
         c = np.zeros(lam.size, dtype=np.float64)
@@ -262,8 +267,10 @@ def local_linear_solver(
             c += weights[lo:lo + rows] @ np.exp(-np.outer(ts[lo:lo + rows], lam))
         return c / schedule.r_outer
 
+    x_hat = op.apply(decay, problem.b1)
+    log.info("local-linear-solver reduction in %.4f s", time.perf_counter() - stage)
     return SolveReport(
-        x_hat=op.apply(decay, problem.b1),
+        x_hat=x_hat,
         sampled_ts=ts,
         walk_steps_total=0,
         elapsed=time.perf_counter() - start,
@@ -308,6 +315,7 @@ def greens_solver(
         subset.size, gamma, epsilon=epsilon, seed=seed, rate=lambda1,
         lambda1=lambda1 if restricted_range else None,
     )
+    stage = time.perf_counter()
     ts, weights, rng = _draw_times(schedule)
     # Child seeds are drawn for every sample, skipped or not, so the
     # simulated samples match between restricted and full runs.
@@ -320,8 +328,10 @@ def greens_solver(
             problem.graph, ts[keep], problem.b2, subset, epsilon, child_seeds[keep],
             constant=constant, stats=totals, weights=weights[keep],
         )
+    stage = _log_sampling("greens-solver", schedule, stage)
     inv_sqrt_deg = 1.0 / np.sqrt(problem.degrees_s.astype(np.float64))
     x_hat = acc / schedule.r_outer * inv_sqrt_deg
+    log.info("greens-solver reduction in %.4f s", time.perf_counter() - stage)
     return SolveReport(
         x_hat=x_hat,
         sampled_ts=ts,
@@ -334,6 +344,14 @@ def greens_solver(
         walks_aborted=totals.walks_aborted,
         samples_skipped=int(ts.size - np.count_nonzero(keep)),
     )
+
+
+def _log_sampling(method: str, schedule: SolverSchedule, start: float) -> float:
+    """Log the sampling stage that began at ``start``; returns its end."""
+    end = time.perf_counter()
+    log.info("%s sampling: %d times drawn at rate %.6g in %.4f s",
+             method, schedule.r_outer, schedule.rate, end - start)
+    return end
 
 
 def _bound_terms(problem: BoundaryProblem, gamma: float, epsilon: float | None) -> dict:

@@ -285,23 +285,13 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode):
     return acc, steps, aborted, blocks
 
 
-def _mc_dirhkpr(
-    graph: Graph,
-    t,
-    f: np.ndarray,
-    subset: VertexSubset,
-    epsilon: float,
-    master_seed,
-    weights,
-    cap_mode: CapMode,
-    workers: int,
-    constant: float,
-    stats: WalkStats | None,
-) -> np.ndarray:
+def _mc_dirhkpr(graph, t, f, subset, epsilon, master_seed, weights, cap_mode, workers,
+                constant, stats):
+    """Both estimators, on the arguments of :func:`approx_dirhkpr` and
+    :func:`solver_approx_dirhkpr`, which it checks."""
     start = time.perf_counter()
     _check_workers(workers)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    r = sample_count(epsilon, graph.n, constant)  # checks epsilon and the constant
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     seeds = np.ravel(np.asarray(master_seed, dtype=object))
     seeds = np.array([int(v) % 2**64 for v in seeds], dtype=np.uint64)
@@ -318,7 +308,6 @@ def _mc_dirhkpr(
     split = split_signed(f)
     if split.norm_plus == 0.0 and split.norm_minus == 0.0:
         raise ValueError("preference vector is identically zero")
-    r = sample_count(epsilon, graph.n, constant)
     parts = []
     for phase, part, norm, sign in (
         (PHASE_POSITIVE, split.f_plus, split.norm_plus, 1.0),
@@ -378,6 +367,7 @@ def approx_dirhkpr(
         bit-identical output.
     workers : accepted for compatibility and must be at least 1; walks run
         serially and the value does not change the output.
+    constant : the c of r; finite and positive.
     stats : counters to add to: r walks started per part, one step per live
         walk and step, and every walk that left S as aborted.
     cap_mode : test hook; "none" removes the length cap.

@@ -388,6 +388,31 @@ def test_walks_logged_at_info_only(p4_files, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command, method", [
+    (["solve-local", "--gamma", "0.25"], "local-linear-solver"),
+    (["solve-greens", "--gamma", "0.25", "--eps", "0.4"], "greens-solver"),
+])
+def test_sampling_and_reduction_logged_at_info_only(p4_files, capsys, monkeypatch, command,
+                                                     method):
+    # One sampling line with the report's r_outer and rate, then one
+    # reduction line, from each solver.
+    argv = [*command, *_io_args(p4_files), "--seed", "3"]
+    monkeypatch.setenv("SOLVER_LOG", "info")
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    schedule = json.loads(captured.out)["schedule"]
+    lines = [line for line in captured.err.splitlines() if line.startswith("[INFO] hklocal.solvers:")]
+    assert len(lines) == 2
+    sampling = re.fullmatch(rf"\[INFO\] hklocal\.solvers: {method} sampling: (\d+) times drawn "
+                            r"at rate (\S+) in [0-9.]+ s", lines[0])
+    assert int(sampling[1]) == schedule["r_outer"]
+    assert float(sampling[2]) == pytest.approx(schedule["rate"], rel=1e-5)
+    assert re.fullmatch(rf"\[INFO\] hklocal\.solvers: {method} reduction in [0-9.]+ s", lines[1])
+    monkeypatch.delenv("SOLVER_LOG")
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_local_applies_share_one_lanczos_run(tmp_path, capsys, monkeypatch):
     # The solver and the Riemann sum apply from b1 and the Green's solution
     # solves from it: the solver builds the Lanczos run, the other two

@@ -114,6 +114,27 @@ class TestBulkParse:
         sub = hk.load_subset("# members\n2\n 1 \r\n", p4_graph)
         assert list(sub.members) == [1, 2]
 
+    @pytest.mark.parametrize("text, edges", [
+        # Zero-padded ids past 18 digits read as int() reads them.
+        (f"{'0' * 25}1 {'0' * 19}2\n00 {'0' * 40}1\n", [(0, 1), (1, 2)]),
+        (f"{'9' * 18} 1\n", [(1, 10**18 - 1)]),
+        # Comment lines after data lines, the last one ending the text.
+        ("# a\n5 6\n  # b\n6 7\n\t# c \u00e9", [(5, 6), (6, 7)]),
+    ])
+    def test_ids_and_late_comments(self, text, edges):
+        g = hk.load_graph(text)
+        assert [(g.original_id(u), g.original_id(v)) for u, v in g.edges.tolist()] == edges
+
+    @pytest.mark.parametrize("text", [
+        f"{10**18} 1\n",
+        f"{'9' * 20} 1\n",  # past 2^63, where np.fromstring saturates
+        "# a\n0 1\n1 2 #\n",  # a "#" on a data line past the last comment line
+        "# a\n0 1\n1 2 \u00e9\n",  # non-ASCII after the last "#"
+    ])
+    def test_declines_to_the_per_line_parser(self, text):
+        with pytest.raises(AssertionError, match="the per-line parser ran"):
+            hk.load_graph(text)
+
 
 class TestVertexSubset:
     def test_local_index_round_trip(self):

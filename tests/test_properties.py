@@ -129,6 +129,12 @@ SUBSET_FIELDS = ("members", "local_of")
 @PROPERTY
 @given(st.one_of(EDGE_TEXTS, _odd_texts(2)))
 @example("0 1\n2+3\n")  # one token to int(), two digit runs to a scan
+@example(f"{'0' * 25}1 {'0' * 19}2\n")  # zero-padded past 18 digits: bulk, as int()
+@example(f"{'9' * 18} 1\n{10**18} 2\n")  # the first id the tokeniser declines
+@example(f"{'9' * 20} 1\n")  # past 2^63, where np.fromstring saturates
+@example("# a\n0 1\n# b\n1 2\n \t# c\n")  # comment lines after data lines
+@example("# a\n0 1\n1 #2\n")  # a "#" on a data line past the last comment line
+@example("# a\n0 1\n# caf\u00e9\n1 2 \u00e9\n")  # non-ASCII after the last "#"
 def test_load_graph_matches_per_line_parser(text):
     per_line = _outcome(lambda t: hk.Graph.from_edges(graph_module._edge_lines(t)), GRAPH_FIELDS, text)
     assert _outcome(hk.load_graph, GRAPH_FIELDS, text) == per_line
@@ -136,6 +142,7 @@ def test_load_graph_matches_per_line_parser(text):
 
 @PROPERTY
 @given(st.one_of(SUBSET_TEXTS, _odd_texts(1)))
+@example(f"{'0' * 20}1\n# a\n2\n# b\n")  # zero-padded ids, a comment after the data
 def test_load_subset_matches_per_line_parser(text):
     per_line = _outcome(lambda t: graph_module._subset_lines(t, GRAPH), SUBSET_FIELDS, text)
     assert _outcome(lambda t: hk.load_subset(t, GRAPH), SUBSET_FIELDS, text) == per_line
