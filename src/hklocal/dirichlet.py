@@ -8,17 +8,18 @@ through the operator's ``solve(f)``; the heat-kernel pagerank
 ``apply(fn, f)``.  Below ``KRYLOV_MIN_SIZE`` the operator is
 :class:`DirichletOperator`, a dense eigendecomposition that also serves as
 the oracle every other component is tested against; from that size on it
-is :class:`KrylovOperator`, which keeps only the sparse coupling and runs
-Lanczos from f (Saad, SIAM J. Numer. Anal. 1992): ``apply`` evaluates
-``fn`` on the Ritz values, and ``solve`` solves the tridiagonal system
-T_k y = e1 in O(k), with no eigensolve.  Both check the spectrum's
-structural bounds eagerly.
+is :class:`KrylovOperator`, which keeps the sparse coupling (and L_S
+itself where the coupling is dense) and runs Lanczos from f (Saad, SIAM J.
+Numer. Anal. 1992): ``apply`` evaluates ``fn`` on the Ritz values, and
+``solve`` solves the tridiagonal system T_k y = e1 in O(k), with no
+eigensolve.  Both check the spectrum's structural bounds eagerly.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 import threading
 import time
 from collections.abc import Callable, Iterator
@@ -61,6 +62,10 @@ DENSE_SIZE_LIMIT = 4096
 # Lanczos from it on: the crossover measured on grid patches and planted
 # communities (CHANGES.md).
 KRYLOV_MIN_SIZE = 200
+# KrylovOperator multiplies by a dense L_S when s^2 <= _DENSE_SHARE * (coupling
+# entries), where one BLAS product beats the sparse gather and bincount
+# (crossover table in CHANGES.md), at <= 128 bytes per coupling entry.
+_DENSE_SHARE = 16
 
 _EIGENVALUE_FLOOR = 1e-12
 _SPECTRUM_SLACK = 1e-8
@@ -137,13 +142,17 @@ class KrylovOperator:
 
     ``rows``, ``cols`` and ``weights`` are the off-diagonal entries of
     :func:`_coupling`, so L_S x = x - bincount(rows, weights * x[cols]).
+    ``laplacian`` is L_S itself, dense and read-only, when at least
+    1 / _DENSE_SHARE of it is nonzero (:func:`_dense_laplacian`), and every
+    product is then one ``laplacian @ x``; otherwise it is None.
     ``ritz_values`` are the ascending Ritz values of the Lanczos run from
     D^{1/2} 1 that fixed ``lambda1`` (see :func:`estimate_lambda1`).  Same
     surface as :class:`DirichletOperator`: ``s``, ``degrees``, ``lambda1``,
-    :meth:`apply` and :meth:`solve`, in O(|E(S)|) memory instead of
-    O(s^2).  :meth:`apply` eigendecomposes the tridiagonal T_k at its
-    checkpoints; :meth:`solve` needs no eigenpairs and factors T_k in O(k).
-    The fields are immutable; the one cached state is the Lanczos run
+    :meth:`apply` and :meth:`solve`, in O(|E(S)|) memory (at most 128 bytes
+    per coupling entry with the dense L_S) instead of the O(s^2) of an
+    eigendecomposition.  :meth:`apply` eigendecomposes the tridiagonal T_k
+    at its checkpoints; :meth:`solve` needs no eigenpairs and factors T_k in
+    O(k).  The fields are immutable; the one cached state is the Lanczos run
     (:class:`_Run`) of the last vector applied or solved from, so that the
     applies and the solve from one vector share one basis.  Concurrent calls
     are safe: a run is swapped in by one assignment, each call keeps the run
@@ -155,6 +164,7 @@ class KrylovOperator:
     cols: np.ndarray
     weights: np.ndarray
     ritz_values: np.ndarray
+    laplacian: np.ndarray | None = None
     _run: _Run | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -162,9 +172,9 @@ class KrylovOperator:
         """The coupling of S and its lambda1 run, checking the Ritz values."""
         degrees = _degrees(graph, subset)
         coupling = _checked_coupling(graph, subset)
-        ritz_values = _ritz_values(_laplacian_times(*coupling, subset.size), np.sqrt(degrees))
+        laplacian, ritz_values = _lambda1_run(*coupling, degrees)
         _check_spectrum(ritz_values, subset.size)
-        return cls(degrees, *coupling, ritz_values)
+        return cls(degrees, *coupling, ritz_values, laplacian)
 
     @property
     def s(self) -> int:
@@ -262,7 +272,7 @@ class _Run:
         self.checks: list[tuple[np.ndarray, np.ndarray, bool]] = []
         self.eigenpairs: list[tuple[np.ndarray, np.ndarray] | None] = []
         self.factors = (_Factors(0.0), _Factors(_EPS * float(op.ritz_values[-1])))
-        times = _laplacian_times(op.rows, op.cols, op.weights, op.s)
+        times = _laplacian_times(op.rows, op.cols, op.weights, op.s, op.laplacian)
         self.steps = _lanczos(times, self.basis[0], self._next_row)
         self.lock = threading.Lock()
 
@@ -383,10 +393,26 @@ def _checked_coupling(graph: Graph, subset: VertexSubset) -> tuple[np.ndarray, .
     return _coupling(graph, subset, sl)
 
 
-def _laplacian_times(
+def _dense_laplacian(
     rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, s: int
+) -> np.ndarray | None:
+    """L_S, read-only, from its off-diagonal coupling when s^2 <=
+    _DENSE_SHARE * (coupling entries), else None."""
+    if s * s > _DENSE_SHARE * rows.size:
+        return None
+    laplacian = np.eye(s)
+    laplacian[rows, cols] = -weights
+    laplacian.flags.writeable = False
+    return laplacian
+
+
+def _laplacian_times(
+    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, s: int, laplacian: np.ndarray | None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> L_S x from the off-diagonal coupling, one bincount per product."""
+    """x -> L_S x: one BLAS product with the dense ``laplacian`` when there
+    is one, else from the off-diagonal coupling, one bincount per product."""
+    if laplacian is not None:
+        return laplacian.__matmul__
 
     def times(x: np.ndarray) -> np.ndarray:
         return x - np.bincount(rows, weights=weights * x[cols], minlength=s)
@@ -417,10 +443,11 @@ def _lanczos(
     q_prev, b = np.zeros_like(q), 0.0
     check = _LANCZOS_CHECK
     while True:
-        v = times(q) - b * q_prev
+        v = times(q)
+        v -= b * q_prev
         a = float(q @ v)
         v -= a * q
-        b = float(np.linalg.norm(v))
+        b = math.sqrt(v @ v)
         alpha.append(a)
         k = len(alpha)
         end = b <= _EPS or k == s
@@ -436,14 +463,20 @@ def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
-def _ritz_values(times: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> np.ndarray:
-    """Ascending Ritz values of a Lanczos run from ``start``, stopped once
-    the smallest settles (:func:`_bottom_settled`)."""
+def _lambda1_run(
+    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, degrees: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The :func:`_dense_laplacian` of the coupling, and the ascending Ritz
+    values of a Lanczos run on its product from D^{1/2} 1, stopped once the
+    smallest settles (:func:`_bottom_settled`)."""
+    laplacian = _dense_laplacian(rows, cols, weights, degrees.size)
+    times = _laplacian_times(rows, cols, weights, degrees.size, laplacian)
+    start = np.sqrt(degrees)
     previous = None
     for alpha, beta, end in _lanczos(times, start / np.linalg.norm(start)):
         theta = np.linalg.eigvalsh(_tridiagonal(alpha, beta))
         if end or (previous is not None and _bottom_settled(theta, previous)):
-            return theta
+            return laplacian, theta
         previous = theta
 
 
@@ -529,8 +562,11 @@ def restricted_operator(graph: Graph, subset: VertexSubset) -> Operator:
     start = time.perf_counter()
     dense = subset.size < KRYLOV_MIN_SIZE
     op = (DirichletOperator if dense else KrylovOperator).from_subset(graph, subset)
-    log.info("%s operator: s = %d, lambda1 = %.6g, built in %.4f s",
-             "dense" if dense else "krylov", op.s, op.lambda1, time.perf_counter() - start)
+    product = "" if dense else (f", {'sparse' if op.laplacian is None else 'dense'} "
+                                f"product of {op.rows.size} entries")
+    log.info("%s operator: s = %d, lambda1 = %.6g, built in %.4f s%s",
+             "dense" if dense else "krylov", op.s, op.lambda1, time.perf_counter() - start,
+             product)
     return op
 
 
@@ -599,15 +635,14 @@ def exact_local_solution(
 def estimate_lambda1(graph: Graph, subset: VertexSubset) -> float:
     """The bottom Dirichlet eigenvalue, as the smallest Ritz value of a
     Lanczos run on L_S from D^{1/2} 1, the run that fixes
-    :class:`KrylovOperator`'s lambda1.
-
-    Uses sparse matvecs only, so it works at any s.  The start vector is
-    positive, so it overlaps the Perron vector of lambda1, and a Ritz value
-    bounds lambda1 from above.
+    :class:`KrylovOperator`'s lambda1, on the same product (one bincount
+    of the coupling, or one product with the dense L_S where at least
+    1 / _DENSE_SHARE of it is nonzero), so it works at any s.  The start
+    vector is positive, so it overlaps the Perron vector of lambda1, and a
+    Ritz value bounds lambda1 from above.
     """
     if subset.size == 0:
         raise ValueError("empty subset")
     coupling = _coupling(graph, subset, _restrict(graph, subset))
-    start = np.sqrt(_degrees(graph, subset))
-    return float(_ritz_values(_laplacian_times(*coupling, subset.size), start)[0])
+    return float(_lambda1_run(*coupling, _degrees(graph, subset))[1][0])
 

@@ -146,6 +146,35 @@ def grid_patch_problem(patch: int, seed: int = 1) -> hk.BoundaryProblem:
     return hk.make_boundary_problem(graph, dict(zip(boundary.tolist(), values.tolist())), subset)
 
 
+def clique_hub_pairs(s: int) -> list[tuple[int, int]]:
+    """The edges of K_s on 0..s-1 plus a hub s joined to every member.
+
+    With S = 0..s-1 and b(hub) = 3, every member has degree s, so
+    L_S = I - (J - I) / s: lambda1 = 1/s on the constant vector, and
+    x_s = L_S^-1 b1 = 3 on every member (b1 = 3 / s)."""
+    return [(i, j) for i in range(s) for j in range(i + 1, s + 1)]
+
+
+def clique_hub_problem(s: int) -> hk.BoundaryProblem:
+    """The boundary problem of :func:`clique_hub_pairs`."""
+    graph = hk.Graph.from_edges(clique_hub_pairs(s))
+    subset = hk.VertexSubset.from_iterable(range(s), graph.n)
+    return hk.make_boundary_problem(graph, {s: 3.0}, subset)
+
+
+def dense_cluster_problem(s: int, chords: int, seed: int) -> hk.BoundaryProblem:
+    """A ring of s members plus ``chords`` random member pairs as S, and
+    s // 4 outside vertices joined to three random members each, with
+    signed values on every other one."""
+    rng = np.random.default_rng(seed)
+    ring = [(v, (v + 1) % s) for v in range(s)]
+    inner = [tuple(pair) for pair in rng.integers(0, s, (chords, 2)).tolist()]
+    outside = [(v, int(u)) for v in range(s, s + s // 4) for u in rng.integers(0, s, 3)]
+    graph = hk.Graph.from_edges(ring + [(u, v) for u, v in inner if u != v] + outside)
+    b = {v: float(rng.uniform(0.5, 1.5)) * (-1.0) ** v for v in range(s, s + s // 4, 2)}
+    return hk.make_boundary_problem(graph, b, hk.VertexSubset.from_iterable(range(s), graph.n))
+
+
 def harmonic_solve(problem: hk.BoundaryProblem) -> np.ndarray:
     """Independent oracle: assemble and solve the harmonic system directly.
 

@@ -14,7 +14,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import hklocal as hk
-from conftest import grid_patch, grid_patch_problem
+from conftest import clique_hub_pairs, grid_patch, grid_patch_problem
 from hklocal.cli import load_sweep_csv, load_vector_csv, run
 from hklocal.fixtures import (
     dolphins_boundary_path,
@@ -311,6 +311,29 @@ class TestKrylovBackend:
         report = json.loads(capsys.readouterr().out)
         assert report["error_bounds"]["local"] > 0.0
 
+    def test_dense_product_on_a_clique_with_a_hub(self, tmp_path, capsys, monkeypatch):
+        # K_250 plus a hub joined to every member, b(hub) = 3: the coupling
+        # fills L_S, so the Krylov operator multiplies by it densely, and
+        # lambda1 = 1/250 and x_s = 3 to about s^2 eps (the closed form of
+        # tests/test_dirichlet.py::TestDenseProduct).
+        s = 250
+        files = {"graph": tmp_path / "k.edges", "subset": tmp_path / "k.subset",
+                 "boundary": tmp_path / "k.boundary"}
+        files["graph"].write_text("".join(f"{u} {v}\n" for u, v in clique_hub_pairs(s)))
+        files["subset"].write_text("".join(f"{v}\n" for v in range(s)))
+        files["boundary"].write_text(f"{s} 3\n")
+        monkeypatch.setenv("SOLVER_LOG", "info")
+        assert run(["solve-exact", *_io_args({k: str(v) for k, v in files.items()})]) == 0
+        captured = capsys.readouterr()
+        assert re.search(r"\[INFO\] hklocal\.dirichlet: krylov operator: s = 250, lambda1 = "
+                         r"\S+, built in [0-9.]+ s, dense product of 62250 entries$",
+                         captured.err, re.MULTILINE)
+        doc = json.loads(captured.out)
+        tol = s * s * np.finfo(np.float64).eps
+        assert doc["lambda1"] == pytest.approx(1.0 / s, rel=tol, abs=0.0)
+        assert len(doc["x_s"]) == s
+        assert all(abs(x / 3.0 - 1.0) <= tol for x in doc["x_s"].values())
+
     def test_sweep_matches_the_dense_oracle(self, tmp_path, capsys):
         files = _grid_files(tmp_path, 30)
         assert run(["sweep-norms", *_io_args(files), "--points", "60"]) == 0
@@ -421,7 +444,8 @@ def test_solve_local_applies_share_one_lanczos_run(tmp_path, capsys, monkeypatch
     files = _grid_files(tmp_path, 15)
     assert run(["solve-local", *_io_args(files), "--gamma", "0.3", "--seed", "1"]) == 0
     err = capsys.readouterr().err
-    assert "[INFO] hklocal.dirichlet: krylov operator: s = 225, lambda1 = " in err
+    assert re.search(r"\[INFO\] hklocal\.dirichlet: krylov operator: s = 225, lambda1 = \S+, "
+                     r"built in [0-9.]+ s, sparse product of 840 entries$", err, re.MULTILINE)
     calls = [(line.split("Krylov ", 1)[1].split(":")[0], line.rsplit(", ", 1)[1])
              for line in err.splitlines() if "Krylov apply" in line or "Krylov solve" in line]
     assert [kind for kind, _ in calls] == ["apply", "solve", "apply"]

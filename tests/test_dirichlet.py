@@ -1,5 +1,6 @@
 """Restricted operators, Green's functions, and exact heat-kernel pagerank."""
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -12,7 +13,14 @@ import scipy.linalg
 
 import hklocal as hk
 from hklocal.dirichlet import _EPS as EPS
-from conftest import grid_patch_problem, harmonic_solve, random_connected_graph, random_problem
+from conftest import (
+    clique_hub_problem,
+    dense_cluster_problem,
+    grid_patch_problem,
+    harmonic_solve,
+    random_connected_graph,
+    random_problem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -321,8 +329,8 @@ class TestKrylovOperator:
         with pytest.raises(ValueError, match="boundary"):
             cls.from_subset(p4_graph, hk.VertexSubset.from_iterable(range(4), p4_graph.n))
 
-    def test_restricted_operator_switches_at_krylov_min_size(self, oracle_pairs):
-        for prob, _, krylov in oracle_pairs[:2]:
+    def test_restricted_operator_switches_at_krylov_min_size(self, oracle_pairs, dense_cluster):
+        for prob, _, krylov in [*oracle_pairs[:2], dense_cluster]:
             op = hk.restricted_operator(prob.graph, prob.subset)
             big = prob.subset.size >= hk.KRYLOV_MIN_SIZE
             assert isinstance(op, hk.KrylovOperator if big else hk.DirichletOperator)
@@ -336,8 +344,60 @@ class TestKrylovOperator:
 
 def fresh(krylov):
     """The same Krylov operator with no cached Lanczos run."""
-    return hk.KrylovOperator(krylov.degrees, krylov.rows, krylov.cols, krylov.weights,
-                             krylov.ritz_values)
+    return dataclasses.replace(krylov)
+
+
+@pytest.fixture(scope="module")
+def dense_cluster():
+    """(problem, dense operator, Krylov operator) on a ring of 240 members
+    with 2000 random chords, whose coupling fills 1/13 of L_S."""
+    prob = dense_cluster_problem(240, 2000, seed=3)
+    return (prob, hk.DirichletOperator.from_subset(prob.graph, prob.subset),
+            hk.KrylovOperator.from_subset(prob.graph, prob.subset))
+
+
+class TestDenseProduct:
+    """KrylovOperator multiplies by a dense L_S where at least 1/16 of it is
+    nonzero, and by the gathered coupling elsewhere."""
+
+    def test_clique_with_a_hub_closed_form(self):
+        # L_S = I - (J - I) / s: lambda1 = 1/s, x_s = 3.  A sum of s - 1
+        # products rounds to about s eps, and 1 - (s - 1)/s cancels to 1/s,
+        # so both are accurate to about s^2 eps.
+        s = 250
+        prob = clique_hub_problem(s)
+        op = hk.KrylovOperator.from_subset(prob.graph, prob.subset)
+        assert op.laplacian is not None and op.rows.size == s * (s - 1)
+        assert op.lambda1 == pytest.approx(1.0 / s, rel=s * s * EPS, abs=0.0)
+        x = op.solve(prob.b1)
+        assert np.max(np.abs(x / 3.0 - 1.0)) <= s * s * EPS
+
+    def test_matches_the_dense_oracle(self, oracle_pairs, dense_cluster):
+        times = np.array([0.5, 5.0, 50.0])
+        heat = lambda lam: np.exp(-np.multiply.outer(times, lam))
+        for (prob, dense, krylov), picks_dense in ((dense_cluster, True), (oracle_pairs[1], False)):
+            assert (krylov.laplacian is not None) == picks_dense
+            assert krylov.s >= hk.KRYLOV_MIN_SIZE
+            if picks_dense:
+                assert np.array_equal(krylov.laplacian,
+                                      hk.restricted_laplacian(prob.graph, prob.subset))
+                assert not krylov.laplacian.flags.writeable
+            for f in (prob.b1, prob.b2):
+                assert close_to_dense(fresh(krylov).solve(f), dense.solve(f), f)
+                assert close_to_dense(fresh(krylov).apply(heat, f), dense.apply(heat, f), f)
+
+    def test_rule_at_the_crossover(self):
+        # s^2 <= 16 * entries keeps L_S dense.  At s = 32: a ring with a
+        # pendant hub has 64 coupling entries, a path with both ends outside
+        # S has 62.
+        ring = hk.Graph.from_edges([(v, (v + 1) % 32) for v in range(32)] + [(0, 32)])
+        path = hk.Graph.from_edges([(v, v + 1) for v in range(33)])
+        for graph, members, entries, dense in ((ring, range(32), 64, True),
+                                               (path, range(1, 33), 62, False)):
+            subset = hk.VertexSubset.from_iterable(members, graph.n)
+            op = hk.KrylovOperator.from_subset(graph, subset)
+            assert op.rows.size == entries
+            assert (op.laplacian is not None) == dense
 
 
 @pytest.fixture(scope="module")
