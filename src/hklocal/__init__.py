@@ -32,7 +32,6 @@ from .dirichlet import (
     KrylovOperator,
     SpectrumError,
     apply_heat_kernel,
-    estimate_lambda1,
     exact_dirhkpr,
     exact_local_solution,
     greens_function,
@@ -41,12 +40,10 @@ from .dirichlet import (
 )
 from .walks import (
     DEFAULT_SAMPLE_CONSTANT,
-    SignedSplit,
     WalkStats,
     approx_dirhkpr,
     sample_count,
     solver_approx_dirhkpr,
-    split_signed,
     substream,
     walk_cap,
 )

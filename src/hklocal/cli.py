@@ -115,16 +115,11 @@ def _load_problem(args: argparse.Namespace) -> BoundaryProblem:
     return make_boundary_problem(*_read_inputs(args))
 
 
-def _attach_bounds(doc: dict, report, problem: BoundaryProblem, op=None) -> None:
-    """Evaluate the concrete error bounds against the exact solution.
-
-    ``op`` is the restricted operator when the caller has already built it.
-    """
-    if op is None:
-        op = restricted_operator(problem.graph, problem.subset)
+def _attach_bounds(doc: dict, report, problem: BoundaryProblem, op) -> None:
+    """Evaluate the concrete error bounds against the exact solution, on the
+    restricted operator ``op`` the solver ran on and its schedule's grid."""
     x_s = exact_local_solution(problem, operator=op)
-    sched = make_schedule(op.s, report.schedule.gamma, epsilon=report.schedule.epsilon)
-    x_rie = riemann_sum_solution(problem, sched, operator=op)
+    x_rie = riemann_sum_solution(problem, report.schedule, operator=op)
     bounds = error_bound(report, float(np.linalg.norm(x_s)), float(np.linalg.norm(x_rie)))
     observed = float(np.linalg.norm(report.x_hat - x_s))
     doc["error_bounds"] = {
@@ -169,33 +164,24 @@ def _cmd_solve_exact(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_solve_local(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
+    """solve-local and solve-greens: one restricted operator serves the
+    solver, its rate and the error bounds."""
     problem = _load_problem(args)
     op = restricted_operator(problem.graph, problem.subset)
-    report = local_linear_solver(
-        problem, args.gamma, seed=args.seed, workers=args.workers, operator=op
-    )
+    if args.command == "solve-local":
+        report = local_linear_solver(
+            problem, args.gamma, seed=args.seed, workers=args.workers, operator=op
+        )
+    else:
+        report = greens_solver(
+            problem, args.gamma, args.eps, seed=args.seed,
+            restricted_range=args.restricted_range, workers=args.workers,
+            constant=args.constant_override, operator=op,
+        )
     doc = report_to_json(report, problem)
-    doc["command"] = "solve-local"
+    doc["command"] = args.command
     _attach_bounds(doc, report, problem, op)
-    _emit(_json_doc(doc), args.out)
-    return EXIT_OK
-
-
-def _cmd_solve_greens(args: argparse.Namespace) -> int:
-    problem = _load_problem(args)
-    report = greens_solver(
-        problem,
-        args.gamma,
-        args.eps,
-        seed=args.seed,
-        restricted_range=args.restricted_range,
-        workers=args.workers,
-        constant=args.constant_override,
-    )
-    doc = report_to_json(report, problem)
-    doc["command"] = "solve-greens"
-    _attach_bounds(doc, report, problem)
     _emit(_json_doc(doc), args.out)
     return EXIT_OK
 
@@ -317,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _HANDLERS = {
     "validate": _cmd_validate,
     "solve-exact": _cmd_solve_exact,
-    "solve-local": _cmd_solve_local,
-    "solve-greens": _cmd_solve_greens,
+    "solve-local": _cmd_solve,
+    "solve-greens": _cmd_solve,
     "hkpr-exact": _cmd_hkpr_exact,
     "hkpr-approx": _cmd_hkpr_approx,
     "sweep-norms": _cmd_sweep_norms,

@@ -52,7 +52,6 @@ __all__ = [
     "apply_heat_kernel",
     "exact_dirhkpr",
     "exact_local_solution",
-    "estimate_lambda1",
 ]
 
 # The dense s x s Laplacian, and what is built from it (the Green's matrix,
@@ -143,10 +142,10 @@ class KrylovOperator:
     ``rows``, ``cols`` and ``weights`` are the off-diagonal entries of
     :func:`_coupling`, so L_S x = x - bincount(rows, weights * x[cols]).
     ``laplacian`` is L_S itself, dense and read-only, when at least
-    1 / _DENSE_SHARE of it is nonzero (:func:`_dense_laplacian`), and every
+    1 / _DENSE_SHARE of it is nonzero, and every
     product is then one ``laplacian @ x``; otherwise it is None.
     ``ritz_values`` are the ascending Ritz values of the Lanczos run from
-    D^{1/2} 1 that fixed ``lambda1`` (see :func:`estimate_lambda1`).  Same
+    D^{1/2} 1 that fixed ``lambda1`` (:func:`_lambda1_run`).  Same
     surface as :class:`DirichletOperator`: ``s``, ``degrees``, ``lambda1``,
     :meth:`apply` and :meth:`solve`, in O(|E(S)|) memory (at most 128 bytes
     per coupling entry with the dense L_S) instead of the O(s^2) of an
@@ -393,13 +392,8 @@ def _checked_coupling(graph: Graph, subset: VertexSubset) -> tuple[np.ndarray, .
     return _coupling(graph, subset, sl)
 
 
-def _dense_laplacian(
-    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, s: int
-) -> np.ndarray | None:
-    """L_S, read-only, from its off-diagonal coupling when s^2 <=
-    _DENSE_SHARE * (coupling entries), else None."""
-    if s * s > _DENSE_SHARE * rows.size:
-        return None
+def _laplacian(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, s: int) -> np.ndarray:
+    """L_S, dense and read-only, from its off-diagonal coupling."""
     laplacian = np.eye(s)
     laplacian[rows, cols] = -weights
     laplacian.flags.writeable = False
@@ -430,7 +424,8 @@ def _lanczos(
     Yields ``(alpha, beta, end)`` at check points: the diagonal (k entries)
     and off-diagonal (k - 1) of the k x k tridiagonal T_k so far, and
     whether the run must end there, because the next coupling broke down
-    (below eps, so q_1..q_k span an invariant subspace up to rounding) or
+    (at most 2 s eps, the rounding of one product with L_S, whose norm is at
+    most 2, so q_1..q_k span an invariant subspace up to rounding) or
     because k reached s, where the Krylov space is the whole space.  Check
     points fall every _LANCZOS_CHECK steps, and once k passes
     4 * _LANCZOS_CHECK every k / 4 steps, so the O(k^3) eigensolves of the
@@ -450,7 +445,7 @@ def _lanczos(
         b = math.sqrt(v @ v)
         alpha.append(a)
         k = len(alpha)
-        end = b <= _EPS or k == s
+        end = b <= 2 * s * _EPS or k == s
         if end or k == check:
             yield np.array(alpha), np.array(beta), end
             check += max(_LANCZOS_CHECK, k // 4)
@@ -466,11 +461,14 @@ def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def _lambda1_run(
     rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, degrees: np.ndarray
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """The :func:`_dense_laplacian` of the coupling, and the ascending Ritz
-    values of a Lanczos run on its product from D^{1/2} 1, stopped once the
-    smallest settles (:func:`_bottom_settled`)."""
-    laplacian = _dense_laplacian(rows, cols, weights, degrees.size)
-    times = _laplacian_times(rows, cols, weights, degrees.size, laplacian)
+    """L_S, dense, when s^2 <= _DENSE_SHARE * (coupling entries), else None,
+    and the ascending Ritz values of a Lanczos run on its product from
+    D^{1/2} 1, stopped once the smallest settles (:func:`_bottom_settled`).
+    The start vector is positive, so it overlaps the Perron vector of
+    lambda1, and the smallest Ritz value bounds lambda1 from above."""
+    s = degrees.size
+    laplacian = _laplacian(rows, cols, weights, s) if s * s <= _DENSE_SHARE * rows.size else None
+    times = _laplacian_times(rows, cols, weights, s, laplacian)
     start = np.sqrt(degrees)
     previous = None
     for alpha, beta, end in _lanczos(times, start / np.linalg.norm(start)):
@@ -536,7 +534,7 @@ def _settled(
 
 
 def restricted_laplacian(graph: Graph, subset: VertexSubset) -> np.ndarray:
-    """The dense s x s restricted normalized Laplacian L_S.
+    """The dense s x s restricted normalized Laplacian L_S, read-only.
 
     Rows and columns of S, degrees from the full graph.  Requires the
     induced subgraph on S to be connected with a nonempty vertex boundary
@@ -546,10 +544,7 @@ def restricted_laplacian(graph: Graph, subset: VertexSubset) -> np.ndarray:
     s = subset.size
     if s > DENSE_SIZE_LIMIT:
         raise CapacityError(f"subset size {s} exceeds dense limit {DENSE_SIZE_LIMIT}")
-    i, j, w = _checked_coupling(graph, subset)
-    lap = np.eye(s, dtype=np.float64)
-    lap[i, j] = -w
-    return lap
+    return _laplacian(*_checked_coupling(graph, subset), s)
 
 
 def restricted_operator(graph: Graph, subset: VertexSubset) -> Operator:
@@ -630,19 +625,3 @@ def exact_local_solution(
     """
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     return op.solve(problem.b1)
-
-
-def estimate_lambda1(graph: Graph, subset: VertexSubset) -> float:
-    """The bottom Dirichlet eigenvalue, as the smallest Ritz value of a
-    Lanczos run on L_S from D^{1/2} 1, the run that fixes
-    :class:`KrylovOperator`'s lambda1, on the same product (one bincount
-    of the coupling, or one product with the dense L_S where at least
-    1 / _DENSE_SHARE of it is nonzero), so it works at any s.  The start
-    vector is positive, so it overlaps the Perron vector of lambda1, and a
-    Ritz value bounds lambda1 from above.
-    """
-    if subset.size == 0:
-        raise ValueError("empty subset")
-    coupling = _coupling(graph, subset, _restrict(graph, subset))
-    return float(_lambda1_run(*coupling, _degrees(graph, subset))[1][0])
-

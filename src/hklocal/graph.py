@@ -159,14 +159,13 @@ def _lookup(graph: "Graph", token: str, ln: int) -> tuple[int, int]:
 class Graph:
     """Immutable undirected simple graph with a degree table.
 
-    ``edges`` holds each undirected edge once as a (u, v) row with u < v in
-    compact ids.  ``indptr``/``indices`` are the usual CSR neighbor lists,
-    sorted per vertex.  Construction is single-threaded; instances are safe
-    for unrestricted concurrent reads afterwards.
+    ``indptr``/``indices`` are the usual CSR neighbor lists in compact ids,
+    sorted per vertex, so each edge appears twice.  Construction is
+    single-threaded; instances are safe for unrestricted concurrent reads
+    afterwards.
     """
 
     n: int
-    edges: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     degrees: np.ndarray
@@ -218,7 +217,6 @@ class Graph:
         n = len(original)
         keys = _sorted_unique(np.minimum(cu, cv) * n + np.maximum(cu, cv))
         lo, hi = np.divmod(keys, n)
-        edges = np.stack([lo, hi], axis=1)
         # Row v holds its lower neighbours, in the sorted reversed keys hi * n + lo,
         # then its upper ones, in keys; each kind is placed past the other's slots.
         below, above = np.bincount(hi, minlength=n), np.bincount(lo, minlength=n)
@@ -231,7 +229,6 @@ class Graph:
         indices[(np.cumsum(above) - above)[row] + slot] = nbr
         return cls(
             n=n,
-            edges=_frozen(edges),
             indptr=_frozen(indptr),
             indices=_frozen(indices),
             degrees=_frozen(degrees),
@@ -240,7 +237,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
@@ -313,7 +310,6 @@ class VertexSubset:
 
     members: np.ndarray
     n: int
-    mask: np.ndarray = field(repr=False, compare=False)
     local_of: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
@@ -331,7 +327,6 @@ class VertexSubset:
         return cls(
             members=_frozen(members),
             n=n,
-            mask=_frozen(local_of >= 0),
             local_of=_frozen(local_of),
         )
 
@@ -346,7 +341,7 @@ class VertexSubset:
         return i
 
     def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.mask[v])
+        return 0 <= v < self.n and bool(self.local_of[v] >= 0)
 
 
 def load_subset(source: str | IO[str], graph: Graph) -> VertexSubset:

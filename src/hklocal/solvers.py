@@ -19,12 +19,7 @@ import numpy as np
 
 # No solver calls exact_dirhkpr, but the benchmark's tracer wraps it under
 # this module's name.
-from .dirichlet import (
-    Operator,
-    estimate_lambda1,
-    exact_dirhkpr,
-    restricted_operator,
-)
+from .dirichlet import Operator, exact_dirhkpr, restricted_operator
 from .graph import BoundaryProblem
 from .walks import (
     DEFAULT_SAMPLE_CONSTANT,
@@ -155,10 +150,11 @@ def draw_weighted_t(schedule: SolverSchedule, u: np.ndarray) -> tuple[np.ndarray
     drawn by the inverse CDF j = ceil(ln(1 - u (1 - q^floor(N))) / ln q);
     rate 0 is the paper's uniform draw.  The weighted sample
     gamma / P(j) * rho_t has mean exactly the Riemann sum over the grid, for
-    any rate; its variance stays bounded for every T only while
-    rate < 2 lambda1.  Both solvers draw their times here from the uniforms
-    of one stream, so a seed gives both the same times when they use the
-    same rate.
+    any rate.  Its variance stays bounded for every T only while the rate
+    is below 2 lambda1 for exact samples, and below lambda1 for walk
+    samples, whose second moment decays only like e^{-lambda1 t}.  Both
+    solvers draw their times here from the uniforms of one stream, so a
+    seed gives both the same times when they use the same rate.
     """
     u = np.asarray(u, dtype=np.float64)
     a = schedule.rate * schedule.step
@@ -288,32 +284,34 @@ def greens_solver(
     restricted_range: bool = False,
     workers: int = 1,
     constant: float = DEFAULT_SAMPLE_CONSTANT,
+    operator: Operator | None = None,
 ) -> SolveReport:
     """Monte-Carlo local solver: walk-based pagerank samples, cap floor(2t).
 
-    Same weighted time draw and reduction as :func:`local_linear_solver`.
-    After the r_outer uniforms of the times, one more call on the same
-    substream draws every sample's child seed.  All simulated samples then
-    run in one lockstep pass, one call of :func:`solver_approx_dirhkpr` with
-    their times, child seeds and weights; sample i's estimate is exactly
-    the one-sample call with (t_i, child seed i).  The rate is the
-    Lanczos estimate :func:`estimate_lambda1`, a Ritz value that may
-    slightly overestimate lambda1; the weighted estimator's variance stays
-    bounded for every T only while the rate is below 2 lambda1.  The same estimate
-    gives t' = :func:`restricted_threshold` under ``restricted_range``:
-    samples at t at or past t' contribute zero without simulating any walk.
-    When b2 is zero, x_hat is zero and no walk runs.  Error is within
-    gamma * (||b1|| + ||x_S|| + ||x_rie||) + epsilon * ||b2||_1 with
-    probability at least 1 - gamma.  ``workers`` must be at least 1 and
-    does not change the output.
+    Same weighted time draw, at the same rate lambda1 of the operator, and
+    the same reduction as :func:`local_linear_solver`.  After the r_outer
+    uniforms of the times, one more call on the same substream draws every
+    sample's child seed.  All simulated samples then run in one lockstep
+    pass, one call of :func:`solver_approx_dirhkpr` with their times, child
+    seeds and weights; sample i's estimate is exactly the one-sample call
+    with (t_i, child seed i).  A walk sample's second moment decays only
+    like e^{-lambda1 t}, so the variance stays bounded for every T only
+    while the rate is below lambda1, not 2 lambda1 as for exact samples;
+    at rate lambda1 it sits on that edge, and rare runs miss their bound
+    by far.  The same lambda1 gives t' = :func:`restricted_threshold` under
+    ``restricted_range``: samples at t at or past t' contribute zero
+    without simulating any walk.  When b2 is zero, x_hat is zero and no
+    walk runs.  Error is within gamma * (||b1|| + ||x_S|| + ||x_rie||) +
+    epsilon * ||b2||_1 with probability at least 1 - gamma.  ``workers``
+    must be at least 1 and does not change the output.
     """
     start = time.perf_counter()
     _check_workers(workers)
     subset = problem.subset
-    lambda1 = estimate_lambda1(problem.graph, subset)
+    op = operator if operator is not None else restricted_operator(problem.graph, subset)
     schedule = make_schedule(
-        subset.size, gamma, epsilon=epsilon, seed=seed, rate=lambda1,
-        lambda1=lambda1 if restricted_range else None,
+        op.s, gamma, epsilon=epsilon, seed=seed, rate=op.lambda1,
+        lambda1=op.lambda1 if restricted_range else None,
     )
     stage = time.perf_counter()
     ts, weights, rng = _draw_times(schedule)

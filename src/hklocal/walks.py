@@ -39,12 +39,10 @@ import numpy as np
 from .graph import Graph, VertexSubset, _restrict
 
 __all__ = [
-    "SignedSplit",
     "WalkStats",
     "substream",
     "sample_count",
     "walk_cap",
-    "split_signed",
     "approx_dirhkpr",
     "solver_approx_dirhkpr",
     "DEFAULT_SAMPLE_CONSTANT",
@@ -101,28 +99,6 @@ def walk_cap(t: float, epsilon: float, mode: CapMode) -> int | None:
     if mode == "none":
         return None
     raise ValueError(f"unknown cap mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class SignedSplit:
-    """Entrywise split f = f_plus - f_minus with disjoint supports."""
-
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    norm_plus: float
-    norm_minus: float
-
-
-def split_signed(f: np.ndarray) -> SignedSplit:
-    f = np.asarray(f, dtype=np.float64)
-    plus = np.where(f > 0.0, f, 0.0)
-    minus = np.where(f < 0.0, -f, 0.0)
-    return SignedSplit(
-        f_plus=plus,
-        f_minus=minus,
-        norm_plus=float(plus.sum()),
-        norm_minus=float(minus.sum()),
-    )
 
 
 @dataclass
@@ -305,17 +281,16 @@ def _mc_dirhkpr(graph, t, f, subset, epsilon, master_seed, weights, cap_mode, wo
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (subset.size,):
         raise ValueError(f"preference vector has shape {f.shape}, expected ({subset.size},)")
-    split = split_signed(f)
-    if split.norm_plus == 0.0 and split.norm_minus == 0.0:
-        raise ValueError("preference vector is identically zero")
+    # The entrywise split f = f_plus - f_minus, one walk group per nonzero part.
     parts = []
-    for phase, part, norm, sign in (
-        (PHASE_POSITIVE, split.f_plus, split.norm_plus, 1.0),
-        (PHASE_NEGATIVE, split.f_minus, split.norm_minus, -1.0),
-    ):
+    for phase, part, sign in ((PHASE_POSITIVE, np.where(f > 0.0, f, 0.0), 1.0),
+                              (PHASE_NEGATIVE, np.where(f < 0.0, -f, 0.0), -1.0)):
+        norm = float(part.sum())
         if norm > 0.0:
             support = np.flatnonzero(part)
             parts.append((phase, np.cumsum(part[support]) / norm, support, sign * norm / r))
+    if not parts:
+        raise ValueError("preference vector is identically zero")
     # Walks run on S's rows of the adjacency, in local indices: slot k of
     # member i holds its neighbour's local index, or -1 outside S.  A step's
     # slot floor(u * deg) needs no clamp: u <= 1 - 2**-53 and deg < 2**53.

@@ -107,7 +107,7 @@ def random_problem(
         if outside_support:
             far = [
                 v for v in range(n)
-                if not subset.mask[v] and v not in set(int(x) for x in delta)
+                if v not in subset and v not in set(int(x) for x in delta)
             ]
             if far:
                 v = int(far[int(rng.integers(len(far)))])
@@ -193,7 +193,7 @@ def harmonic_solve(problem: hk.BoundaryProblem) -> np.ndarray:
         for u in graph.neighbors(v):
             u = int(u)
             w = 1.0 / math.sqrt(graph.degrees[v] * graph.degrees[u])
-            if subset.mask[u]:
+            if u in subset:
                 system[i, subset.local_of[u]] -= w
             else:
                 rhs[i] += float(b.get(u, 0.0)) * w
@@ -235,7 +235,7 @@ def reference_vertex_boundary(graph: hk.Graph, subset: hk.VertexSubset) -> np.nd
     hit = set()
     for v in subset.members:
         for u in graph.neighbors(int(v)):
-            if not subset.mask[u]:
+            if u not in subset:
                 hit.add(int(u))
     return np.array(sorted(hit), dtype=np.int64)
 
@@ -251,7 +251,7 @@ def reference_is_connected(graph: hk.Graph, subset: hk.VertexSubset) -> bool:
         v = stack.pop()
         for u in graph.neighbors(v):
             u = int(u)
-            if subset.mask[u] and u not in seen:
+            if u in subset and u not in seen:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == subset.size
@@ -262,7 +262,7 @@ def reference_b1(graph: hk.Graph, b: dict, subset: hk.VertexSubset) -> np.ndarra
     b1 = np.zeros(subset.size)
     for i, v in enumerate(subset.members):
         for u in graph.neighbors(int(v)):
-            if not subset.mask[u]:
+            if u not in subset:
                 b1[i] += float(b.get(int(u), 0.0)) / math.sqrt(graph.degrees[v] * graph.degrees[u])
     return b1
 
@@ -272,7 +272,7 @@ def reference_laplacian(graph: hk.Graph, subset: hk.VertexSubset) -> np.ndarray:
     lap = np.eye(subset.size)
     for i, v in enumerate(subset.members):
         for u in graph.neighbors(int(v)):
-            if subset.mask[u]:
+            if u in subset:
                 j = int(subset.local_of[u])
                 lap[i, j] = -1.0 / math.sqrt(float(graph.degrees[v]) * float(graph.degrees[u]))
     return lap
@@ -296,7 +296,7 @@ def dirichlet_walk(
         raise ValueError(f"walk start {start} is not in the subset")
     indptr = graph.indptr
     indices = graph.indices
-    mask = subset.mask
+    local_of = subset.local_of
     if stats is not None:
         stats.walks_started += 1
     cur = int(start)
@@ -305,7 +305,7 @@ def dirichlet_walk(
         nxt = int(indices[lo + rng.integers(indptr[cur + 1] - lo)])
         if stats is not None:
             stats.steps_simulated += 1
-        if not mask[nxt]:
+        if local_of[nxt] < 0:
             if stats is not None:
                 stats.walks_aborted += 1
             return None

@@ -198,13 +198,14 @@ def test_criterion_8_monotone_sweep(dolphins_problem, dolphins_op):
     op = dolphins_op
     sched = hk.make_schedule(20, 0.01)
     grid = np.geomspace(1.0, sched.T, 200)
-    split = hk.split_signed(dolphins_problem.b2)
+    b2 = dolphins_problem.b2
+    f_plus, f_minus = np.where(b2 > 0.0, b2, 0.0), np.where(b2 < 0.0, -b2, 0.0)
     prev = None
     max_column = []
     for t in grid:
         rho = hk.exact_dirhkpr(op, float(t), dolphins_problem.b2)
-        plus = hk.exact_dirhkpr(op, float(t), split.f_plus)
-        minus = hk.exact_dirhkpr(op, float(t), split.f_minus)
+        plus = hk.exact_dirhkpr(op, float(t), f_plus)
+        minus = hk.exact_dirhkpr(op, float(t), f_minus)
         cols = (
             float(np.abs(plus).sum()), float(np.abs(plus).max()),
             float(np.abs(minus).sum()), float(np.abs(minus).max()),

@@ -452,6 +452,25 @@ def test_solve_local_applies_share_one_lanczos_run(tmp_path, capsys, monkeypatch
     assert calls[0][1] == "new run" and "new run" not in [state for _, state in calls[1:]]
 
 
+def test_solve_greens_runs_one_lambda1_lanczos(tmp_path, capsys, monkeypatch):
+    # At s = 225 the operator is Krylov: its lambda1 run sets the solver's
+    # rate and serves the error bounds, and it runs once.
+    calls = []
+    lambda1_run = hk.dirichlet._lambda1_run
+
+    def spy(*args):
+        calls.append(len(args[-1]))
+        return lambda1_run(*args)
+
+    monkeypatch.setattr(hk.dirichlet, "_lambda1_run", spy)
+    files = _grid_files(tmp_path, 15)
+    assert run(["solve-greens", *_io_args(files), "--gamma", "0.4", "--eps", "0.5"]) == 0
+    rate = json.loads(capsys.readouterr().out)["schedule"]["rate"]
+    assert calls == [225]
+    assert run(["solve-exact", *_io_args(files)]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda1"] == rate
+
+
 def test_constant_override_changes_round_count(p4_files, tmp_path):
     outs = []
     for constant in ("16.0", "4.0"):

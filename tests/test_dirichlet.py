@@ -334,8 +334,8 @@ class TestKrylovOperator:
             op = hk.restricted_operator(prob.graph, prob.subset)
             big = prob.subset.size >= hk.KRYLOV_MIN_SIZE
             assert isinstance(op, hk.KrylovOperator if big else hk.DirichletOperator)
-            # One lambda1 run serves the Krylov operator and the estimate.
-            assert hk.estimate_lambda1(prob.graph, prob.subset) == krylov.lambda1
+            if big:
+                assert op.lambda1 == krylov.lambda1
 
     def test_greens_function_needs_the_dense_operator(self, oracle_pairs):
         with pytest.raises(TypeError):
@@ -363,13 +363,19 @@ class TestDenseProduct:
     def test_clique_with_a_hub_closed_form(self):
         # L_S = I - (J - I) / s: lambda1 = 1/s, x_s = 3.  A sum of s - 1
         # products rounds to about s eps, and 1 - (s - 1)/s cancels to 1/s,
-        # so both are accurate to about s^2 eps.
+        # so both are accurate to about s^2 eps.  D^{1/2} 1 and b1 = 3 / s
+        # are both the eigenvector of lambda1, so the lambda1 run and the
+        # solve each end after one step: the dense product leaves the next
+        # coupling at 9.8e-16, above eps but below 2 s eps (1.1e-13), the
+        # rounding of one product.
         s = 250
         prob = clique_hub_problem(s)
         op = hk.KrylovOperator.from_subset(prob.graph, prob.subset)
         assert op.laplacian is not None and op.rows.size == s * (s - 1)
+        assert op.ritz_values.size == 1
         assert op.lambda1 == pytest.approx(1.0 / s, rel=s * s * EPS, abs=0.0)
         x = op.solve(prob.b1)
+        assert op._run.size == 1 and [alpha.size for alpha, _, _ in op._run.checks] == [1]
         assert np.max(np.abs(x / 3.0 - 1.0)) <= s * s * EPS
 
     def test_matches_the_dense_oracle(self, oracle_pairs, dense_cluster):
@@ -564,9 +570,3 @@ class TestKrylovRunCache:
             assert len(got) == 5
             assert all(np.array_equal(g, w) for rep in got for g, w in zip(rep, want))
 
-
-class TestLambda1Estimate:
-    def test_matches_dense_eigensolve(self, dolphins_problem):
-        op = hk.restricted_operator(dolphins_problem.graph, dolphins_problem.subset)
-        est = hk.estimate_lambda1(dolphins_problem.graph, dolphins_problem.subset)
-        assert est == pytest.approx(op.lambda1, rel=1e-6)

@@ -292,14 +292,21 @@ class TestGreensSolver:
 
     def test_restricted_threshold_estimated_when_not_given(self, p4_problem, p4_op):
         auto = hk.greens_solver(p4_problem, 0.25, 0.4, seed=11, restricted_range=True)
-        expected = hk.restricted_threshold(
-            hk.estimate_lambda1(p4_problem.graph, p4_problem.subset), 0.4
-        )
-        assert auto.schedule.t_prime == pytest.approx(expected, rel=1e-9)
-        assert expected == pytest.approx(
-            hk.restricted_threshold(p4_op.lambda1, 0.4), rel=1e-6
-        )
+        assert auto.schedule.t_prime == hk.restricted_threshold(p4_op.lambda1, 0.4)
         assert auto.samples_skipped == int((auto.sampled_ts >= auto.schedule.t_prime).sum())
+
+    @pytest.mark.parametrize("restricted_range", [False, True])
+    def test_given_operator_changes_no_output(self, dolphins_problem, restricted_range):
+        # The solver builds the same operator itself when given none.
+        op = hk.restricted_operator(dolphins_problem.graph, dolphins_problem.subset)
+        kwargs = {"seed": 4, "restricted_range": restricted_range}
+        given = hk.greens_solver(dolphins_problem, 0.4, 0.5, operator=op, **kwargs)
+        built = hk.greens_solver(dolphins_problem, 0.4, 0.5, **kwargs)
+        assert given.schedule == built.schedule and given.schedule.rate == op.lambda1
+        for name in ("x_hat", "sampled_ts"):
+            assert np.array_equal(getattr(given, name), getattr(built, name)), name
+        assert (given.walk_steps_total, given.samples_skipped) == (
+            built.walk_steps_total, built.samples_skipped)
 
     def test_scaling_linearity_bitwise(self, p4_problem):
         doubled = hk.make_boundary_problem(

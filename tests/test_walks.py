@@ -61,13 +61,21 @@ class TestWalkConfig:
 
 
 class TestSignedSplit:
-    def test_split(self):
-        f = np.array([1.5, 0.0, -0.5, 2.0])
-        sp = hk.split_signed(f)
-        assert np.array_equal(sp.f_plus - sp.f_minus, f)
-        assert np.all(sp.f_plus * sp.f_minus == 0.0)
-        assert sp.norm_plus == 3.5
-        assert sp.norm_minus == 0.5
+    def test_split(self, dolphins_problem):
+        # f = f_plus - f_minus, and each nonzero part runs its own walk group
+        # of r walks: the estimate of a signed f is the sum of those of
+        # f_plus and -f_minus, bit for bit, and a zero part starts no walk.
+        graph, subset = dolphins_problem.graph, dolphins_problem.subset
+        f = np.zeros(subset.size)
+        f[:4] = [1.5, 0.0, -0.5, 2.0]
+        parts = (f, np.where(f > 0.0, f, 0.0), -np.where(f < 0.0, -f, 0.0))
+        stats = [hk.WalkStats() for _ in parts]
+        rho = [hk.approx_dirhkpr(graph, 4.0, part, subset, 0.5, 3, stats=st)
+               for part, st in zip(parts, stats)]
+        assert np.array_equal(rho[0], rho[1] + rho[2])
+        r = hk.sample_count(0.5, graph.n)
+        assert [st.walks_started for st in stats] == [2 * r, r, r]
+        assert stats[0].steps_simulated == stats[1].steps_simulated + stats[2].steps_simulated
 
 
 class TestDirichletWalk:
