@@ -44,7 +44,6 @@ from .walks import (
     approx_dirhkpr,
     sample_count,
     solver_approx_dirhkpr,
-    substream,
     walk_cap,
 )
 from .solvers import (

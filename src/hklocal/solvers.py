@@ -24,11 +24,10 @@ from .graph import BoundaryProblem
 from .walks import (
     DEFAULT_SAMPLE_CONSTANT,
     PASS_BUDGET,
-    PHASE_SCHEDULE,
     WalkStats,
     _check_workers,
+    _schedule_draws,
     solver_approx_dirhkpr,
-    substream,
 )
 
 __all__ = [
@@ -70,10 +69,6 @@ class SolverSchedule:
     t_prime: float | None
     master_seed: int
     rate: float = 0.0
-
-    @property
-    def step(self) -> float:
-        return self.gamma
 
 
 def restricted_threshold(lambda1: float, epsilon: float) -> float:
@@ -153,11 +148,11 @@ def draw_weighted_t(schedule: SolverSchedule, u: np.ndarray) -> tuple[np.ndarray
     any rate.  Its variance stays bounded for every T only while the rate
     is below 2 lambda1 for exact samples, and below lambda1 for walk
     samples, whose second moment decays only like e^{-lambda1 t}.  Both
-    solvers draw their times here from the uniforms of one stream, so a
-    seed gives both the same times when they use the same rate.
+    solvers map the same hashed uniforms of a seed here, each at its own
+    rate: lambda1 for the exact backend, lambda1 / 2 for the walks.
     """
     u = np.asarray(u, dtype=np.float64)
-    a = schedule.rate * schedule.step
+    a = schedule.rate * schedule.gamma
     n = schedule.floor_n
     if a == 0.0:
         j = np.floor(u * n) + 1.0
@@ -166,19 +161,18 @@ def draw_weighted_t(schedule: SolverSchedule, u: np.ndarray) -> tuple[np.ndarray
         j = np.ceil(np.log1p(u * math.expm1(-a * n)) / -a)
         p1 = math.expm1(-a) / math.expm1(-a * n)
     j = np.clip(j, 1, n)
-    return j * schedule.step, schedule.step * np.exp(a * (j - 1)) / p1
+    return j * schedule.gamma, schedule.gamma * np.exp(a * (j - 1)) / p1
 
 
-def _draw_times(schedule: SolverSchedule) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
-    """Times and weights of all r_outer samples from one call on the
-    substream (seed, PHASE_SCHEDULE, 0), and that stream for what follows.
-    Sample i maps its uniform U_i to (i + U_i) / r: this stratified draw
-    keeps the Riemann-sum mean, and its variance is at most that of r
-    independent draws."""
-    rng = substream(schedule.master_seed, PHASE_SCHEDULE, 0)
+def _draw_times(schedule: SolverSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, weights and child seeds of all r_outer samples, hashed from
+    the seed (see :mod:`hklocal.walks`).  Sample i maps its uniform U_i to
+    (i + U_i) / r: this stratified draw keeps the Riemann-sum mean, and its
+    variance is at most that of r independent draws."""
     r = schedule.r_outer
-    ts, weights = draw_weighted_t(schedule, (np.arange(r) + rng.random(r)) / r)
-    return ts, weights, rng
+    u, child_seeds = _schedule_draws(schedule.master_seed, r)
+    ts, weights = draw_weighted_t(schedule, (np.arange(r) + u) / r)
+    return ts, weights, child_seeds
 
 
 @dataclass
@@ -202,9 +196,9 @@ def _riemann_geometric(op: Operator, b1: np.ndarray, schedule: SolverSchedule) -
     # eigenvalue or Ritz value in closed form.  Identical to the literal sum
     # up to roundoff.
     def series(lam: np.ndarray) -> np.ndarray:
-        q_log = -lam * schedule.step
+        q_log = -lam * schedule.gamma
         total = np.exp(q_log) * (-np.expm1(q_log * schedule.floor_n)) / -np.expm1(q_log)
-        return total * schedule.step
+        return total * schedule.gamma
 
     return op.apply(series, b1)
 
@@ -239,14 +233,13 @@ def local_linear_solver(
     (1 / r) sum_i (gamma / P(j_i)) rho_{t_i} carried back through D^{-1/2}.
     Its mean is the Riemann sum x_rie, and with probability at least
     1 - gamma the error is within gamma * (||b1|| + ||x_S|| + ||x_rie||).
-    That average is c(L_S) b1 with c(lambda) =
-    (1 / r) sum_i w_i exp(-t_i lambda), which is how it is
-    computed, by the operator's ``apply``: all r_outer uniforms come,
-    stratified, from one call on the substream (seed, PHASE_SCHEDULE, 0),
-    and c is a matrix product over chunks of at most PASS_BUDGET // m
-    samples for m eigenvalues or Ritz values, so the samples never take
-    more than about PASS_BUDGET entries at once.  ``workers`` must be at
-    least 1 and does not change the output.
+    That average is c(L_S) b1 with c(lambda) = (1 / r) sum_i w_i
+    exp(-t_i lambda), which is how it is computed, by the operator's
+    ``apply``: the r_outer uniforms are hashed from the seed and stratified
+    (see :mod:`hklocal.walks`), and c is a matrix product over chunks of at
+    most PASS_BUDGET // m samples for m eigenvalues or Ritz values, so the
+    samples never take more than about PASS_BUDGET entries at once.
+    ``workers`` must be at least 1 and does not change the output.
     """
     start = time.perf_counter()
     _check_workers(workers)
@@ -288,36 +281,34 @@ def greens_solver(
 ) -> SolveReport:
     """Monte-Carlo local solver: walk-based pagerank samples, cap floor(2t).
 
-    Same weighted time draw, at the same rate lambda1 of the operator, and
-    the same reduction as :func:`local_linear_solver`.  After the r_outer
-    uniforms of the times, one more call on the same substream draws every
-    sample's child seed.  All simulated samples then run in one lockstep
-    pass, one call of :func:`solver_approx_dirhkpr` with their times, child
-    seeds and weights; sample i's estimate is exactly the one-sample call
-    with (t_i, child seed i).  A walk sample's second moment decays only
-    like e^{-lambda1 t}, so the variance stays bounded for every T only
-    while the rate is below lambda1, not 2 lambda1 as for exact samples;
-    at rate lambda1 it sits on that edge, and rare runs miss their bound
-    by far.  The same lambda1 gives t' = :func:`restricted_threshold` under
-    ``restricted_range``: samples at t at or past t' contribute zero
-    without simulating any walk.  When b2 is zero, x_hat is zero and no
-    walk runs.  Error is within gamma * (||b1|| + ||x_S|| + ||x_rie||) +
-    epsilon * ||b2||_1 with probability at least 1 - gamma.  ``workers``
-    must be at least 1 and does not change the output.
+    Draws its times from the uniforms of :func:`local_linear_solver`, and
+    reduces as it does, but at rate lambda1 / 2 of the operator: a walk
+    sample's second moment decays only like e^{-lambda1 t}, so the variance
+    stays bounded for every T only while the rate is below lambda1, not
+    2 lambda1 as for exact samples.  The key each sample's uniform is
+    hashed from is also its child seed.  All simulated samples
+    run in one lockstep pass, one call of :func:`solver_approx_dirhkpr`
+    with their times, child seeds and weights; sample i's estimate is
+    exactly the one-sample call with (t_i, child seed i).  lambda1 itself
+    gives t' = :func:`restricted_threshold` under ``restricted_range``:
+    samples at t at or past t' contribute zero without simulating any
+    walk.  When b2 is zero, x_hat is zero and no walk runs.  Error is
+    within gamma * (||b1|| + ||x_S|| + ||x_rie||) + epsilon * ||b2||_1 with
+    probability at least 1 - gamma.  ``workers`` must be at least 1 and
+    does not change the output.
     """
     start = time.perf_counter()
     _check_workers(workers)
     subset = problem.subset
     op = operator if operator is not None else restricted_operator(problem.graph, subset)
     schedule = make_schedule(
-        op.s, gamma, epsilon=epsilon, seed=seed, rate=op.lambda1,
+        op.s, gamma, epsilon=epsilon, seed=seed, rate=op.lambda1 / 2,
         lambda1=op.lambda1 if restricted_range else None,
     )
     stage = time.perf_counter()
-    ts, weights, rng = _draw_times(schedule)
-    # Child seeds are drawn for every sample, skipped or not, so the
-    # simulated samples match between restricted and full runs.
-    child_seeds = rng.integers(0, 2**63, size=schedule.r_outer)
+    # Every sample has its child seed, skipped or not, so the simulated
+    # samples match between restricted and full runs.
+    ts, weights, child_seeds = _draw_times(schedule)
     keep = ts < schedule.t_prime if restricted_range else np.ones(ts.size, dtype=bool)
     totals = WalkStats()
     acc = np.zeros(subset.size)

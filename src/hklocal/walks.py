@@ -2,18 +2,20 @@
 
 Walks step to uniformly chosen neighbors in the full graph and are aborted
 the moment they step outside the subset; aborted walks contribute nothing.
-One lockstep engine runs every estimate, and every draw it makes is a hash.
-With mix the SplitMix64 finaliser, phi = 0x9E3779B97F4A7C15, arithmetic
-modulo 2**64 and u(x) = (mix(x) >> 11) * 2**-53, the walks of one sample
-and signed part share the group key g = mix(mix(seed) + phase * phi), and
-walk j has the key w = mix(g + j * phi).  The walk starts at the vertex that
-u(w + START) picks from the part's CDF; its step k moves to neighbor number
-floor(u(w + k * phi) * deg) in adjacency order; and its Poisson(t) length is
-the inverse CDF at u(w + LENGTH), tested lazily: a walk still in S after k
-steps finishes there once u(w + LENGTH) <= F_t(k) or k reaches the cap, so
-a walk that aborts never needs its length.  F_t(k) sums
-exp(i ln t - t - lgamma(i + 1)) over i <= k and is 1 from the first i > t
-whose term underflows to 0.
+One lockstep engine runs every estimate, and every draw of the library is
+a hash.  With mix the SplitMix64 finaliser, phi = 0x9E3779B97F4A7C15,
+arithmetic modulo 2**64 and u(x) = (mix(x) >> 11) * 2**-53, a seed (modulo
+2**64) and a phase give the group key g = mix(mix(seed) + phase * phi), and
+member j of the group the key w = mix(g + j * phi).  Sample i of a solve is
+member i of (seed, PHASE_SCHEDULE): its time uniform is u(w + START) and its
+child seed is w.  Walk j of a sample's signed part is member j of (child
+seed, part) and starts at the vertex that u(w + START) picks from the
+part's CDF; its step k moves to neighbor number floor(u(w + k * phi) * deg)
+in adjacency order; and its Poisson(t) length is the inverse CDF at
+u(w + LENGTH), tested lazily: a walk still in S after k steps finishes
+there once u(w + LENGTH) <= F_t(k) or k reaches the cap, so a walk that
+aborts never needs its length.  F_t(k) sums exp(i ln t - t - lgamma(i + 1))
+over i <= k and is 1 from the first i > t whose term underflows to 0.
 
 The walks of all samples advance together as numpy arrays, in chunks of
 whole (sample, part) rows, or pieces of one row, of about ``PASS_BUDGET``
@@ -40,7 +42,6 @@ from .graph import Graph, VertexSubset, _restrict
 
 __all__ = [
     "WalkStats",
-    "substream",
     "sample_count",
     "walk_cap",
     "approx_dirhkpr",
@@ -52,8 +53,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_SAMPLE_CONSTANT = 16.0
 
-# Stream phases: the positive and negative walk groups, and the solvers'
-# schedule substream.
+# Group phases: the positive and negative walk groups, and the solvers'
+# schedule draws.
 PHASE_POSITIVE = 0
 PHASE_NEGATIVE = 1
 PHASE_SCHEDULE = 2
@@ -71,12 +72,6 @@ PASS_BUDGET = 1 << 20
 UNIFORM_BUDGET = 1 << 12
 
 CapMode = Literal["eps", "two_t", "none"]
-
-
-def substream(master_seed: int, phase: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for the solvers' schedule draws."""
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, (phase << 56) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_count(epsilon: float, n: int, constant: float = DEFAULT_SAMPLE_CONSTANT) -> int:
@@ -140,6 +135,21 @@ def _uniform(z: np.ndarray) -> np.ndarray:
     return (_mix(z) >> _S11) * 2.0**-53
 
 
+def _keys(groups: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Keys mix(g + j * phi), a row per group key g and a column per member j;
+    the group keys of seeds are the keys of their phases in mix(seed)."""
+    return _mix(groups[:, None] + members * _PHI)
+
+
+def _schedule_draws(master_seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Time uniforms u(w_i + START) and child seeds w_i of a solve's r samples,
+    w_i the key of member i of the (master_seed, PHASE_SCHEDULE) group."""
+    seed = np.array([int(master_seed) % 2**64], dtype=np.uint64)
+    group = _keys(_mix(seed), np.array([PHASE_SCHEDULE], dtype=np.uint64)).ravel()
+    keys = _keys(group, np.arange(r, dtype=np.uint64)).ravel()
+    return _uniform(keys + _START), keys
+
+
 def _poisson_cdf(k0, lgamma, t, log_t, cap, carry):
     """F_t(k) of every row, k-major, for k = k0, k0 + 1, ... (one per entry of
     ``lgamma``, lgamma(k + 1)), summed on from each row's ``carry``; returns
@@ -171,7 +181,7 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode):
     nrows, per_sample = m * nparts, nparts * r
     # One group key per (sample, part) row, and each row's t, ln t and cap.
     phases = np.array([phase for phase, *_ in parts], dtype=np.uint64)
-    row_keys = _mix(_mix(seeds)[:, None] + phases * _PHI).ravel()
+    row_keys = _keys(_mix(seeds), phases).ravel()
     row_t = np.repeat(ts, nparts)
     row_log_t = np.log(row_t)
     caps = (walk_cap(float(t), epsilon, cap_mode) for t in ts)
@@ -189,7 +199,7 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode):
     for lo, hi, j0, j1 in chunks:
         a, b = lo * r + j0, (hi - 1) * r + j1  # the chunk's flat (sample, part, walk) range
         first, stop = a // per_sample, b // per_sample  # samples first..stop-1 end by b
-        key = _mix(row_keys[lo:hi, None] + np.arange(j0, j1, dtype=np.uint64) * _PHI)
+        key = _keys(row_keys[lo:hi], np.arange(j0, j1, dtype=np.uint64))
         cur = np.empty(key.shape, dtype=np.int64)
         for p, (_, cdf, support, _) in enumerate(parts):
             part = slice((p - lo) % nparts, None, nparts)  # the chunk's rows of part p

@@ -2,6 +2,7 @@
 problem generators, and the independent oracles used across the suite,
 among them a dict-of-sets graph that ``Graph.from_edges`` is checked
 against, the one-walk reference the lockstep walk engine is replayed
+against, a pure-Python SplitMix64 that every hashed draw is checked
 against, the paper's uniform time draw and the literal Riemann sum."""
 
 from __future__ import annotations
@@ -313,12 +314,47 @@ def dirichlet_walk(
     return cur
 
 
+MASK64 = (1 << 64) - 1
+PHI = 0x9E3779B97F4A7C15
+# Increments of a key's start (or schedule time) and length uniforms.
+START, LENGTH = 0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7
+PHASE_SCHEDULE = 2
+
+
+def splitmix64(z):
+    """SplitMix64 finaliser (Steele, Lea & Flood 2014) on a Python int."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def uniform(z):
+    """The engine's uniform on [0, 1): the top 53 bits of splitmix64(z)."""
+    return (splitmix64(z) >> 11) * 2.0**-53
+
+
+def walk_key(seed, phase, j):
+    """Key of member j of the (seed, phase) group: mix(g + j * phi) with the
+    group key g = mix(mix(seed) + phase * phi), the seed taken modulo 2**64."""
+    group = splitmix64(splitmix64(seed) + phase * PHI)
+    return splitmix64(group + j * PHI)
+
+
+def schedule_draws(seed, r):
+    """The solvers' time uniforms and child seeds: sample i has the key
+    w_i = walk_key(seed, PHASE_SCHEDULE, i), the uniform u(w_i + START) and
+    the child seed w_i."""
+    keys = [walk_key(seed, PHASE_SCHEDULE, i) for i in range(r)]
+    return np.array([uniform(w + START) for w in keys]), keys
+
+
 def draw_t(schedule: hk.SolverSchedule, rng: np.random.Generator) -> float:
     """The paper's time draw: t = j * gamma with j uniform on the integers
     [1, floor(N)].  The solvers use ``draw_weighted_t``, which reduces to it
     in law at rate 0."""
     j = int(rng.integers(1, schedule.floor_n + 1))
-    return j * schedule.step
+    return j * schedule.gamma
 
 
 def riemann_direct(problem: hk.BoundaryProblem, schedule: hk.SolverSchedule, op) -> np.ndarray:
@@ -326,8 +362,8 @@ def riemann_direct(problem: hk.BoundaryProblem, schedule: hk.SolverSchedule, op)
     against which the solvers' closed-form sum is checked."""
     acc = np.zeros(op.s, dtype=np.float64)
     for j in range(1, schedule.floor_n + 1):
-        acc += hk.exact_dirhkpr(op, j * schedule.step, problem.b2)
-    return acc * schedule.step * (1.0 / np.sqrt(op.degrees))
+        acc += hk.exact_dirhkpr(op, j * schedule.gamma, problem.b2)
+    return acc * schedule.gamma * (1.0 / np.sqrt(op.degrees))
 
 
 def is_eps_approx(estimate: np.ndarray, truth: np.ndarray, eps: float) -> bool:

@@ -454,7 +454,7 @@ def test_solve_local_applies_share_one_lanczos_run(tmp_path, capsys, monkeypatch
 
 def test_solve_greens_runs_one_lambda1_lanczos(tmp_path, capsys, monkeypatch):
     # At s = 225 the operator is Krylov: its lambda1 run sets the solver's
-    # rate and serves the error bounds, and it runs once.
+    # rate, lambda1 / 2, and serves the error bounds, and it runs once.
     calls = []
     lambda1_run = hk.dirichlet._lambda1_run
 
@@ -468,7 +468,7 @@ def test_solve_greens_runs_one_lambda1_lanczos(tmp_path, capsys, monkeypatch):
     rate = json.loads(capsys.readouterr().out)["schedule"]["rate"]
     assert calls == [225]
     assert run(["solve-exact", *_io_args(files)]) == 0
-    assert json.loads(capsys.readouterr().out)["lambda1"] == rate
+    assert json.loads(capsys.readouterr().out)["lambda1"] / 2 == rate
 
 
 def test_constant_override_changes_round_count(p4_files, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hklocal as hk
-from conftest import draw_t, grid_patch_problem, riemann_direct
+from conftest import draw_t, grid_patch_problem, riemann_direct, schedule_draws
 
 
 @pytest.fixture(scope="module")
@@ -58,26 +58,26 @@ class TestRestrictedThreshold:
 class TestDrawT:
     def test_grid_membership(self):
         sched = hk.make_schedule(2, 0.01)
-        rng = hk.substream(0, 2, 0)
+        rng = np.random.default_rng(0)
         for _ in range(200):
             t = draw_t(sched, rng)
-            j = t / sched.step
+            j = t / sched.gamma
             assert 1 <= round(j) <= sched.floor_n
-            assert t == pytest.approx(round(j) * sched.step, rel=1e-12)
+            assert t == pytest.approx(round(j) * sched.gamma, rel=1e-12)
             assert 0.0 < t <= sched.T + 1e-12
 
     def test_single_choice_grid(self):
         # gamma = 0.5, s = 1: floor(N) = floor(ln(2)/0.5) = 1, so t = gamma always
         sched = hk.make_schedule(1, 0.5)
         assert sched.floor_n == 1
-        rng = hk.substream(1, 2, 0)
+        rng = np.random.default_rng(1)
         assert draw_t(sched, rng) == pytest.approx(0.5, rel=1e-12)
 
     def test_empirical_mean(self):
         sched = hk.make_schedule(2, 0.05)
-        rng = hk.substream(5, 2, 0)
+        rng = np.random.default_rng(5)
         draws = np.array([draw_t(sched, rng) for _ in range(100_000)])
-        expected = (sched.floor_n + 1) / 2.0 * sched.step
+        expected = (sched.floor_n + 1) / 2.0 * sched.gamma
         assert abs(draws.mean() - expected) / expected < 0.01
 
 
@@ -199,23 +199,38 @@ class TestLocalLinearSolver:
 
 def per_sample_greens(problem, report, epsilon, keep=lambda t: True):
     """x_hat and WalkStats of a greens_solver report rebuilt from one-sample
-    solver_approx_dirhkpr calls: the schedule stream (seed, 2, 0) gives every
-    uniform U_i, stratified to (i + U_i) / r, then every child seed."""
+    solver_approx_dirhkpr calls: the reference hash of the schedule gives
+    every uniform U_i, stratified to (i + U_i) / r, and every child seed."""
     sched = report.schedule
-    rng = hk.substream(sched.master_seed, 2, 0)
     r = sched.r_outer
-    ts, weights = hk.draw_weighted_t(sched, (np.arange(r) + rng.random(r)) / r)
-    seeds = rng.integers(0, 2**63, size=sched.r_outer)
+    u, seeds = schedule_draws(sched.master_seed, r)
+    ts, weights = hk.draw_weighted_t(sched, (np.arange(r) + u) / r)
     assert np.array_equal(ts, report.sampled_ts)
     stats = hk.WalkStats()
     acc = np.zeros(problem.subset.size)
     for t, w, seed in zip(ts, weights, seeds):
         if keep(t):
             acc += w * hk.solver_approx_dirhkpr(
-                problem.graph, t, problem.b2, problem.subset, epsilon, int(seed), stats=stats
+                problem.graph, t, problem.b2, problem.subset, epsilon, seed, stats=stats
             )
     x_hat = acc / sched.r_outer * (1.0 / np.sqrt(problem.degrees_s.astype(np.float64)))
     return x_hat, stats
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+def test_schedule_layout(p4_problem, p4_op, seed):
+    # Sample i's time uniform and child seed are hashed from member i of the
+    # (seed, PHASE_SCHEDULE) group, the seed taken modulo 2**64 as the walks
+    # take it: -1 is 2**64 - 1, and 2**64 + 5 is 5.
+    exact = hk.local_linear_solver(p4_problem, 0.25, seed=seed, operator=p4_op)
+    r = exact.schedule.r_outer
+    u, _ = schedule_draws(seed % 2**64, r)
+    ts, _ = hk.draw_weighted_t(exact.schedule, (np.arange(r) + u) / r)
+    assert np.array_equal(exact.sampled_ts, ts)
+    greens = hk.greens_solver(p4_problem, 0.25, 0.4, seed=seed, operator=p4_op)
+    assert np.array_equal(greens.x_hat, per_sample_greens(p4_problem, greens, 0.4)[0])
+    reduced = hk.greens_solver(p4_problem, 0.25, 0.4, seed=seed % 2**64, operator=p4_op)
+    assert np.array_equal(greens.x_hat, reduced.x_hat)
 
 
 class TestGreensSolver:
@@ -302,11 +317,38 @@ class TestGreensSolver:
         kwargs = {"seed": 4, "restricted_range": restricted_range}
         given = hk.greens_solver(dolphins_problem, 0.4, 0.5, operator=op, **kwargs)
         built = hk.greens_solver(dolphins_problem, 0.4, 0.5, **kwargs)
-        assert given.schedule == built.schedule and given.schedule.rate == op.lambda1
+        assert given.schedule == built.schedule and given.schedule.rate == op.lambda1 / 2
         for name in ("x_hat", "sampled_ts"):
             assert np.array_equal(getattr(given, name), getattr(built, name)), name
         assert (given.walk_steps_total, given.samples_skipped) == (
             built.walk_steps_total, built.samples_skipped)
+
+    def test_walk_second_moment_bounded_in_T(self, dolphins_problem):
+        # The r walks of part f_p each deposit ||f_p||_1 / r where they
+        # survive, so a walk sample's second moment about its mean is at most
+        # V(t) = sum_p ||f_p||_1 * sum(rho_t(f_p)) / r, which decays like
+        # e^{-lambda1 t}.  Drawn at the solver's rate, the weighted sample's
+        # moment is sum_j P(j) w_j^2 V(j gamma); it must not grow when the
+        # grid doubles, or the variance grows with T (at rate lambda1 it
+        # doubles).  Grids of n and 2n points, with lambda1 gamma n = 250,
+        # keep every weight and V finite.
+        op = hk.restricted_operator(dolphins_problem.graph, dolphins_problem.subset)
+        assert isinstance(op, hk.DirichletOperator)
+        sched = hk.greens_solver(dolphins_problem, 0.4, 0.5, seed=0, operator=op).schedule
+        r = hk.sample_count(0.5, dolphins_problem.graph.n)
+        n = math.ceil(250.0 / (op.lambda1 * sched.gamma))
+        b2 = dolphins_problem.b2
+        times = np.arange(1, 2 * n + 1) * sched.gamma
+        v = sum(part.sum() * hk.exact_dirhkpr(op, times, part).sum(axis=1) / r
+                for part in (np.where(b2 > 0.0, b2, 0.0), np.where(b2 < 0.0, -b2, 0.0)))
+
+        def moment(m):
+            # P(j) w_j^2 = gamma^2 / P(j), P the truncated geometric law on 1..m.
+            a = sched.rate * sched.gamma
+            prob = np.exp(-a * np.arange(m)) * math.expm1(-a) / math.expm1(-a * m)
+            return float(np.sum(sched.gamma**2 / prob * v[:m]))
+
+        assert moment(2 * n) == pytest.approx(moment(n), rel=1e-9)
 
     def test_scaling_linearity_bitwise(self, p4_problem):
         doubled = hk.make_boundary_problem(
@@ -317,16 +359,24 @@ class TestGreensSolver:
         assert np.array_equal(2.0 * a.x_hat, b.x_hat)
 
     def test_shares_time_draws_with_exact_backend(self, p4_problem, p4_op):
+        # Both solvers map the same uniforms of a seed, each at its own rate:
+        # lambda1 for exact samples and lambda1 / 2 for walk samples.
         exact = hk.local_linear_solver(p4_problem, 0.25, seed=13, operator=p4_op)
         walks = hk.greens_solver(p4_problem, 0.25, 0.25, seed=13)
-        assert np.array_equal(exact.sampled_ts, walks.sampled_ts)
+        assert (exact.schedule.rate, walks.schedule.rate) == (p4_op.lambda1, p4_op.lambda1 / 2)
+        r = exact.schedule.r_outer
+        u, _ = schedule_draws(13, r)
+        for rep in (exact, walks):
+            ts, _ = hk.draw_weighted_t(rep.schedule, (np.arange(r) + u) / r)
+            assert np.array_equal(rep.sampled_ts, ts)
+        assert not np.array_equal(exact.sampled_ts, walks.sampled_ts)
 
     def test_per_sample_convergence_to_exact_backend(self, p4_problem, p4_op):
         # with the cap removed and many rounds, the walk estimate of one
         # sampled time approaches the exact backend's sample entrywise
         sched = hk.make_schedule(2, 0.25, epsilon=0.25, seed=13)
-        for i in range(3):
-            rng = hk.substream(sched.master_seed, 2, i)
+        rng = np.random.default_rng(sched.master_seed)
+        for _ in range(3):
             t = draw_t(sched, rng)
             truth = hk.exact_dirhkpr(p4_op, t, p4_problem.b2)
             acc = np.zeros(2)

@@ -11,7 +11,9 @@ import pytest
 
 import hklocal as hk
 import hklocal.walks as walks
-from conftest import dirichlet_walk, is_eps_approx
+from conftest import (
+    LENGTH, MASK64, PHI, START, dirichlet_walk, is_eps_approx, splitmix64, uniform, walk_key,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,21 +82,21 @@ class TestSignedSplit:
 
 class TestDirichletWalk:
     def test_zero_steps_returns_start(self, p4_graph, p4_subset):
-        rng = hk.substream(0, 0, 0)
+        rng = np.random.default_rng(0)
         assert dirichlet_walk(p4_graph, p4_subset, 1, 0, rng) == 1
 
     def test_start_outside_subset_rejected(self, p4_graph, p4_subset):
         with pytest.raises(ValueError, match="not in the subset"):
-            dirichlet_walk(p4_graph, p4_subset, 0, 1, hk.substream(0, 0, 0))
+            dirichlet_walk(p4_graph, p4_subset, 0, 1, np.random.default_rng(0))
 
     def test_singleton_always_aborts(self, p3_graph, p3_subset):
-        rng = hk.substream(4, 0, 0)
+        rng = np.random.default_rng(4)
         for k in (1, 2, 5):
             assert dirichlet_walk(p3_graph, p3_subset, 1, k, rng) is None
 
     def test_single_step_distribution(self, p4_graph, p4_subset):
         # from vertex 1: half the steps go to 2 (stay), half to 0 (abort)
-        rng = hk.substream(7, 0, 0)
+        rng = np.random.default_rng(7)
         trials = 100_000
         stayed = sum(
             dirichlet_walk(p4_graph, p4_subset, 1, 1, rng) is not None
@@ -104,7 +106,7 @@ class TestDirichletWalk:
 
     def test_stats_counting(self, p4_graph, p4_subset):
         stats = hk.WalkStats()
-        rng = hk.substream(3, 0, 0)
+        rng = np.random.default_rng(3)
         for _ in range(100):
             dirichlet_walk(p4_graph, p4_subset, 1, 3, rng, stats)
         assert stats.walks_started == 100
@@ -240,31 +242,6 @@ class TestSolverApproxDirhkpr:
         assert stats.walks_started == r
 
 
-def test_substream_independence():
-    # identical keys reproduce; distinct phase or index gives distinct streams
-    a = hk.substream(12, 0, 5).random(4)
-    b = hk.substream(12, 0, 5).random(4)
-    c = hk.substream(12, 1, 5).random(4)
-    d = hk.substream(12, 0, 6).random(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
-
-
-MASK64 = (1 << 64) - 1
-PHI = 0x9E3779B97F4A7C15
-# Increments of a walk's start and length uniforms over its key.
-START, LENGTH = 0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7
-
-
-def splitmix64(z):
-    """SplitMix64 finaliser (Steele, Lea & Flood 2014) on a Python int."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
 def unmix(z):
     """Inverse of :func:`splitmix64`: undo each xor-shift and multiply."""
     z &= MASK64
@@ -291,18 +268,6 @@ def test_start_and_length_increments_apart_from_steps():
     for c in (START, LENGTH, START - LENGTH, LENGTH - START):
         k = (c * inverse_phi) & MASK64
         assert 2**40 <= k <= MASK64 - 2**40
-
-
-def uniform(z):
-    """The engine's uniform on [0, 1): the top 53 bits of splitmix64(z)."""
-    return (splitmix64(z) >> 11) * 2.0**-53
-
-
-def walk_key(seed, phase, j):
-    """Key of walk j of the (seed, phase) group: mix(g + j * phi) with the
-    group key g = mix(mix(seed) + phase * phi)."""
-    group = splitmix64(splitmix64(seed) + phase * PHI)
-    return splitmix64(group + j * PHI)
 
 
 def seed_with_length_uniform(u, phase=walks.PHASE_POSITIVE, j=0):
