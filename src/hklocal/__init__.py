@@ -12,10 +12,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     VertexSubset,
-    compute_b1,
     compute_b2,
-    edge_boundary,
-    is_connected_induced,
     load_boundary,
     load_graph,
     load_graph_file,

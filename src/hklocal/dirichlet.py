@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (
-    BoundaryProblem,
-    Graph,
-    VertexSubset,
-    _is_connected,
-    _restrict,
-    _Slice,
-)
+from .graph import BoundaryProblem, Graph, VertexSubset, _condition_iii, _restrict
 
 log = logging.getLogger(__name__)
 
@@ -140,7 +133,7 @@ class KrylovOperator:
     """The restricted Laplacian L_S of a subset S, kept as its sparse coupling.
 
     ``rows``, ``cols`` and ``weights`` are the off-diagonal entries of
-    :func:`_coupling`, so L_S x = x - bincount(rows, weights * x[cols]).
+    :func:`_checked_coupling`, so L_S x = x - bincount(rows, weights * x[cols]).
     ``laplacian`` is L_S itself, dense and read-only, when at least
     1 / _DENSE_SHARE of it is nonzero, and every
     product is then one ``laplacian @ x``; otherwise it is None.
@@ -169,8 +162,7 @@ class KrylovOperator:
     @classmethod
     def from_subset(cls, graph: Graph, subset: VertexSubset) -> KrylovOperator:
         """The coupling of S and its lambda1 run, checking the Ritz values."""
-        degrees = _degrees(graph, subset)
-        coupling = _checked_coupling(graph, subset)
+        *coupling, degrees = _checked_coupling(graph, subset)
         laplacian, ritz_values = _lambda1_run(*coupling, degrees)
         _check_spectrum(ritz_values, subset.size)
         return cls(degrees, *coupling, ritz_values, laplacian)
@@ -365,31 +357,21 @@ def _check_spectrum(eigenvalues: np.ndarray, s: int) -> None:
         raise SpectrumError(f"bottom eigenvalue {lam1!r} below the size floor {floor!r}")
 
 
-def _coupling(graph: Graph, subset: VertexSubset, sl: _Slice) -> tuple[np.ndarray, ...]:
-    """The off-diagonal couplings of the restricted adjacency of S.
+def _checked_coupling(graph: Graph, subset: VertexSubset) -> tuple[np.ndarray, ...]:
+    """The off-diagonal couplings of the restricted adjacency of S and the
+    member degrees, once S meets condition (iii) (else L_S may be singular).
 
-    Returns ``(i, j, w)`` with w = 1 / sqrt(d_i d_j) for every ordered pair
-    of adjacent members (i, j), in local indices.
+    Returns ``(i, j, w, degrees)`` with w = 1 / sqrt(d_i d_j) for every
+    ordered pair of adjacent members (i, j), in local indices.
     """
+    sl = _restrict(graph, subset)
+    violation = _condition_iii(subset.size, sl)
+    if violation:
+        raise ValueError(violation)
     degrees = _degrees(graph, subset)
-    if np.any(degrees == 0):
-        raise ValueError("subset contains isolated vertices")
     inside = sl.cols >= 0
     i, j = sl.rows[inside], sl.cols[inside]
-    return i, j, 1.0 / np.sqrt(degrees[i] * degrees[j])
-
-
-def _checked_coupling(graph: Graph, subset: VertexSubset) -> tuple[np.ndarray, ...]:
-    """:func:`_coupling` of S, once S is known to be nonempty and connected
-    with a nonempty vertex boundary (otherwise L_S may be singular)."""
-    if subset.size == 0:
-        raise ValueError("empty subset")
-    sl = _restrict(graph, subset)
-    if not _is_connected(subset.size, sl):
-        raise ValueError("induced subgraph on S is not connected")
-    if not np.any(sl.cols < 0):
-        raise ValueError("vertex boundary of S is empty")
-    return _coupling(graph, subset, sl)
+    return i, j, 1.0 / np.sqrt(degrees[i] * degrees[j]), degrees
 
 
 def _laplacian(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, s: int) -> np.ndarray:
@@ -538,20 +520,19 @@ def restricted_laplacian(graph: Graph, subset: VertexSubset) -> np.ndarray:
 
     Rows and columns of S, degrees from the full graph.  Requires the
     induced subgraph on S to be connected with a nonempty vertex boundary
-    (otherwise the restriction may be singular) and every member to have
-    positive degree.  Guarded by DENSE_SIZE_LIMIT.
+    (otherwise the restriction may be singular).  Guarded by DENSE_SIZE_LIMIT.
     """
     s = subset.size
     if s > DENSE_SIZE_LIMIT:
         raise CapacityError(f"subset size {s} exceeds dense limit {DENSE_SIZE_LIMIT}")
-    return _laplacian(*_checked_coupling(graph, subset), s)
+    return _laplacian(*_checked_coupling(graph, subset)[:3], s)
 
 
 def restricted_operator(graph: Graph, subset: VertexSubset) -> Operator:
     """The operator of L_S for S: dense below KRYLOV_MIN_SIZE, Krylov from it on.
 
-    Either one checks that S is connected with a nonempty vertex boundary
-    and positive degrees, and checks the spectrum's structural bounds, on
+    Either one checks that S is connected with a nonempty vertex boundary,
+    and checks the spectrum's structural bounds, on
     the eigenvalues or on the Ritz values of the lambda1 run.
     """
     start = time.perf_counter()

@@ -28,11 +28,8 @@ __all__ = [
     "load_subset",
     "load_boundary",
     "vertex_boundary",
-    "edge_boundary",
-    "is_connected_induced",
     "validate_b_boundable",
     "make_boundary_problem",
-    "compute_b1",
     "compute_b2",
 ]
 
@@ -138,10 +135,10 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 _TABLE_IDS = 4  # ids are dense when the largest is below _TABLE_IDS * (ids given) + 64
 
 
-def _compact_by_table(us, vs, extra, top):
+def _compact_by_table(us, vs, top):
     """The distinct ids and the compact ids of us and vs, by a table of 0..top."""
     seen = np.zeros(top + 1, dtype=bool)
-    seen[us] = seen[vs] = seen[extra] = True
+    seen[us] = seen[vs] = True
     rank = np.cumsum(seen, dtype=np.int64) - 1
     return np.flatnonzero(seen), rank[us], rank[vs]
 
@@ -172,23 +169,18 @@ class Graph:
     original_ids: np.ndarray
 
     @classmethod
-    def from_edges(
-        cls,
-        pairs: Iterable[tuple[int, int]],
-        vertex_ids: Iterable[int] | None = None,
-    ) -> "Graph":
+    def from_edges(cls, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from (u, v) pairs given in original ids.
 
+        The vertices are the ids the pairs name, so every vertex has an edge.
         Self-loops are rejected; duplicate pairs (in either orientation)
-        collapse to a single edge.  ``vertex_ids`` may list extra isolated
-        vertices to keep in storage.  An (m, 2) array of pairs is used as is.
+        collapse to a single edge.  An (m, 2) array of pairs is used as is.
         Dense ids are compacted through a table, others by a sort, to the same graph.
         """
         try:
             if not isinstance(pairs, np.ndarray):
                 pairs = list(pairs)
             pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            extra = np.array(list(() if vertex_ids is None else vertex_ids), dtype=np.int64)
         except OverflowError:
             raise GraphFormatError("vertex id does not fit in 64 bits") from None
         us, vs = pairs[:, 0], pairs[:, 1]
@@ -200,12 +192,12 @@ class Graph:
             raise GraphFormatError(f"self-loop at vertex {u}")
         # Compaction preserves order, so the key lo * n + hi of a canonical
         # row sorts edges lexicographically.
-        top = max(pairs.max(initial=-1), extra.max(initial=-1))
-        if extra.min(initial=0) >= 0 and top < _TABLE_IDS * (pairs.size + extra.size) + 64:
-            original, cu, cv = _compact_by_table(us, vs, extra, top)
+        top = pairs.max(initial=-1)
+        if top < _TABLE_IDS * pairs.size + 64:
+            original, cu, cv = _compact_by_table(us, vs, top)
         else:
             # One argsort gives the distinct ids and each id's rank among them.
-            ids = np.concatenate([pairs.ravel(), extra])
+            ids = pairs.flatten()
             order = np.argsort(ids)
             ordered = ids[order]
             first = np.ones(len(ids), dtype=bool)
@@ -213,7 +205,7 @@ class Graph:
             original = ordered[first]
             first[:1] = False  # ranks count first occurrences past the smallest id
             ids[order] = np.cumsum(first, out=ordered)  # over arrays no longer read
-            cu, cv = ids[:pairs.size:2], ids[1:pairs.size:2]
+            cu, cv = ids[0::2], ids[1::2]
         n = len(original)
         keys = _sorted_unique(np.minimum(cu, cv) * n + np.maximum(cu, cv))
         lo, hi = np.divmod(keys, n)
@@ -334,12 +326,6 @@ class VertexSubset:
     def size(self) -> int:
         return len(self.members)
 
-    def local_index(self, v: int) -> int:
-        i = int(self.local_of[v])
-        if i < 0:
-            raise KeyError(v)
-        return i
-
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool(self.local_of[v] >= 0)
 
@@ -418,7 +404,7 @@ class _Slice(NamedTuple):
 def _restrict(graph: Graph, subset: VertexSubset) -> _Slice:
     """Slice the adjacency of S once, vectorised.
 
-    Every restriction to S (vertex and edge boundaries, connectivity, b1,
+    Every restriction to S (the vertex boundary, condition (iii), b1,
     the restricted Laplacian) is built from this one slice; callers that
     need several of them slice once and pass the result on.
     """
@@ -434,9 +420,9 @@ def _vertex_boundary(sl: _Slice) -> np.ndarray:
     return _sorted_unique(sl.nbrs[sl.cols < 0])
 
 
-def _is_connected(size: int, sl: _Slice) -> bool:
-    if size == 0:
-        return False
+def _condition_iii(size: int, sl: _Slice) -> str | None:
+    """The violation of condition (iii) by the S of ``sl``, or None when S is
+    nonempty and connected with a nonempty vertex boundary."""
     inside = sl.cols >= 0
     rows, cols = sl.rows[inside], sl.cols[inside]
     # Each member takes the smallest label among itself and its neighbors,
@@ -448,8 +434,13 @@ def _is_connected(size: int, sl: _Slice) -> bool:
         np.minimum.at(nxt, rows, label[cols])
         nxt = nxt[nxt]
         if np.array_equal(nxt, label):
-            return not label.any()
+            break
         label = nxt
+    if size == 0 or label.any():
+        return "condition (iii) violated: induced subgraph on S is not connected"
+    if inside.all():
+        return "condition (iii) violated: vertex boundary of S is empty"
+    return None
 
 
 def vertex_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
@@ -457,22 +448,8 @@ def vertex_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
     return _vertex_boundary(_restrict(graph, subset))
 
 
-def edge_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
-    """Edges with exactly one endpoint in S, as canonical (u, v) rows, u < v."""
-    sl = _restrict(graph, subset)
-    out = sl.cols < 0
-    inner, outer = subset.members[sl.rows[out]], sl.nbrs[out]
-    pairs = np.stack([np.minimum(inner, outer), np.maximum(inner, outer)], axis=1)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-
-
-def is_connected_induced(graph: Graph, subset: VertexSubset) -> bool:
-    """True iff the subgraph induced on S is connected (singletons count)."""
-    return _is_connected(subset.size, _restrict(graph, subset))
-
-
 def _violations(
-    graph: Graph, b: Mapping[int, float], subset: VertexSubset, sl: _Slice, delta: np.ndarray
+    b: Mapping[int, float], subset: VertexSubset, sl: _Slice, delta: np.ndarray
 ) -> list[str]:
     violations: list[str] = []
     support = {int(v) for v, value in b.items() if value != 0.0}
@@ -485,13 +462,9 @@ def _violations(
     delta_set = set(int(v) for v in delta)
     if not (support & delta_set):
         violations.append("condition (ii) violated: vertex boundary of S is disjoint from supp(b)")
-    if not _is_connected(subset.size, sl):
-        violations.append("condition (iii) violated: induced subgraph on S is not connected")
-    elif len(delta) == 0:
-        violations.append("condition (iii) violated: vertex boundary of S is empty")
-    isolated = sorted(int(v) for v in subset.members if graph.degrees[v] == 0)
-    if isolated:
-        violations.append(f"isolated vertices in S (degree 0): {isolated}")
+    structure = _condition_iii(subset.size, sl)
+    if structure:
+        violations.append(structure)
     return violations
 
 
@@ -505,10 +478,16 @@ def validate_b_boundable(
     subgraph on S is connected with a nonempty vertex boundary.
     """
     sl = _restrict(graph, subset)
-    return _violations(graph, b, subset, sl, _vertex_boundary(sl))
+    return _violations(b, subset, sl, _vertex_boundary(sl))
 
 
 def _b1(graph: Graph, b: Mapping[int, float], subset: VertexSubset, sl: _Slice) -> np.ndarray:
+    """Fold the boundary values into S: b1(v) = sum over boundary neighbors
+    u of b(u) / sqrt(d_v * d_u), with degrees taken in the full graph.
+
+    Only entries of b on the vertex boundary of S contribute; each member's
+    terms are added in ascending order of u.
+    """
     out = sl.cols < 0
     rows, nbrs = sl.rows[out], sl.nbrs[out]
     keys = np.fromiter(b.keys(), np.int64, len(b))
@@ -518,16 +497,6 @@ def _b1(graph: Graph, b: Mapping[int, float], subset: VertexSubset, sl: _Slice) 
     degree_products = graph.degrees[subset.members[rows]] * graph.degrees[nbrs]
     terms = values[nbrs] / np.sqrt(degree_products)
     return np.bincount(rows, weights=terms, minlength=subset.size)
-
-
-def compute_b1(graph: Graph, b: Mapping[int, float], subset: VertexSubset) -> np.ndarray:
-    """Fold the boundary values into S: b1(v) = sum over boundary neighbors
-    u of b(u) / sqrt(d_v * d_u), with degrees taken in the full graph.
-
-    Only entries of b on the vertex boundary of S contribute; each member's
-    terms are added in ascending order of u.
-    """
-    return _b1(graph, b, subset, _restrict(graph, subset))
 
 
 def compute_b2(b1: np.ndarray, graph: Graph, subset: VertexSubset) -> np.ndarray:
@@ -569,7 +538,7 @@ def make_boundary_problem(
     start = time.perf_counter()
     sl = _restrict(graph, subset)
     delta = _vertex_boundary(sl)
-    violations = _violations(graph, b, subset, sl, delta)
+    violations = _violations(b, subset, sl, delta)
     if violations:
         raise BoundaryConditionError(violations)
     log.info("validated the boundary problem: s = %d, |delta S| = %d in %.4f s",

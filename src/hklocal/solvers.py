@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -377,22 +377,10 @@ def report_to_json(report: SolveReport, problem: BoundaryProblem) -> dict:
         str(graph.original_id(int(v))): float(report.x_hat[i])
         for i, v in enumerate(subset.members)
     }
-    sched = report.schedule
     doc = {
         "format_version": 1,
         "method": report.method,
-        "schedule": {
-            "gamma": sched.gamma,
-            "epsilon": sched.epsilon,
-            "s": sched.s,
-            "T": sched.T,
-            "N": sched.N,
-            "floor_n": sched.floor_n,
-            "r_outer": sched.r_outer,
-            "t_prime": sched.t_prime,
-            "master_seed": sched.master_seed,
-            "rate": sched.rate,
-        },
+        "schedule": asdict(report.schedule),
         "x_hat": x_hat,
         "error_bound_terms": report.error_bound_terms,
         "instrumentation": {

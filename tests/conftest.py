@@ -22,6 +22,15 @@ from hklocal.fixtures import (
 P3_EDGES = "0 1\n1 2\n"
 P4_EDGES = "0 1\n1 2\n2 3\n"
 
+NOT_CONNECTED = "condition (iii) violated: induced subgraph on S is not connected"
+EMPTY_BOUNDARY = "condition (iii) violated: vertex boundary of S is empty"
+
+
+def condition_iii(graph: hk.Graph, subset: hk.VertexSubset) -> list[str]:
+    """The condition (iii) messages of ``validate_b_boundable`` for S, under
+    a b that is 1 at compact id 0 (any nonzero b reaches the check)."""
+    return [m for m in hk.validate_b_boundable(graph, {0: 1.0}, subset) if "(iii)" in m]
+
 
 @pytest.fixture(scope="session")
 def p3_graph() -> hk.Graph:
@@ -201,9 +210,9 @@ def harmonic_solve(problem: hk.BoundaryProblem) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
-def reference_graph(pairs, vertex_ids=()) -> dict:
-    """Literal-loop graph of (u, v) pairs and extra isolated ids: a dict of
-    neighbour sets, read out as the fields of :class:`hklocal.Graph` in lists.
+def reference_graph(pairs) -> dict:
+    """Literal-loop graph of (u, v) pairs: a dict of neighbour sets, read
+    out as the fields of :class:`hklocal.Graph` in lists.
 
     Compact ids are positions among the sorted distinct original ids; rows
     list neighbours in ascending order and ``edges`` each edge once, u < v,
@@ -213,8 +222,6 @@ def reference_graph(pairs, vertex_ids=()) -> dict:
     for u, v in pairs:
         nbrs.setdefault(int(u), set()).add(int(v))
         nbrs.setdefault(int(v), set()).add(int(u))
-    for v in vertex_ids:
-        nbrs.setdefault(int(v), set())
     original = sorted(nbrs)
     compact = {v: i for i, v in enumerate(original)}
     rows = [sorted(compact[u] for u in nbrs[v]) for v in original]

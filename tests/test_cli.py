@@ -92,6 +92,8 @@ class TestSolveCommands:
         assert run(["solve-local", *_io_args(p4_files), "--gamma", "0.2", "--seed", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["format_version"] == 1
+        assert list(doc["schedule"]) == ["gamma", "epsilon", "s", "T", "N", "floor_n", "r_outer",
+                                         "t_prime", "master_seed", "rate"]
         assert doc["schedule"]["r_outer"] == math.ceil(math.log(2 / 0.2) / 0.04)
         assert set(doc["x_hat"]) == {"1", "2"}
         assert "within_local_bound" in doc["error_bounds"]

@@ -14,6 +14,8 @@ import scipy.linalg
 import hklocal as hk
 from hklocal.dirichlet import _EPS as EPS
 from conftest import (
+    EMPTY_BOUNDARY,
+    NOT_CONNECTED,
     clique_hub_problem,
     dense_cluster_problem,
     grid_patch_problem,
@@ -87,6 +89,19 @@ class TestRestrictedOperator:
         sub = hk.VertexSubset.from_iterable(range(4), p4_graph.n)
         with pytest.raises(ValueError, match="boundary"):
             hk.restricted_operator(p4_graph, sub)
+
+    @pytest.mark.parametrize("members, message", [
+        ([0, 3], NOT_CONNECTED), (range(4), EMPTY_BOUNDARY), ([], NOT_CONNECTED)],
+        ids=["disconnected", "no-boundary", "empty"])
+    def test_condition_iii_message_is_shared(self, p4_graph, members, message):
+        # The operators reject S with the message that validation lists.
+        sub = hk.VertexSubset.from_iterable(members, p4_graph.n)
+        msgs = hk.validate_b_boundable(p4_graph, {1: 1.0}, sub)
+        assert [m for m in msgs if "(iii)" in m] == [message]
+        for build in (hk.restricted_operator, hk.restricted_laplacian):
+            with pytest.raises(ValueError) as err:
+                build(p4_graph, sub)
+            assert str(err.value) == message
 
     def test_capacity_guard(self, p4_graph, monkeypatch):
         monkeypatch.setattr(hk.dirichlet, "DENSE_SIZE_LIMIT", 1)

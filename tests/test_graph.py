@@ -7,7 +7,14 @@ import pytest
 
 import hklocal as hk
 from hklocal import graph as graph_module
-from conftest import grid_patch, random_connected_graph, random_problem
+from conftest import (
+    EMPTY_BOUNDARY,
+    NOT_CONNECTED,
+    condition_iii,
+    grid_patch,
+    random_connected_graph,
+    random_problem,
+)
 
 
 class TestLoadGraph:
@@ -50,8 +57,9 @@ class TestLoadGraph:
     def test_dolphins_fixture(self, dolphins_graph):
         assert dolphins_graph.n == 62
         assert dolphins_graph.edge_count == 159
+        # The whole graph is connected: condition (iii) fails only on its boundary.
         full = hk.VertexSubset.from_iterable(range(62), 62)
-        assert hk.is_connected_induced(dolphins_graph, full)
+        assert condition_iii(dolphins_graph, full) == [EMPTY_BOUNDARY]
 
     def test_storage_is_immutable(self, p4_graph):
         with pytest.raises(ValueError):
@@ -142,7 +150,8 @@ class TestVertexSubset:
         sub = hk.VertexSubset.from_iterable([5, 2, 9], 12)
         assert list(sub.members) == [2, 5, 9]
         for i in range(sub.size):
-            assert sub.local_index(int(sub.members[i])) == i
+            assert sub.local_of[sub.members[i]] == i
+        assert (np.delete(sub.local_of, sub.members) == -1).all()
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -180,24 +189,10 @@ class TestBoundaries:
         sub = hk.VertexSubset.from_iterable([1], p3_graph.n)
         assert list(hk.vertex_boundary(p3_graph, sub)) == [0, 2]
 
-    def test_edge_boundary_p4(self, p4_graph):
-        sub = hk.VertexSubset.from_iterable([1, 2], p4_graph.n)
-        assert hk.edge_boundary(p4_graph, sub).tolist() == [[0, 1], [2, 3]]
-
-    def test_edge_boundary_empty_subset(self, p4_graph):
-        sub = hk.VertexSubset.from_iterable([], p4_graph.n)
-        assert len(hk.edge_boundary(p4_graph, sub)) == 0
-
-    def test_edge_boundary_star_center(self):
-        g = hk.load_graph("0 1\n0 2\n0 3")
-        sub = hk.VertexSubset.from_iterable([0], g.n)
-        assert len(hk.edge_boundary(g, sub)) == 3
-
     def test_connectivity(self, p4_graph):
-        assert hk.is_connected_induced(p4_graph, hk.VertexSubset.from_iterable([1, 2], 4))
-        assert not hk.is_connected_induced(p4_graph, hk.VertexSubset.from_iterable([0, 3], 4))
-        assert hk.is_connected_induced(p4_graph, hk.VertexSubset.from_iterable([2], 4))
-        assert not hk.is_connected_induced(p4_graph, hk.VertexSubset.from_iterable([], 4))
+        for members, connected in [([1, 2], True), ([0, 3], False), ([2], True), ([], False)]:
+            sub = hk.VertexSubset.from_iterable(members, 4)
+            assert (NOT_CONNECTED not in condition_iii(p4_graph, sub)) == connected
 
     def test_boundary_properties_random(self):
         rng = np.random.default_rng(21)
@@ -208,10 +203,9 @@ class TestBoundaries:
                 rng.choice(g.n, size=size, replace=False), g.n
             )
             delta = hk.vertex_boundary(g, sub)
-            partial = hk.edge_boundary(g, sub)
-            # every boundary vertex contributes at least one crossing edge
-            assert len(partial) >= len(delta)
+            # every boundary vertex lies outside S and has a neighbor in it
             assert not any(v in sub for v in delta)
+            assert all(any(u in sub for u in g.neighbors(v)) for v in delta)
 
 
 class TestValidation:
@@ -239,12 +233,6 @@ class TestValidation:
         msgs = hk.validate_b_boundable(p4_graph, {0: 0.0}, sub)
         assert msgs and "trivial" in msgs[0]
 
-    def test_isolated_vertex_in_s_rejected(self):
-        g = hk.Graph.from_edges([(0, 1)], vertex_ids=[0, 1, 2])
-        sub = hk.VertexSubset.from_iterable([2], g.n)
-        msgs = hk.validate_b_boundable(g, {0: 1.0}, sub)
-        assert any("isolated" in m for m in msgs)
-
     def test_make_boundary_problem_raises_with_violations(self, p4_graph):
         sub = hk.VertexSubset.from_iterable([1, 2], p4_graph.n)
         with pytest.raises(hk.BoundaryConditionError) as err:
@@ -262,7 +250,7 @@ class TestBoundaryVectors:
     def test_b1_zero_when_b_misses_neighbors(self, p4_graph):
         # b supported on the boundary but with zero value contributes nothing
         sub = hk.VertexSubset.from_iterable([1, 2], p4_graph.n)
-        b1 = hk.compute_b1(p4_graph, {0: 0.0, 3: 1e-300}, sub)
+        b1 = hk.make_boundary_problem(p4_graph, {0: 0.0, 3: 1e-300}, sub).b1
         assert b1[0] == 0.0
 
     def test_b2_scaling(self, p4_problem, p3_problem):
@@ -278,7 +266,7 @@ class TestBoundaryVectors:
         for _ in range(20):
             g = random_connected_graph(rng, 14)
             prob = random_problem(rng, g, max_size=8)
-            baseline = hk.compute_b1(g, prob.b, prob.subset)
+            baseline = prob.b1
             noisy = dict(prob.b)
             delta_set = {int(v) for v in prob.delta_s}
             outside = [
@@ -287,7 +275,7 @@ class TestBoundaryVectors:
             ]
             for v in outside[:3]:
                 noisy[v] = float(rng.uniform(-5, 5))
-            perturbed = hk.compute_b1(g, noisy, prob.subset)
+            perturbed = hk.make_boundary_problem(g, noisy, prob.subset).b1
             assert np.array_equal(baseline, perturbed)
 
     def test_runtime_support_outside_boundary_ignored(self):

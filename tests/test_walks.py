@@ -384,7 +384,7 @@ def replay_estimate(graph, subset, t, f, epsilon, seed, cap, stats):
             steps = StepUniforms(uniform(w + i * PHI) for i in range(k))
             end = dirichlet_walk(graph, subset, int(subset.members[support[pick]]), k, steps, stats)
             if end is not None:
-                counts[subset.local_index(end)] += 1
+                counts[subset.local_of[end]] += 1
         rho += counts * (sign * norm / r)
     return rho
 
