@@ -12,7 +12,6 @@ from .graph import (
     Graph,
     GraphFormatError,
     VertexSubset,
-    compute_b2,
     load_boundary,
     load_graph,
     load_graph_file,
@@ -28,7 +27,6 @@ from .dirichlet import (
     DirichletOperator,
     KrylovOperator,
     SpectrumError,
-    apply_heat_kernel,
     exact_dirhkpr,
     exact_local_solution,
     greens_function,

@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     VertexSubset,
+    _by_original_id,
     load_boundary,
     load_graph_file,
     load_subset,
@@ -42,7 +43,7 @@ from .solvers import (
 )
 from .walks import DEFAULT_SAMPLE_CONSTANT, PASS_BUDGET, approx_dirhkpr
 
-__all__ = ["main", "run", "load_vector_csv", "load_sweep_csv"]
+__all__ = ["main", "run"]
 
 log = logging.getLogger("hklocal")
 
@@ -73,32 +74,10 @@ def _json_doc(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _vector_csv(graph: Graph, members: np.ndarray, values: np.ndarray) -> str:
+def _vector_csv(problem: BoundaryProblem, values: np.ndarray) -> str:
     lines = ["# format_version=1", "vertex_id,value"]
-    for i, v in enumerate(members):
-        lines.append(f"{graph.original_id(int(v))},{float(values[i])!r}")
+    lines.extend(f"{v},{x!r}" for v, x in _by_original_id(problem, values).items())
     return "\n".join(lines) + "\n"
-
-
-def _csv_rows(text: str, header: str) -> list[list[str]]:
-    """The comma-split data rows of a CSV whose first non-blank,
-    non-comment line must be ``header``."""
-    lines = [line for line in map(str.strip, text.splitlines())
-             if line and not line.startswith("#")]
-    if lines and lines[0] != header:
-        raise GraphFormatError(f"unexpected CSV header {lines[0]!r}")
-    return [line.split(",") for line in lines[1:]]
-
-
-def load_vector_csv(text: str) -> dict[int, float]:
-    """Round-trip loader for the vertex_id,value CSV schema."""
-    return {int(vid): float(value) for vid, value in _csv_rows(text, "vertex_id,value")}
-
-
-def load_sweep_csv(text: str) -> list[tuple[float, float, float]]:
-    """Round-trip loader for the t,l1_norm,max_abs_entry CSV schema."""
-    return [(float(t), float(l1), float(mx))
-            for t, l1, mx in _csv_rows(text, "t,l1_norm,max_abs_entry")]
 
 
 def _read_inputs(args: argparse.Namespace) -> tuple[Graph, dict[int, float], VertexSubset]:
@@ -148,16 +127,12 @@ def _cmd_solve_exact(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
     op = restricted_operator(problem.graph, problem.subset)
     x_s = exact_local_solution(problem, operator=op)
-    graph, subset = problem.graph, problem.subset
     doc = {
         "format_version": 1,
         "command": "solve-exact",
-        "subset_size": subset.size,
+        "subset_size": problem.subset.size,
         "lambda1": op.lambda1,
-        "x_s": {
-            str(graph.original_id(int(v))): float(x_s[i])
-            for i, v in enumerate(subset.members)
-        },
+        "x_s": _by_original_id(problem, x_s),
         "elapsed_seconds": time.perf_counter() - start,
     }
     _emit(_json_doc(doc), args.out)
@@ -190,7 +165,7 @@ def _cmd_hkpr_exact(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
     op = restricted_operator(problem.graph, problem.subset)
     rho = exact_dirhkpr(op, args.t, problem.b2)
-    _emit(_vector_csv(problem.graph, problem.subset.members, rho), args.out)
+    _emit(_vector_csv(problem, rho), args.out)
     return EXIT_OK
 
 
@@ -206,7 +181,7 @@ def _cmd_hkpr_approx(args: argparse.Namespace) -> int:
         workers=args.workers,
         constant=args.constant_override,
     )
-    _emit(_vector_csv(problem.graph, problem.subset.members, rho), args.out)
+    _emit(_vector_csv(problem, rho), args.out)
     return EXIT_OK
 
 
@@ -214,7 +189,8 @@ def _cmd_sweep_norms(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
     op = restricted_operator(problem.graph, problem.subset)
     schedule = make_schedule(problem.subset.size, args.gamma)
-    grid = np.geomspace(1.0, schedule.T, args.points)
+    # Ascending t, also when T < 1 (s = 1 and gamma > 1/e).
+    grid = np.sort(np.geomspace(1.0, schedule.T, args.points))
     lines = ["# format_version=1", "t,l1_norm,max_abs_entry"]
     # All times of a chunk share one Krylov basis of b2; a chunk holds at
     # most about PASS_BUDGET entries.

@@ -42,7 +42,6 @@ __all__ = [
     "restricted_laplacian",
     "restricted_operator",
     "greens_function",
-    "apply_heat_kernel",
     "exact_dirhkpr",
     "exact_local_solution",
 ]
@@ -557,41 +556,23 @@ def greens_function(op: DirichletOperator) -> np.ndarray:
     return (op.eigenvectors / op.eigenvalues) @ op.eigenvectors.T
 
 
-def _check_times(t: float | np.ndarray) -> np.ndarray:
-    times = np.asarray(t, dtype=np.float64)
-    if times.ndim > 1 or not np.all(np.isfinite(times) & (times >= 0)):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-    return times
-
-
-def apply_heat_kernel(op: Operator, t: float | np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Symmetric heat-kernel action exp(-t * L_S) @ f through the operator.
-
-    ``t`` is one time, or a 1-d array of m times, which gives an (m, s)
-    result from one Krylov basis.  t = 0 gives f exactly.
-    """
-    times = _check_times(t)
-    f = np.asarray(f, dtype=np.float64)
-    out = op.apply(lambda lam: np.exp(-np.multiply.outer(times, lam)), f)
-    out[times == 0] = f
-    return out
-
-
 def exact_dirhkpr(op: Operator, t: float | np.ndarray, f: np.ndarray) -> np.ndarray:
     """Dirichlet heat kernel pagerank f^T exp(-t * (I - P_S)), exactly.
 
     Computed as D^{-1/2} exp(-t L_S) D^{1/2} applied on the left, i.e. the
-    walk-normalized kernel.  ``f`` may have entries of any sign; no
-    normalization is performed.  ``t`` is one time, or a 1-d array of m
-    times for an (m, s) result (see :func:`apply_heat_kernel`).  t = 0
-    returns f unchanged.
+    walk-normalized kernel, through the operator's ``apply``.  ``f`` may
+    have entries of any sign; no normalization is performed.  ``t`` is one
+    time, or a 1-d array of m times, which gives an (m, s) result from one
+    Krylov basis.  t = 0 returns f unchanged.
     """
-    times = _check_times(t)
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim > 1 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (op.s,):
         raise ValueError(f"preference vector has shape {f.shape}, expected ({op.s},)")
     root = np.sqrt(op.degrees)
-    rho = apply_heat_kernel(op, times, f * (1.0 / root)) * root
+    rho = op.apply(lambda lam: np.exp(-np.multiply.outer(times, lam)), f * (1.0 / root)) * root
     rho[times == 0] = f
     return rho
 

@@ -30,7 +30,6 @@ __all__ = [
     "vertex_boundary",
     "validate_b_boundable",
     "make_boundary_problem",
-    "compute_b2",
 ]
 
 
@@ -231,17 +230,11 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
     def compact_id(self, original: int) -> int:
         i = int(np.searchsorted(self.original_ids, original))
         if i < self.n and self.original_ids[i] == original:
             return i
         raise GraphFormatError(f"unknown vertex id {original}")
-
-    def original_id(self, v: int) -> int:
-        return int(self.original_ids[v])
 
 
 def load_graph(source: str | IO[str]) -> Graph:
@@ -499,18 +492,14 @@ def _b1(graph: Graph, b: Mapping[int, float], subset: VertexSubset, sl: _Slice) 
     return np.bincount(rows, weights=terms, minlength=subset.size)
 
 
-def compute_b2(b1: np.ndarray, graph: Graph, subset: VertexSubset) -> np.ndarray:
-    """Degree-weighted companion of b1: b2(v) = b1(v) * sqrt(d_v)."""
-    return b1 * np.sqrt(graph.degrees[subset.members].astype(np.float64))
-
-
 @dataclass(frozen=True)
 class BoundaryProblem:
     """A graph, a boundary vector b, and an admissible subset S.
 
     Holds the derived quantities used by every solver: the vertex boundary
-    ``delta_s`` and the folded boundary vectors ``b1`` and ``b2`` over S (in
-    local index order).
+    ``delta_s`` and the folded boundary vectors ``b1`` and its
+    degree-weighted companion ``b2`` = b1 * sqrt(d) over S (in local index
+    order).
     """
 
     graph: Graph
@@ -520,9 +509,11 @@ class BoundaryProblem:
     b1: np.ndarray
     b2: np.ndarray
 
-    @property
-    def degrees_s(self) -> np.ndarray:
-        return self.graph.degrees[self.subset.members]
+
+def _by_original_id(problem: BoundaryProblem, values: np.ndarray) -> dict[str, float]:
+    """A vector over S keyed by each member's original id, in member order."""
+    ids = problem.graph.original_ids[problem.subset.members].tolist()
+    return dict(zip(map(str, ids), values.tolist()))
 
 
 def make_boundary_problem(
@@ -544,7 +535,7 @@ def make_boundary_problem(
     log.info("validated the boundary problem: s = %d, |delta S| = %d in %.4f s",
              subset.size, len(delta), time.perf_counter() - start)
     b1 = _b1(graph, b, subset, sl)
-    b2 = compute_b2(b1, graph, subset)
+    b2 = b1 * np.sqrt(graph.degrees[subset.members].astype(np.float64))
     return BoundaryProblem(
         graph=graph,
         b=dict(b),

@@ -20,7 +20,7 @@ import numpy as np
 # No solver calls exact_dirhkpr, but the benchmark's tracer wraps it under
 # this module's name.
 from .dirichlet import Operator, exact_dirhkpr, restricted_operator
-from .graph import BoundaryProblem
+from .graph import BoundaryProblem, _by_original_id
 from .walks import (
     DEFAULT_SAMPLE_CONSTANT,
     PASS_BUDGET,
@@ -299,8 +299,7 @@ def greens_solver(
     """
     start = time.perf_counter()
     _check_workers(workers)
-    subset = problem.subset
-    op = operator if operator is not None else restricted_operator(problem.graph, subset)
+    op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     schedule = make_schedule(
         op.s, gamma, epsilon=epsilon, seed=seed, rate=op.lambda1 / 2,
         lambda1=op.lambda1 if restricted_range else None,
@@ -311,15 +310,12 @@ def greens_solver(
     ts, weights, child_seeds = _draw_times(schedule)
     keep = ts < schedule.t_prime if restricted_range else np.ones(ts.size, dtype=bool)
     totals = WalkStats()
-    acc = np.zeros(subset.size)
-    if np.any(problem.b2):
-        acc = solver_approx_dirhkpr(
-            problem.graph, ts[keep], problem.b2, subset, epsilon, child_seeds[keep],
-            constant=constant, stats=totals, weights=weights[keep],
-        )
+    acc = solver_approx_dirhkpr(
+        problem.graph, ts[keep], problem.b2, problem.subset, epsilon, child_seeds[keep],
+        constant=constant, stats=totals, weights=weights[keep],
+    )
     stage = _log_sampling("greens-solver", schedule, stage)
-    inv_sqrt_deg = 1.0 / np.sqrt(problem.degrees_s.astype(np.float64))
-    x_hat = acc / schedule.r_outer * inv_sqrt_deg
+    x_hat = acc / schedule.r_outer * (1.0 / np.sqrt(op.degrees))
     log.info("greens-solver reduction in %.4f s", time.perf_counter() - stage)
     return SolveReport(
         x_hat=x_hat,
@@ -371,17 +367,11 @@ def error_bound(
 
 def report_to_json(report: SolveReport, problem: BoundaryProblem) -> dict:
     """JSON-ready view of a report; x_hat keyed by original vertex id."""
-    graph = problem.graph
-    subset = problem.subset
-    x_hat = {
-        str(graph.original_id(int(v))): float(report.x_hat[i])
-        for i, v in enumerate(subset.members)
-    }
     doc = {
         "format_version": 1,
         "method": report.method,
         "schedule": asdict(report.schedule),
-        "x_hat": x_hat,
+        "x_hat": _by_original_id(problem, report.x_hat),
         "error_bound_terms": report.error_bound_terms,
         "instrumentation": {
             "walk_steps_total": report.walk_steps_total,

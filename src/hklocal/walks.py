@@ -300,7 +300,7 @@ def _mc_dirhkpr(graph, t, f, subset, epsilon, master_seed, weights, cap_mode, wo
             support = np.flatnonzero(part)
             parts.append((phase, np.cumsum(part[support]) / norm, support, sign * norm / r))
     if not parts:
-        raise ValueError("preference vector is identically zero")
+        return np.zeros(subset.size)
     # Walks run on S's rows of the adjacency, in local indices: slot k of
     # member i holds its neighbour's local index, or -1 outside S.  A step's
     # slot floor(u * deg) needs no clamp: u <= 1 - 2**-53 and deg < 2**53.
@@ -342,7 +342,8 @@ def approx_dirhkpr(
     walk index); no generator is drawn from.  A walk's length is the
     Poisson(t) inverse CDF at its length uniform, tested lazily at each
     step, and all walks advance in lockstep.  The zero vector is a valid
-    output when every walk aborts.
+    output when every walk aborts, and the output for f = 0, where no walk
+    starts.
 
     Parameters
     ----------

@@ -3,7 +3,8 @@ problem generators, and the independent oracles used across the suite,
 among them a dict-of-sets graph that ``Graph.from_edges`` is checked
 against, the one-walk reference the lockstep walk engine is replayed
 against, a pure-Python SplitMix64 that every hashed draw is checked
-against, the paper's uniform time draw and the literal Riemann sum."""
+against, the paper's uniform time draw and the literal Riemann sum; and the
+readers of the command line's CSV outputs."""
 
 from __future__ import annotations
 
@@ -24,6 +25,37 @@ P4_EDGES = "0 1\n1 2\n2 3\n"
 
 NOT_CONNECTED = "condition (iii) violated: induced subgraph on S is not connected"
 EMPTY_BOUNDARY = "condition (iii) violated: vertex boundary of S is empty"
+
+
+def neighbors(graph: hk.Graph, v: int) -> np.ndarray:
+    """The compact ids adjacent to v, ascending: row v of the CSR."""
+    return graph.indices[graph.indptr[v]:graph.indptr[v + 1]]
+
+
+def heat_kernel(op, t, f: np.ndarray) -> np.ndarray:
+    """The symmetric heat kernel exp(-t L_S) f through the operator's
+    ``apply``; a 1-d array of times gives one row per time."""
+    return op.apply(lambda lam: np.exp(-np.multiply.outer(t, lam)), f)
+
+
+def _csv_rows(text: str, header: str) -> list[list[str]]:
+    """The comma-split data rows of a CSV whose first non-blank,
+    non-comment line must be ``header``."""
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    assert lines and lines[0] == header, lines[:1]
+    return [line.split(",") for line in lines[1:]]
+
+
+def load_vector_csv(text: str) -> dict[int, float]:
+    """The vertex_id,value CSV of the hkpr commands, keyed by vertex id."""
+    return {int(vid): float(value) for vid, value in _csv_rows(text, "vertex_id,value")}
+
+
+def load_sweep_csv(text: str) -> list[tuple[float, float, float]]:
+    """The t,l1_norm,max_abs_entry rows of sweep-norms."""
+    return [(float(t), float(l1), float(mx))
+            for t, l1, mx in _csv_rows(text, "t,l1_norm,max_abs_entry")]
 
 
 def condition_iii(graph: hk.Graph, subset: hk.VertexSubset) -> list[str]:
@@ -99,7 +131,7 @@ def random_problem(
         members = {int(rng.integers(n))}
         while len(members) < target:
             frontier = sorted(
-                {int(u) for v in members for u in graph.neighbors(v)} - members
+                {int(u) for v in members for u in neighbors(graph, v)} - members
             )
             if not frontier:
                 break
@@ -200,7 +232,7 @@ def harmonic_solve(problem: hk.BoundaryProblem) -> np.ndarray:
     for i, v in enumerate(subset.members):
         v = int(v)
         system[i, i] = 1.0
-        for u in graph.neighbors(v):
+        for u in neighbors(graph, v):
             u = int(u)
             w = 1.0 / math.sqrt(graph.degrees[v] * graph.degrees[u])
             if u in subset:
@@ -242,7 +274,7 @@ def reference_vertex_boundary(graph: hk.Graph, subset: hk.VertexSubset) -> np.nd
     """Literal-loop vertex boundary: outside neighbors of members, sorted."""
     hit = set()
     for v in subset.members:
-        for u in graph.neighbors(int(v)):
+        for u in neighbors(graph, int(v)):
             if u not in subset:
                 hit.add(int(u))
     return np.array(sorted(hit), dtype=np.int64)
@@ -257,7 +289,7 @@ def reference_is_connected(graph: hk.Graph, subset: hk.VertexSubset) -> bool:
     stack = [root]
     while stack:
         v = stack.pop()
-        for u in graph.neighbors(v):
+        for u in neighbors(graph, v):
             u = int(u)
             if u in subset and u not in seen:
                 seen.add(u)
@@ -269,7 +301,7 @@ def reference_b1(graph: hk.Graph, b: dict, subset: hk.VertexSubset) -> np.ndarra
     """Literal-loop fold of b into S, adding each member's terms by ascending u."""
     b1 = np.zeros(subset.size)
     for i, v in enumerate(subset.members):
-        for u in graph.neighbors(int(v)):
+        for u in neighbors(graph, int(v)):
             if u not in subset:
                 b1[i] += float(b.get(int(u), 0.0)) / math.sqrt(graph.degrees[v] * graph.degrees[u])
     return b1
@@ -279,7 +311,7 @@ def reference_laplacian(graph: hk.Graph, subset: hk.VertexSubset) -> np.ndarray:
     """Literal-loop restricted normalized Laplacian of S."""
     lap = np.eye(subset.size)
     for i, v in enumerate(subset.members):
-        for u in graph.neighbors(int(v)):
+        for u in neighbors(graph, int(v)):
             if u in subset:
                 j = int(subset.local_of[u])
                 lap[i, j] = -1.0 / math.sqrt(float(graph.degrees[v]) * float(graph.degrees[u]))

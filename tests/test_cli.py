@@ -14,8 +14,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import hklocal as hk
-from conftest import clique_hub_pairs, grid_patch, grid_patch_problem
-from hklocal.cli import load_sweep_csv, load_vector_csv, run
+from conftest import clique_hub_pairs, grid_patch, grid_patch_problem, load_sweep_csv, load_vector_csv
+from hklocal.cli import run
 from hklocal.fixtures import (
     dolphins_boundary_path,
     dolphins_graph_path,
@@ -32,6 +32,21 @@ def p4_files(tmp_path):
     boundary = tmp_path / "b.txt"
     boundary.write_text("0 1.0\n")
     return {"graph": str(graph), "subset": str(subset), "boundary": str(boundary)}
+
+
+def _write_files(tmp_path, graph, subset, boundary):
+    """The three input files of a problem, from their texts."""
+    files = {"graph": graph, "subset": subset, "boundary": boundary}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in files}
+
+
+@pytest.fixture()
+def cancelling_files(tmp_path):
+    # On the path 0-1-2 with S = {1}, b(0) = 1 and b(2) = -1 fold into
+    # b1 = 0 exactly: a valid problem whose solution is zero.
+    return _write_files(tmp_path, "0 1\n1 2\n", "1\n", "0 1.0\n2 -1.0\n")
 
 
 def _io_args(files, out=None):
@@ -121,13 +136,8 @@ class TestSolveCommands:
         inst = json.loads(capsys.readouterr().out)["instrumentation"]
         assert (inst["abort_rate"], inst["mean_walk_length"]) == (0.0, 0.0)
 
-    def test_solve_greens_cancelling_boundary_is_zero(self, tmp_path, capsys):
-        # On the path 0-1-2 with S = {1}, b(0) = 1 and b(2) = -1 fold into
-        # b1 = 0 exactly: a valid problem whose solution is zero.
-        (tmp_path / "g").write_text("0 1\n1 2\n")
-        (tmp_path / "s").write_text("1\n")
-        (tmp_path / "b").write_text("0 1.0\n2 -1.0\n")
-        files = {k: str(tmp_path / k[0]) for k in ("graph", "subset", "boundary")}
+    def test_solve_greens_cancelling_boundary_is_zero(self, cancelling_files, capsys):
+        files = cancelling_files
         assert run(["validate", *_io_args(files)]) == 0
         capsys.readouterr()
         assert run(["solve-greens", "--gamma", "0.3", "--eps", "0.5", *_io_args(files)]) == 0
@@ -135,6 +145,18 @@ class TestSolveCommands:
         assert doc["x_hat"] == {"1": 0.0}
         assert doc["instrumentation"]["walks_started"] == 0
         assert doc["error_bounds"]["observed_error"] == 0.0
+
+    def test_cancelling_boundary_every_command_gives_zero(self, cancelling_files, capsys):
+        # b2 = 0 as well: each command that reads b1 or b2 exits 0 with zeros,
+        # hkpr-approx included, which starts no walk.
+        io = _io_args(cancelling_files)
+        assert run(["validate", *io]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+        for argv in (["hkpr-exact", "--t", "2"], ["hkpr-approx", "--t", "2", "--eps", "0.3"]):
+            assert run([*argv, *io]) == 0, argv
+            assert load_vector_csv(capsys.readouterr().out) == {1: 0.0}, argv
+        assert run(["solve-greens", "--gamma", "0.3", "--eps", "0.5", *io]) == 0
+        assert json.loads(capsys.readouterr().out)["x_hat"] == {"1": 0.0}
 
     def test_eps_below_gamma_exits_two(self, p4_files, capsys):
         code = run([
@@ -255,6 +277,15 @@ class TestSweep:
         rho = hk.exact_dirhkpr(op, 1.0, p4_problem.b2)
         assert rows[0][1] == pytest.approx(np.abs(rho).sum(), rel=1e-12)
         assert rows[0][2] == pytest.approx(np.abs(rho).max(), rel=1e-12)
+
+    def test_rows_ascend_when_the_horizon_is_below_one(self, tmp_path, capsys):
+        # s = 1 and gamma > 1/e give T = ln(1 / gamma) < 1: the grid runs
+        # from T up to 1.
+        files = _write_files(tmp_path, "0 1\n1 2\n", "1\n", "0 1.0\n")
+        assert run(["sweep-norms", *_io_args(files), "--gamma", "0.5", "--points", "3"]) == 0
+        ts = [row[0] for row in load_sweep_csv(capsys.readouterr().out)]
+        assert ts == sorted(ts) and len(set(ts)) == 3
+        assert ts[0] == pytest.approx(math.log(2.0), rel=1e-15) and ts[-1] == 1.0
 
     def test_dolphins_grid_reaches_horizon(self, tmp_path):
         out = tmp_path / "dolphins_sweep.csv"

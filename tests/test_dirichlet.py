@@ -20,6 +20,7 @@ from conftest import (
     dense_cluster_problem,
     grid_patch_problem,
     harmonic_solve,
+    heat_kernel,
     random_connected_graph,
     random_problem,
 )
@@ -178,8 +179,6 @@ class TestExactDirhkpr:
     def test_non_finite_t_rejected(self, p4_op, t):
         with pytest.raises(ValueError, match="finite"):
             hk.exact_dirhkpr(p4_op, t, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="finite"):
-            hk.apply_heat_kernel(p4_op, t, np.array([1.0, 0.0]))
 
     def test_semigroup(self, dolphins_problem):
         op = hk.restricted_operator(dolphins_problem.graph, dolphins_problem.subset)
@@ -196,7 +195,7 @@ class TestExactDirhkpr:
             op = hk.restricted_operator(g, prob.subset)
             f = rng.normal(size=op.s)
             for t in (0.5, 2.0, 7.0):
-                out = hk.apply_heat_kernel(op, t, f)
+                out = heat_kernel(op, t, f)
                 assert np.linalg.norm(out) <= math.exp(-t * op.lambda1) * np.linalg.norm(f) + 1e-12
 
     def test_l1_monotone_for_nonnegative(self, dolphins_problem):
@@ -331,10 +330,10 @@ class TestKrylovOperator:
         prob, dense, krylov = oracle_pairs[1]
         for decades in (100, 250):
             t = decades * math.log(10.0) / dense.lambda1
-            expected = hk.apply_heat_kernel(dense, t, prob.b1)
+            expected = heat_kernel(dense, t, prob.b1)
             scale = np.max(np.abs(expected))
             assert scale > 0.0
-            error = hk.apply_heat_kernel(krylov, t, prob.b1) - expected
+            error = heat_kernel(krylov, t, prob.b1) - expected
             assert np.linalg.norm(error / scale) <= 1e-9 * np.linalg.norm(expected / scale)
 
     @pytest.mark.parametrize("cls", [hk.DirichletOperator, hk.KrylovOperator])
@@ -499,8 +498,8 @@ class TestKrylovRunCache:
         applies = {
             "greens": lambda op: op.apply(np.reciprocal, prob.b1),
             "solve": lambda op: op.solve(prob.b1),
-            "heat": lambda op: hk.apply_heat_kernel(op, 4.0, prob.b1),
-            "heat_times": lambda op: hk.apply_heat_kernel(op, np.array([0.5, 37.0]), prob.b1),
+            "heat": lambda op: heat_kernel(op, 4.0, prob.b1),
+            "heat_times": lambda op: heat_kernel(op, np.array([0.5, 37.0]), prob.b1),
             "riemann": lambda op: hk.riemann_sum_solution(prob, sched, operator=op),
             "local": lambda op: hk.local_linear_solver(prob, 0.2, seed=3, operator=op).x_hat,
         }
@@ -514,14 +513,14 @@ class TestKrylovRunCache:
         prob, krylov = grid15
         op = fresh(krylov)
         caplog.set_level(logging.DEBUG, logger="hklocal.dirichlet")
-        short = hk.apply_heat_kernel(op, 0.01, prob.b1)
+        short = heat_kernel(op, 0.01, prob.b1)
         long = op.apply(np.reciprocal, prob.b1)
         again = op.apply(np.reciprocal, prob.b1)
         steps, states = zip(*(r.getMessage().split(" steps, ")
                               for r in caplog.records if r.name == "hklocal.dirichlet"))
         assert states == ("new run", "extended run", "reused run")
         assert int(steps[0].split()[-1]) < int(steps[1].split()[-1]) == int(steps[2].split()[-1])
-        assert np.array_equal(short, hk.apply_heat_kernel(fresh(krylov), 0.01, prob.b1))
+        assert np.array_equal(short, heat_kernel(fresh(krylov), 0.01, prob.b1))
         assert np.array_equal(long, fresh(krylov).apply(np.reciprocal, prob.b1))
         assert np.array_equal(again, long)
 

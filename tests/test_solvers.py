@@ -213,7 +213,8 @@ def per_sample_greens(problem, report, epsilon, keep=lambda t: True):
             acc += w * hk.solver_approx_dirhkpr(
                 problem.graph, t, problem.b2, problem.subset, epsilon, seed, stats=stats
             )
-    x_hat = acc / sched.r_outer * (1.0 / np.sqrt(problem.degrees_s.astype(np.float64)))
+    degrees = problem.graph.degrees[problem.subset.members]
+    x_hat = acc / sched.r_outer * (1.0 / np.sqrt(degrees.astype(np.float64)))
     return x_hat, stats
 
 
@@ -278,7 +279,7 @@ class TestGreensSolver:
         assert rep.samples_skipped == rep.schedule.r_outer
         assert rep.walk_steps_total == 0
 
-    def test_restricted_range_safety(self, p4_problem):
+    def test_restricted_range_safety(self, p4_problem, p4_op):
         gamma, eps = 0.25, 0.4
         full = hk.greens_solver(p4_problem, gamma, eps, seed=11)
         trimmed = hk.greens_solver(p4_problem, gamma, eps, seed=11, restricted_range=True)
@@ -296,7 +297,7 @@ class TestGreensSolver:
             float(np.sum(sched.gamma / prob / sched.r_outer))
             * eps
             * float(np.abs(p4_problem.b2).sum())
-            * float(np.max(1.0 / np.sqrt(p4_problem.degrees_s)))
+            * float(np.max(1.0 / np.sqrt(p4_op.degrees)))
         )
         assert np.linalg.norm(full.x_hat - trimmed.x_hat) <= allowance
 
@@ -432,5 +433,5 @@ def test_report_json_keys_use_original_ids(dolphins_problem):
     doc = hk.report_to_json(rep, dolphins_problem)
     assert doc["format_version"] == 1
     keys = [int(k) for k in doc["x_hat"]]
-    expected = [dolphins_problem.graph.original_id(int(v)) for v in dolphins_problem.subset.members]
+    expected = dolphins_problem.graph.original_ids[dolphins_problem.subset.members].tolist()
     assert keys == expected

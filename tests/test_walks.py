@@ -136,9 +136,23 @@ class TestApproxDirhkpr:
         )
         assert hits >= 70
 
-    def test_zero_vector_rejected(self, p4_graph, p4_subset):
-        with pytest.raises(ValueError, match="zero"):
-            hk.approx_dirhkpr(p4_graph, 1.0, np.zeros(2), p4_subset, 0.3, master_seed=0)
+    def test_zero_vector_gives_zeros_without_walks(self, p4_graph, p4_subset):
+        # f = 0 is an admissible b2 (a boundary whose values cancel in b1):
+        # both estimators return zeros and start no walk, whatever the times.
+        stats = hk.WalkStats()
+        rho = hk.approx_dirhkpr(p4_graph, 1.0, np.zeros(2), p4_subset, 0.3, master_seed=0,
+                                stats=stats)
+        assert rho.shape == (2,) and not np.any(rho)
+        acc = hk.solver_approx_dirhkpr(p4_graph, np.array([0.5, 40.0]), np.zeros(2), p4_subset,
+                                       0.3, np.array([1, 2]), stats=stats,
+                                       weights=np.array([2.0, 3.0]))
+        assert acc.shape == (2,) and not np.any(acc)
+        assert stats == hk.WalkStats()
+        # The arguments are still checked.
+        with pytest.raises(ValueError, match="t must"):
+            hk.approx_dirhkpr(p4_graph, -1.0, np.zeros(2), p4_subset, 0.3, master_seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            hk.approx_dirhkpr(p4_graph, 1.0, np.zeros(3), p4_subset, 0.3, master_seed=0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
     def test_bad_t_rejected(self, p4_graph, p4_subset, t):
