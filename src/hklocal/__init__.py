@@ -18,7 +18,6 @@ from .graph import (
     load_subset,
     make_boundary_problem,
     validate_b_boundable,
-    vertex_boundary,
 )
 from .dirichlet import (
     DENSE_SIZE_LIMIT,
@@ -39,7 +38,6 @@ from .walks import (
     approx_dirhkpr,
     sample_count,
     solver_approx_dirhkpr,
-    walk_cap,
 )
 from .solvers import (
     SolveReport,

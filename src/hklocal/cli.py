@@ -142,6 +142,7 @@ def _cmd_solve_exact(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     """solve-local and solve-greens: one restricted operator serves the
     solver, its rate and the error bounds."""
+    start = time.perf_counter()
     problem = _load_problem(args)
     op = restricted_operator(problem.graph, problem.subset)
     if args.command == "solve-local":
@@ -157,6 +158,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     doc = report_to_json(report, problem)
     doc["command"] = args.command
     _attach_bounds(doc, report, problem, op)
+    doc["elapsed_seconds"] = time.perf_counter() - start
     _emit(_json_doc(doc), args.out)
     return EXIT_OK
 

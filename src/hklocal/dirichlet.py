@@ -92,7 +92,6 @@ class DirichletOperator:
     concurrent reads are safe.
     """
 
-    subset: VertexSubset
     degrees: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -102,7 +101,7 @@ class DirichletOperator:
         """Eigendecompose :func:`restricted_laplacian` for S, checking the spectrum."""
         eigenvalues, eigenvectors = np.linalg.eigh(restricted_laplacian(graph, subset))
         _check_spectrum(eigenvalues, subset.size)
-        return cls(subset, _degrees(graph, subset), eigenvalues, eigenvectors)
+        return cls(_degrees(graph, subset), eigenvalues, eigenvectors)
 
     @property
     def s(self) -> int:

@@ -27,7 +27,6 @@ __all__ = [
     "load_graph_file",
     "load_subset",
     "load_boundary",
-    "vertex_boundary",
     "validate_b_boundable",
     "make_boundary_problem",
 ]
@@ -434,11 +433,6 @@ def _condition_iii(size: int, sl: _Slice) -> str | None:
     if inside.all():
         return "condition (iii) violated: vertex boundary of S is empty"
     return None
-
-
-def vertex_boundary(graph: Graph, subset: VertexSubset) -> np.ndarray:
-    """Vertices outside S adjacent to at least one member of S (sorted)."""
-    return _vertex_boundary(_restrict(graph, subset))
 
 
 def _violations(

@@ -23,9 +23,9 @@ entries.  A chunk tabulates F_t(k) a block of k at a time and hashes the
 step uniforms of its live walks a block of steps at a time; surviving walks
 are counted per sample and part as integers.  A sample's estimate thus
 depends only on its own seed and time, not on the other samples of the
-call, the chunking or the blocks.  The ``workers`` arguments are accepted
-and must be at least 1, but they do not change the output or how it is
-computed.
+call, the chunking or the blocks.  The ``workers`` argument of
+:func:`approx_dirhkpr` is accepted and must be at least 1, but it does not
+change the output or how it is computed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .graph import Graph, VertexSubset, _restrict
 __all__ = [
     "WalkStats",
     "sample_count",
-    "walk_cap",
     "approx_dirhkpr",
     "solver_approx_dirhkpr",
     "DEFAULT_SAMPLE_CONSTANT",
@@ -71,8 +69,6 @@ PASS_BUDGET = 1 << 20
 # gives the same output; blocks spread each numpy call over many steps.
 UNIFORM_BUDGET = 1 << 12
 
-CapMode = Literal["eps", "two_t", "none"]
-
 
 def sample_count(epsilon: float, n: int, constant: float = DEFAULT_SAMPLE_CONSTANT) -> int:
     """Number of walks per signed part: ceil((c / eps^3) * ln n)."""
@@ -83,17 +79,6 @@ def sample_count(epsilon: float, n: int, constant: float = DEFAULT_SAMPLE_CONSTA
     if n < 2:
         return 1
     return max(1, math.ceil(constant / epsilon**3 * math.log(n)))
-
-
-def walk_cap(t: float, epsilon: float, mode: CapMode) -> int | None:
-    """Walk-length cap: floor(t/eps), floor(2t), or None (uncapped)."""
-    if mode == "eps":
-        return int(math.floor(t / epsilon))
-    if mode == "two_t":
-        return int(math.floor(2.0 * t))
-    if mode == "none":
-        return None
-    raise ValueError(f"unknown cap mode {mode!r}")
 
 
 @dataclass
@@ -166,7 +151,7 @@ def _poisson_cdf(k0, lgamma, t, log_t, cap, carry):
     return table, carry
 
 
-def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode):
+def _lockstep(adjacency, s, parts, ts, seeds, weights, r, caps):
     """Sum of weights[i] * rho_i over the samples, all walks in lockstep.
 
     A chunk is a group of whole (sample, part) rows, or a piece of one row
@@ -184,14 +169,12 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode):
     row_keys = _keys(_mix(seeds), phases).ravel()
     row_t = np.repeat(ts, nparts)
     row_log_t = np.log(row_t)
-    caps = (walk_cap(float(t), epsilon, cap_mode) for t in ts)
-    row_cap = np.repeat([math.inf if cap is None else cap for cap in caps], nparts)
+    row_cap = np.repeat(caps, nparts)
+    # Chunks of `per` whole rows, or of `piece` walks of one row.
     width = max(1, PASS_BUDGET * r // (r + s))
-    if width >= r:
-        chunks = [(lo, min(lo + width // r, nrows), 0, r) for lo in range(0, nrows, width // r)]
-    else:
-        chunks = [(lo, lo + 1, j0, min(j0 + width, r))
-                  for lo in range(nrows) for j0 in range(0, r, width)]
+    per, piece = max(1, width // r), min(width, r)
+    chunks = [(lo, min(lo + per, nrows), j0, min(j0 + piece, r))
+              for lo in range(0, nrows, per) for j0 in range(0, r, piece)]
     acc = np.zeros(s, dtype=np.float64)
     pending = 0  # counts of sample `first` from earlier chunks
     steps = aborted = blocks = 0
@@ -271,13 +254,12 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, epsilon, cap_mode):
     return acc, steps, aborted, blocks
 
 
-def _mc_dirhkpr(graph, t, f, subset, epsilon, master_seed, weights, cap_mode, workers,
-                constant, stats):
-    """Both estimators, on the arguments of :func:`approx_dirhkpr` and
-    :func:`solver_approx_dirhkpr`, which it checks."""
+def _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats):
+    """Both estimators: the weighted sum over samples i of r walks per signed
+    part of f at time t[i] and seed master_seed[i], each at most caps[i]
+    steps long (inf for no cap), as :func:`solver_approx_dirhkpr` describes.
+    Checks t, the seeds, the weights and f."""
     start = time.perf_counter()
-    _check_workers(workers)
-    r = sample_count(epsilon, graph.n, constant)  # checks epsilon and the constant
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     seeds = np.ravel(np.asarray(master_seed, dtype=object))
     seeds = np.array([int(v) % 2**64 for v in seeds], dtype=np.uint64)
@@ -308,7 +290,7 @@ def _mc_dirhkpr(graph, t, f, subset, epsilon, master_seed, weights, cap_mode, wo
     adjacency = (np.cumsum(degrees) - degrees, degrees.astype(np.float64),
                  _restrict(graph, subset).cols)
     acc, steps, aborted, blocks = _lockstep(
-        adjacency, subset.size, parts, ts, seeds, weights, r, epsilon, cap_mode
+        adjacency, subset.size, parts, ts, seeds, weights, r, caps
     )
     started, seconds = r * len(parts) * ts.size, time.perf_counter() - start
     if stats is not None:
@@ -330,7 +312,6 @@ def approx_dirhkpr(
     workers: int = 1,
     constant: float = DEFAULT_SAMPLE_CONSTANT,
     stats: WalkStats | None = None,
-    cap_mode: CapMode = "eps",
 ) -> np.ndarray:
     """Monte-Carlo Dirichlet heat kernel pagerank with walk cap floor(t/eps).
 
@@ -356,11 +337,11 @@ def approx_dirhkpr(
     constant : the c of r; finite and positive.
     stats : counters to add to: r walks started per part, one step per live
         walk and step, and every walk that left S as aborted.
-    cap_mode : test hook; "none" removes the length cap.
     """
-    return _mc_dirhkpr(
-        graph, t, f, subset, epsilon, master_seed, None, cap_mode, workers, constant, stats
-    )
+    _check_workers(workers)
+    r = sample_count(epsilon, graph.n, constant)  # checks epsilon and the constant
+    caps = np.floor(np.asarray(t, dtype=np.float64) / epsilon)
+    return _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, None, stats)
 
 
 def solver_approx_dirhkpr(
@@ -370,7 +351,6 @@ def solver_approx_dirhkpr(
     subset: VertexSubset,
     epsilon: float,
     master_seed: int | np.ndarray,
-    workers: int = 1,
     constant: float = DEFAULT_SAMPLE_CONSTANT,
     stats: WalkStats | None = None,
     weights: np.ndarray | None = None,
@@ -384,6 +364,6 @@ def solver_approx_dirhkpr(
     together in one lockstep pass.  The caller is responsible for keeping
     epsilon at or above the schedule's gamma.
     """
-    return _mc_dirhkpr(
-        graph, t, f, subset, epsilon, master_seed, weights, "two_t", workers, constant, stats
-    )
+    r = sample_count(epsilon, graph.n, constant)
+    caps = np.floor(2.0 * np.asarray(t, dtype=np.float64))
+    return _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats)

@@ -3,8 +3,9 @@ problem generators, and the independent oracles used across the suite,
 among them a dict-of-sets graph that ``Graph.from_edges`` is checked
 against, the one-walk reference the lockstep walk engine is replayed
 against, a pure-Python SplitMix64 that every hashed draw is checked
-against, the paper's uniform time draw and the literal Riemann sum; and the
-readers of the command line's CSV outputs."""
+against, the paper's uniform time draw and the literal Riemann sum; the
+readers of the command line's CSV outputs; and the library's vertex
+boundary and uncapped walk estimate, which only tests call."""
 
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from hklocal.fixtures import (
     dolphins_graph_path,
     dolphins_subset_path,
 )
+from hklocal.graph import _restrict, _vertex_boundary
+from hklocal.walks import _mc_dirhkpr
 
 P3_EDGES = "0 1\n1 2\n"
 P4_EDGES = "0 1\n1 2\n2 3\n"
@@ -30,6 +33,20 @@ EMPTY_BOUNDARY = "condition (iii) violated: vertex boundary of S is empty"
 def neighbors(graph: hk.Graph, v: int) -> np.ndarray:
     """The compact ids adjacent to v, ascending: row v of the CSR."""
     return graph.indices[graph.indptr[v]:graph.indptr[v + 1]]
+
+
+def vertex_boundary(graph: hk.Graph, subset: hk.VertexSubset) -> np.ndarray:
+    """The library's vertex boundary of S: the vertices outside S adjacent
+    to a member, ascending, from its one restriction of the adjacency."""
+    return _vertex_boundary(_restrict(graph, subset))
+
+
+def uncapped_dirhkpr(graph, t, f, subset, epsilon, master_seed,
+                     constant=hk.DEFAULT_SAMPLE_CONSTANT, stats=None) -> np.ndarray:
+    """``approx_dirhkpr`` with no walk-length cap: its walk engine with an
+    infinite cap."""
+    r = hk.sample_count(epsilon, graph.n, constant)
+    return _mc_dirhkpr(graph, t, math.inf, f, subset, r, master_seed, None, stats)
 
 
 def heat_kernel(op, t, f: np.ndarray) -> np.ndarray:
@@ -137,7 +154,7 @@ def random_problem(
                 break
             members.add(int(frontier[int(rng.integers(len(frontier)))]))
         subset = hk.VertexSubset.from_iterable(members, n)
-        delta = hk.vertex_boundary(graph, subset)
+        delta = vertex_boundary(graph, subset)
         if len(delta) == 0:
             continue
         k = int(rng.integers(1, len(delta) + 1))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,19 @@ class TestSolveCommands:
             assert load_vector_csv(capsys.readouterr().out) == {1: 0.0}, argv
         assert run(["solve-greens", "--gamma", "0.3", "--eps", "0.5", *io]) == 0
         assert json.loads(capsys.readouterr().out)["x_hat"] == {"1": 0.0}
+
+    def test_elapsed_covers_the_whole_command(self, p4_files, capsys, monkeypatch):
+        # elapsed_seconds of every solve command times the whole command,
+        # the restricted operator the command builds included.
+        def slow(*args):
+            time.sleep(0.05)
+            return hk.restricted_operator(*args)
+
+        monkeypatch.setattr("hklocal.cli.restricted_operator", slow)
+        for argv in (["solve-exact"], ["solve-local", "--gamma", "0.2"],
+                     ["solve-greens", "--gamma", "0.25", "--eps", "0.4"]):
+            assert run([*argv, *_io_args(p4_files)]) == 0
+            assert json.loads(capsys.readouterr().out)["elapsed_seconds"] >= 0.05, argv
 
     def test_eps_below_gamma_exits_two(self, p4_files, capsys):
         code = run([

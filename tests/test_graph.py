@@ -15,6 +15,7 @@ from conftest import (
     neighbors,
     random_connected_graph,
     random_problem,
+    vertex_boundary,
 )
 
 
@@ -181,15 +182,15 @@ class TestVertexSubset:
 class TestBoundaries:
     def test_vertex_boundary_p4(self, p4_graph):
         sub = hk.VertexSubset.from_iterable([1, 2], p4_graph.n)
-        assert list(hk.vertex_boundary(p4_graph, sub)) == [0, 3]
+        assert list(vertex_boundary(p4_graph, sub)) == [0, 3]
 
     def test_vertex_boundary_whole_graph_empty(self, p4_graph):
         sub = hk.VertexSubset.from_iterable(range(4), p4_graph.n)
-        assert len(hk.vertex_boundary(p4_graph, sub)) == 0
+        assert len(vertex_boundary(p4_graph, sub)) == 0
 
     def test_vertex_boundary_p3_center(self, p3_graph):
         sub = hk.VertexSubset.from_iterable([1], p3_graph.n)
-        assert list(hk.vertex_boundary(p3_graph, sub)) == [0, 2]
+        assert list(vertex_boundary(p3_graph, sub)) == [0, 2]
 
     def test_connectivity(self, p4_graph):
         for members, connected in [([1, 2], True), ([0, 3], False), ([2], True), ([], False)]:
@@ -204,7 +205,7 @@ class TestBoundaries:
             sub = hk.VertexSubset.from_iterable(
                 rng.choice(g.n, size=size, replace=False), g.n
             )
-            delta = hk.vertex_boundary(g, sub)
+            delta = vertex_boundary(g, sub)
             # every boundary vertex lies outside S and has a neighbor in it
             assert not any(v in sub for v in delta)
             assert all(any(u in sub for u in neighbors(g, v)) for v in delta)

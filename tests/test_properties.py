@@ -25,6 +25,7 @@ from conftest import (
     reference_is_connected,
     reference_laplacian,
     reference_vertex_boundary,
+    vertex_boundary,
 )
 
 # Derandomized and without an example database, so every run checks the
@@ -250,7 +251,7 @@ def problems(draw):
 @given(subsets())
 def test_boundary_and_connectivity_match_loops(case):
     graph, subset = case
-    assert np.array_equal(hk.vertex_boundary(graph, subset), reference_vertex_boundary(graph, subset))
+    assert np.array_equal(vertex_boundary(graph, subset), reference_vertex_boundary(graph, subset))
     connected = NOT_CONNECTED not in condition_iii(graph, subset)
     assert connected == reference_is_connected(graph, subset)
 
@@ -293,7 +294,7 @@ def lollipops(draw):
     inside = draw(st.sets(st.integers(0, m - 2)))
     members = sorted(inside) + list(range(m - 1, m + draw(st.integers(0, tail - 1))))
     subset = hk.VertexSubset.from_iterable(members, graph.n)
-    delta = hk.vertex_boundary(graph, subset).tolist()
+    delta = vertex_boundary(graph, subset).tolist()
     value = st.floats(0.25, 2.0).flatmap(lambda x: st.sampled_from([x, -x]))
     b = {v: draw(value) for v in draw(st.lists(st.sampled_from(delta), min_size=1, unique=True))}
     return hk.make_boundary_problem(graph, b, subset)
@@ -312,7 +313,7 @@ def chorded_trees(draw):
     chords = rng.integers(0, n, (int(rng.integers(0, n + 1)), 2))
     graph = hk.Graph.from_edges(np.concatenate([tree, chords[chords[:, 0] != chords[:, 1]]]))
     subset = hk.VertexSubset.from_iterable(np.arange(rng.integers(1, n)), n)
-    delta = hk.vertex_boundary(graph, subset)
+    delta = vertex_boundary(graph, subset)
     chosen = delta[(rng.random(delta.size) < 0.5) | (np.arange(delta.size) == rng.integers(delta.size))]
     values = rng.uniform(0.25, 2.0, chosen.size) * rng.choice([-1.0, 1.0], chosen.size)
     return hk.make_boundary_problem(graph, dict(zip(chosen.tolist(), values.tolist())), subset)

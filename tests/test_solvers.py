@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hklocal as hk
-from conftest import draw_t, grid_patch_problem, riemann_direct, schedule_draws
+from conftest import draw_t, grid_patch_problem, riemann_direct, schedule_draws, uncapped_dirhkpr
 
 
 @pytest.fixture(scope="module")
@@ -383,9 +383,9 @@ class TestGreensSolver:
             acc = np.zeros(2)
             runs = 60
             for seed in range(runs):
-                acc += hk.approx_dirhkpr(
+                acc += uncapped_dirhkpr(
                     p4_problem.graph, t, p4_problem.b2, p4_problem.subset,
-                    0.15, master_seed=seed, cap_mode="none", constant=1.0,
+                    0.15, master_seed=seed, constant=1.0,
                 )
             mean = acc / runs
             r = hk.sample_count(0.15, p4_problem.graph.n, constant=1.0)

@@ -12,7 +12,8 @@ import pytest
 import hklocal as hk
 import hklocal.walks as walks
 from conftest import (
-    LENGTH, MASK64, PHI, START, dirichlet_walk, is_eps_approx, splitmix64, uniform, walk_key,
+    LENGTH, MASK64, PHI, START, dirichlet_walk, is_eps_approx, splitmix64, uncapped_dirhkpr,
+    uniform, walk_key,
 )
 
 
@@ -35,10 +36,7 @@ def assert_unbiased_with_cap_removed(p4_graph, p4_subset):
     seeds = 200
     acc = np.zeros(2)
     for seed in range(seeds):
-        acc += hk.approx_dirhkpr(
-            p4_graph, t, f, p4_subset, 0.5, master_seed=seed,
-            cap_mode="none", constant=4.0,
-        )
+        acc += uncapped_dirhkpr(p4_graph, t, f, p4_subset, 0.5, master_seed=seed, constant=4.0)
     mean = acc / seeds
     r = hk.sample_count(0.5, p4_graph.n, constant=4.0)
     sigma = np.sqrt(np.abs(truth) * f.sum() / (r * seeds)) + 1e-9
@@ -49,12 +47,6 @@ class TestWalkConfig:
     def test_round_count_formula(self):
         assert hk.sample_count(0.3, 3) == math.ceil(16.0 / 0.3**3 * math.log(3))
         assert hk.sample_count(0.3, 3) == 652
-
-    def test_caps(self):
-        assert hk.walk_cap(7.0, 0.5, "eps") == 14
-        assert hk.walk_cap(7.3, 0.5, "two_t") == 14
-        assert hk.walk_cap(7.9, 0.5, "two_t") == 15
-        assert hk.walk_cap(7.0, 0.5, "none") is None
 
     @pytest.mark.parametrize("constant", [0.0, -3.0, math.inf, math.nan])
     def test_bad_constant_rejected(self, constant):
@@ -441,10 +433,8 @@ class TestLockstepEngine:
         # ||f||_1 / r = 1/2, so every deposit and every partial sum is exact.
         f = np.array([0.25, 0.0, 0.125, 0.125]) * r
         stats = hk.WalkStats()
-        rho = hk.approx_dirhkpr(
-            p4_graph, self.T, f, p4_whole, self.EPS, master_seed=self.SEED,
-            cap_mode="none", stats=stats,
-        )
+        rho = uncapped_dirhkpr(p4_graph, self.T, f, p4_whole, self.EPS, master_seed=self.SEED,
+                               stats=stats)
         assert stats.walks_aborted == 0
         assert stats.walks_started == r
         assert rho.sum() == f.sum()
@@ -452,7 +442,7 @@ class TestLockstepEngine:
 
     def test_default_cap_bounds_every_walk(self, p4_graph, p4_whole):
         r = hk.sample_count(self.EPS, p4_graph.n)
-        cap = hk.walk_cap(self.T, self.EPS, "eps")
+        cap = math.floor(self.T / self.EPS)
         stats = hk.WalkStats()
         hk.approx_dirhkpr(
             p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
@@ -463,11 +453,25 @@ class TestLockstepEngine:
         assert stats.steps_simulated <= r * cap
         assert stats.walks_aborted == 0
 
+    @pytest.mark.parametrize("t, cap", [(7.3, 14), (7.9, 15)])
+    def test_solver_cap_is_floor_two_t(self, p4_graph, p4_whole, t, cap):
+        # The solvers' estimate caps each walk at floor(2t) steps, and the
+        # cap binds: any other cap would change the steps simulated.
+        r = hk.sample_count(self.EPS, p4_graph.n, constant=160.0)
+        stats = hk.WalkStats()
+        hk.solver_approx_dirhkpr(
+            p4_graph, t, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
+            master_seed=self.SEED, constant=160.0, stats=stats,
+        )
+        assert (replay_lengths(self.SEED, t, r, None) > cap).any()
+        assert stats.steps_simulated == int(replay_lengths(self.SEED, t, r, cap).sum())
+        assert stats.walks_aborted == 0
+
     def test_exit_step_counted(self, p3_graph, p3_subset):
         # S = {1} in P3: every walk of positive length aborts on its first
         # step, which counts as simulated; zero-length walks survive.
         r = hk.sample_count(self.EPS, p3_graph.n)
-        cap = hk.walk_cap(self.T, self.EPS, "eps")
+        cap = math.floor(self.T / self.EPS)
         stats = hk.WalkStats()
         rho = hk.approx_dirhkpr(
             p3_graph, self.T, np.array([1.0]), p3_subset, self.EPS,
@@ -481,7 +485,7 @@ class TestLockstepEngine:
         monkeypatch.setattr(walks, "PASS_BUDGET", 7)
         r = hk.sample_count(self.EPS, p4_graph.n)
         assert r > 10 * 7
-        cap = hk.walk_cap(self.T, self.EPS, "eps")
+        cap = math.floor(self.T / self.EPS)
         stats = hk.WalkStats()
         hk.approx_dirhkpr(
             p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
@@ -513,10 +517,8 @@ class TestLockstepEngine:
                             lambda k0, lgamma, *rest: widths.append(lgamma.size) or cdf(k0, lgamma, *rest))
         r = hk.sample_count(self.EPS, p4_graph.n)
         stats = hk.WalkStats()
-        hk.approx_dirhkpr(
-            p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
-            master_seed=self.SEED, cap_mode="none", stats=stats,
-        )
+        uncapped_dirhkpr(p4_graph, self.T, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
+                         master_seed=self.SEED, stats=stats)
         assert stats.steps_simulated == int(replay_lengths(self.SEED, self.T, r, None).sum())
         assert widths[0] == 16 and max(widths) <= 32
 
@@ -526,7 +528,7 @@ class TestLockstepEngine:
         # length 0; a strict u < F would run it to where F first exceeds 0.
         t, seed = 5000.0, seed_with_length_uniform(0.0)
         r = hk.sample_count(self.EPS, p4_graph.n)
-        cap = hk.walk_cap(t, self.EPS, "eps")
+        cap = math.floor(t / self.EPS)
         lengths = replay_lengths(seed, t, r, cap)
         assert lengths[0] == 0 and lengths[1:].min() > 4000
         stats = hk.WalkStats()
@@ -545,7 +547,7 @@ class TestLazyLengths:
     @pytest.mark.parametrize("t, constant, seeds", [(3.0, 160.0, 4), (5000.0, 32.0, 1)])
     def test_mean_steps_match_capped_poisson(self, p4_graph, p4_whole, t, constant, seeds):
         # cap floor(t / eps) is 5 at t = 3; at t = 5000, e^-t underflows.
-        cap = hk.walk_cap(t, self.EPS, "eps")
+        cap = math.floor(t / self.EPS)
         stats = hk.WalkStats()
         for seed in range(seeds):
             hk.approx_dirhkpr(
@@ -571,10 +573,8 @@ class TestLazyLengths:
         cdf = poisson_cdf(t, None)
         stats = hk.WalkStats()
         with deadline(30):
-            hk.approx_dirhkpr(
-                p4_graph, t, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
-                master_seed=seed, cap_mode="none", stats=stats,
-            )
+            uncapped_dirhkpr(p4_graph, t, np.array([1.0, 0.0, 0.0, 0.0]), p4_whole, self.EPS,
+                             master_seed=seed, stats=stats)
         assert stats.walks_started == r and stats.walks_aborted == 0
         assert stats.steps_simulated <= r * (len(cdf) - 1)
         if t == 20.0:
@@ -595,7 +595,7 @@ class TestStreamLayout:
         stats, ref_stats = hk.WalkStats(), hk.WalkStats()
         rho = hk.approx_dirhkpr(p4_graph, self.T, f, p4_subset, self.EPS,
                                 master_seed=self.SEED, stats=stats)
-        cap = hk.walk_cap(self.T, self.EPS, "eps")
+        cap = math.floor(self.T / self.EPS)
         ref = replay_estimate(p4_graph, p4_subset, self.T, f, self.EPS, self.SEED, cap, ref_stats)
         assert np.array_equal(rho, ref)
         assert_same_stats(stats, ref_stats)
@@ -606,7 +606,7 @@ class TestStreamLayout:
         t, eps = 20.0, 0.3
         stats, ref_stats = hk.WalkStats(), hk.WalkStats()
         rho = hk.approx_dirhkpr(graph, t, f, subset, eps, master_seed=5, stats=stats)
-        ref = replay_estimate(graph, subset, t, f, eps, 5, hk.walk_cap(t, eps, "eps"), ref_stats)
+        ref = replay_estimate(graph, subset, t, f, eps, 5, math.floor(t / eps), ref_stats)
         assert np.array_equal(rho, ref)
         assert_same_stats(stats, ref_stats)
 
