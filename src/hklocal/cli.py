@@ -70,11 +70,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# Every writer refuses a result that overflowed rather than print it.
+_NOT_FINITE = "the result is not finite: a value overflowed float64"
+
+
+def _check_finite(values) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(_NOT_FINITE)
+
+
 def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError(_NOT_FINITE) from None
 
 
 def _vector_csv(problem: BoundaryProblem, values: np.ndarray) -> str:
+    _check_finite(values)
     lines = ["# format_version=1", "vertex_id,value"]
     lines.extend(f"{v},{x!r}" for v, x in _by_original_id(problem, values).items())
     return "\n".join(lines) + "\n"
@@ -94,14 +107,14 @@ def _load_problem(args: argparse.Namespace) -> BoundaryProblem:
     return make_boundary_problem(*_read_inputs(args))
 
 
-def _attach_bounds(doc: dict, report, problem: BoundaryProblem, op) -> None:
-    """Evaluate the concrete error bounds against the exact solution, on the
+def _error_bounds(report, problem: BoundaryProblem, op) -> dict:
+    """The concrete error bounds against the exact solution, on the
     restricted operator ``op`` the solver ran on and its schedule's grid."""
     x_s = exact_local_solution(problem, operator=op)
     x_rie = riemann_sum_solution(problem, report.schedule, operator=op)
     bounds = error_bound(report, float(np.linalg.norm(x_s)), float(np.linalg.norm(x_rie)))
     observed = float(np.linalg.norm(report.x_hat - x_s))
-    doc["error_bounds"] = {
+    return {
         "local": bounds["local"],
         "greens": bounds["greens"],
         "observed_error": observed,
@@ -156,9 +169,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             constant=args.constant_override, operator=op,
         )
     doc = report_to_json(report, problem)
-    doc["command"] = args.command
-    _attach_bounds(doc, report, problem, op)
-    doc["elapsed_seconds"] = time.perf_counter() - start
+    bounds = _error_bounds(report, problem, op)
+    doc.update(elapsed_seconds=time.perf_counter() - start, command=args.command,
+               error_bounds=bounds)
     _emit(_json_doc(doc), args.out)
     return EXIT_OK
 
@@ -200,7 +213,9 @@ def _cmd_sweep_norms(args: argparse.Namespace) -> int:
     for lo in range(0, grid.size, rows):
         ts = grid[lo:lo + rows]
         for t, rho in zip(ts, np.abs(exact_dirhkpr(op, ts, problem.b2))):
-            lines.append(f"{float(t)!r},{float(rho.sum())!r},{float(rho.max())!r}")
+            l1 = rho.sum()
+            _check_finite(l1)  # the largest entry is then finite too
+            lines.append(f"{float(t)!r},{float(l1)!r},{float(rho.max())!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

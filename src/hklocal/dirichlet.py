@@ -99,9 +99,10 @@ class DirichletOperator:
     @classmethod
     def from_subset(cls, graph: Graph, subset: VertexSubset) -> DirichletOperator:
         """Eigendecompose :func:`restricted_laplacian` for S, checking the spectrum."""
-        eigenvalues, eigenvectors = np.linalg.eigh(restricted_laplacian(graph, subset))
+        *coupling, degrees = _checked_coupling(graph, subset, dense=True)
+        eigenvalues, eigenvectors = np.linalg.eigh(_laplacian(*coupling, subset.size))
         _check_spectrum(eigenvalues, subset.size)
-        return cls(_degrees(graph, subset), eigenvalues, eigenvectors)
+        return cls(degrees, eigenvalues, eigenvectors)
 
     @property
     def s(self) -> int:
@@ -335,10 +336,6 @@ class _Factors:
 Operator = DirichletOperator | KrylovOperator
 
 
-def _degrees(graph: Graph, subset: VertexSubset) -> np.ndarray:
-    return graph.degrees[subset.members].astype(np.float64)
-
-
 def _check_spectrum(eigenvalues: np.ndarray, s: int) -> None:
     lam1 = float(eigenvalues[0])
     lam_max = float(eigenvalues[-1])
@@ -355,18 +352,23 @@ def _check_spectrum(eigenvalues: np.ndarray, s: int) -> None:
         raise SpectrumError(f"bottom eigenvalue {lam1!r} below the size floor {floor!r}")
 
 
-def _checked_coupling(graph: Graph, subset: VertexSubset) -> tuple[np.ndarray, ...]:
+def _checked_coupling(
+    graph: Graph, subset: VertexSubset, dense: bool = False
+) -> tuple[np.ndarray, ...]:
     """The off-diagonal couplings of the restricted adjacency of S and the
-    member degrees, once S meets condition (iii) (else L_S may be singular).
+    member degrees, once S meets condition (iii) (else L_S may be singular)
+    and, for a ``dense`` L_S, s is at most DENSE_SIZE_LIMIT.
 
     Returns ``(i, j, w, degrees)`` with w = 1 / sqrt(d_i d_j) for every
     ordered pair of adjacent members (i, j), in local indices.
     """
+    if dense and subset.size > DENSE_SIZE_LIMIT:
+        raise CapacityError(f"subset size {subset.size} exceeds dense limit {DENSE_SIZE_LIMIT}")
     sl = _restrict(graph, subset)
     violation = _condition_iii(subset.size, sl)
     if violation:
         raise ValueError(violation)
-    degrees = _degrees(graph, subset)
+    degrees = sl.degrees.astype(np.float64)
     inside = sl.cols >= 0
     i, j = sl.rows[inside], sl.cols[inside]
     return i, j, 1.0 / np.sqrt(degrees[i] * degrees[j]), degrees
@@ -520,10 +522,7 @@ def restricted_laplacian(graph: Graph, subset: VertexSubset) -> np.ndarray:
     induced subgraph on S to be connected with a nonempty vertex boundary
     (otherwise the restriction may be singular).  Guarded by DENSE_SIZE_LIMIT.
     """
-    s = subset.size
-    if s > DENSE_SIZE_LIMIT:
-        raise CapacityError(f"subset size {s} exceeds dense limit {DENSE_SIZE_LIMIT}")
-    return _laplacian(*_checked_coupling(graph, subset)[:3], s)
+    return _laplacian(*_checked_coupling(graph, subset, dense=True)[:3], subset.size)
 
 
 def restricted_operator(graph: Graph, subset: VertexSubset) -> Operator:

@@ -385,27 +385,32 @@ class _Slice(NamedTuple):
     ``rows`` is each slot's local row in S, ``nbrs`` its neighbor's compact
     id, and ``cols`` the neighbor's local index in S or -1 when the neighbor
     lies outside S.  Slots come in member order, and within a member in
-    ascending neighbor order.
+    ascending neighbor order.  ``degrees`` are the members' full-graph
+    degrees and ``starts`` each member's first slot.
     """
 
     rows: np.ndarray
     nbrs: np.ndarray
     cols: np.ndarray
+    degrees: np.ndarray
+    starts: np.ndarray
 
 
 def _restrict(graph: Graph, subset: VertexSubset) -> _Slice:
     """Slice the adjacency of S once, vectorised.
 
-    Every restriction to S (the vertex boundary, condition (iii), b1,
-    the restricted Laplacian) is built from this one slice; callers that
-    need several of them slice once and pass the result on.
+    Every restriction to S (the vertex boundary, condition (iii), b1 and
+    b2, the restricted Laplacian, the walks' adjacency) is built from this
+    one slice; callers that need several of them slice once and pass the
+    result on.
     """
-    counts = graph.degrees[subset.members]
-    rows = np.repeat(np.arange(subset.size), counts)
+    degrees = graph.degrees[subset.members]
+    starts = np.cumsum(degrees) - degrees
+    rows = np.repeat(np.arange(subset.size), degrees)
     # Slot k of member i sits at indptr[v_i] + (k - first slot of i).
-    shift = graph.indptr[subset.members] - (np.cumsum(counts) - counts)
-    nbrs = graph.indices[np.repeat(shift, counts) + np.arange(len(rows))]
-    return _Slice(rows, nbrs, subset.local_of[nbrs])
+    shift = graph.indptr[subset.members] - starts
+    nbrs = graph.indices[np.repeat(shift, degrees) + np.arange(len(rows))]
+    return _Slice(rows, nbrs, subset.local_of[nbrs], degrees, starts)
 
 
 def _vertex_boundary(sl: _Slice) -> np.ndarray:
@@ -468,22 +473,23 @@ def validate_b_boundable(
     return _violations(b, subset, sl, _vertex_boundary(sl))
 
 
-def _b1(graph: Graph, b: Mapping[int, float], subset: VertexSubset, sl: _Slice) -> np.ndarray:
+def _b1(graph: Graph, b: Mapping[int, float], sl: _Slice) -> np.ndarray:
     """Fold the boundary values into S: b1(v) = sum over boundary neighbors
     u of b(u) / sqrt(d_v * d_u), with degrees taken in the full graph.
 
-    Only entries of b on the vertex boundary of S contribute; each member's
-    terms are added in ascending order of u.
+    Only entries of b on the vertex boundary of S contribute, looked up in
+    the sorted keys of b; each member's terms are added in ascending order
+    of u.
     """
     out = sl.cols < 0
     rows, nbrs = sl.rows[out], sl.nbrs[out]
     keys = np.fromiter(b.keys(), np.int64, len(b))
-    known = (keys >= 0) & (keys < graph.n)
-    values = np.zeros(graph.n, dtype=np.float64)
-    values[keys[known]] = np.fromiter(b.values(), np.float64, len(b))[known]
-    degree_products = graph.degrees[subset.members[rows]] * graph.degrees[nbrs]
-    terms = values[nbrs] / np.sqrt(degree_products)
-    return np.bincount(rows, weights=terms, minlength=subset.size)
+    order = np.argsort(keys)
+    keys, values = keys[order], np.fromiter(b.values(), np.float64, len(b))[order]
+    at = np.minimum(np.searchsorted(keys, nbrs), len(keys) - 1)
+    found = np.where(keys[at] == nbrs, values[at], 0.0)
+    terms = found / np.sqrt(sl.degrees[rows] * graph.degrees[nbrs])
+    return np.bincount(rows, weights=terms, minlength=len(sl.degrees))
 
 
 @dataclass(frozen=True)
@@ -528,8 +534,8 @@ def make_boundary_problem(
         raise BoundaryConditionError(violations)
     log.info("validated the boundary problem: s = %d, |delta S| = %d in %.4f s",
              subset.size, len(delta), time.perf_counter() - start)
-    b1 = _b1(graph, b, subset, sl)
-    b2 = b1 * np.sqrt(graph.degrees[subset.members].astype(np.float64))
+    b1 = _b1(graph, b, sl)
+    b2 = b1 * np.sqrt(sl.degrees.astype(np.float64))
     return BoundaryProblem(
         graph=graph,
         b=dict(b),

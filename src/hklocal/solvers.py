@@ -182,7 +182,6 @@ class SolveReport:
     x_hat: np.ndarray
     sampled_ts: np.ndarray
     walk_steps_total: int
-    elapsed: float
     error_bound_terms: dict[str, float | None]
     schedule: SolverSchedule
     method: str
@@ -241,7 +240,6 @@ def local_linear_solver(
     samples never take more than about PASS_BUDGET entries at once.
     ``workers`` must be at least 1 and does not change the output.
     """
-    start = time.perf_counter()
     _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     schedule = make_schedule(op.s, gamma, seed=seed, rate=op.lambda1)
@@ -262,7 +260,6 @@ def local_linear_solver(
         x_hat=x_hat,
         sampled_ts=ts,
         walk_steps_total=0,
-        elapsed=time.perf_counter() - start,
         error_bound_terms=_bound_terms(problem, gamma, None),
         schedule=schedule,
         method="local-linear-solver",
@@ -297,7 +294,6 @@ def greens_solver(
     probability at least 1 - gamma.  ``workers`` must be at least 1 and
     does not change the output.
     """
-    start = time.perf_counter()
     _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     schedule = make_schedule(
@@ -321,7 +317,6 @@ def greens_solver(
         x_hat=x_hat,
         sampled_ts=ts,
         walk_steps_total=totals.steps_simulated,
-        elapsed=time.perf_counter() - start,
         error_bound_terms=_bound_terms(problem, gamma, epsilon),
         schedule=schedule,
         method="greens-solver",
@@ -366,8 +361,9 @@ def error_bound(
 
 
 def report_to_json(report: SolveReport, problem: BoundaryProblem) -> dict:
-    """JSON-ready view of a report; x_hat keyed by original vertex id."""
-    doc = {
+    """JSON-ready view of a report; x_hat keyed by original vertex id.  The
+    command line adds the command, its error bounds and ``elapsed_seconds``."""
+    return {
         "format_version": 1,
         "method": report.method,
         "schedule": asdict(report.schedule),
@@ -384,6 +380,4 @@ def report_to_json(report: SolveReport, problem: BoundaryProblem) -> dict:
             "mean_walk_length": report.walk_steps_total / max(report.walks_started, 1),
         },
         "sampled_ts": [float(t) for t in report.sampled_ts],
-        "elapsed_seconds": report.elapsed,
     }
-    return doc

@@ -170,11 +170,12 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, caps):
     row_t = np.repeat(ts, nparts)
     row_log_t = np.log(row_t)
     row_cap = np.repeat(caps, nparts)
-    # Chunks of `per` whole rows, or of `piece` walks of one row.
+    # Chunks of `per` whole rows, or of `piece` walks of one row, each
+    # planned as it runs.
     width = max(1, PASS_BUDGET * r // (r + s))
     per, piece = max(1, width // r), min(width, r)
-    chunks = [(lo, min(lo + per, nrows), j0, min(j0 + piece, r))
-              for lo in range(0, nrows, per) for j0 in range(0, r, piece)]
+    chunks = ((lo, min(lo + per, nrows), j0, min(j0 + piece, r))
+              for lo in range(0, nrows, per) for j0 in range(0, r, piece))
     acc = np.zeros(s, dtype=np.float64)
     pending = 0  # counts of sample `first` from earlier chunks
     steps = aborted = blocks = 0
@@ -286,9 +287,8 @@ def _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats):
     # Walks run on S's rows of the adjacency, in local indices: slot k of
     # member i holds its neighbour's local index, or -1 outside S.  A step's
     # slot floor(u * deg) needs no clamp: u <= 1 - 2**-53 and deg < 2**53.
-    degrees = graph.degrees[subset.members]
-    adjacency = (np.cumsum(degrees) - degrees, degrees.astype(np.float64),
-                 _restrict(graph, subset).cols)
+    sl = _restrict(graph, subset)
+    adjacency = (sl.starts, sl.degrees.astype(np.float64), sl.cols)
     acc, steps, aborted, blocks = _lockstep(
         adjacency, subset.size, parts, ts, seeds, weights, r, caps
     )

@@ -159,6 +159,28 @@ class TestSolveCommands:
         assert run(["solve-greens", "--gamma", "0.3", "--eps", "0.5", *io]) == 0
         assert json.loads(capsys.readouterr().out)["x_hat"] == {"1": 0.0}
 
+    @pytest.mark.parametrize("value", ["1e308", "1e200"])
+    def test_overflowing_result_exits_two(self, tmp_path, capsys, value):
+        # On the path 0-1-2 with S = {1} and b = value at both ends, b1 =
+        # sqrt(2) value is finite; b2 = 2 value overflows at 1e308, and the
+        # solvers' ||b1|| at 1e200.  Every writer refuses a non-finite
+        # result with one message and writes nothing to standard output.
+        files = _write_files(tmp_path, "0 1\n1 2\n", "1\n", f"0 {value}\n2 {value}\n")
+        solves = [["solve-local", "--gamma", "0.3"], ["solve-greens", "--gamma", "0.3", "--eps", "0.5"]]
+        vectors = [["hkpr-exact", "--t", "1"], ["hkpr-approx", "--t", "1", "--eps", "0.5"],
+                   ["sweep-norms", "--points", "3"]]
+        refused = solves + vectors if value == "1e308" else solves
+        with np.errstate(over="ignore", invalid="ignore"):
+            for argv in refused:
+                assert run([*argv, *_io_args(files)]) == 2, argv
+                out, err = capsys.readouterr()
+                assert out == "", argv
+                assert err.splitlines()[-1] == (
+                    "error: the result is not finite: a value overflowed float64"), argv
+            assert run(["solve-exact", *_io_args(files)]) == 0
+        x_s = json.loads(capsys.readouterr().out)["x_s"]["1"]
+        assert x_s == pytest.approx(math.sqrt(2.0) * float(value), rel=1e-12)
+
     def test_elapsed_covers_the_whole_command(self, p4_files, capsys, monkeypatch):
         # elapsed_seconds of every solve command times the whole command,
         # the restricted operator the command builds included.

@@ -1,6 +1,8 @@
 """Graph ingestion, subset machinery, and boundary-vector folding."""
 
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,17 @@ from conftest import (
     random_problem,
     vertex_boundary,
 )
+
+
+def test_package_republishes_each_module_all():
+    # hklocal's public names are those its four modules list in __all__,
+    # each once, and no other.
+    modules = [hk.graph, hk.dirichlet, hk.walks, hk.solvers]
+    names = [name for module in modules for name in module.__all__]
+    assert sorted(hk.__all__) == sorted(set(names))
+    assert {name for name, value in vars(hk).items()
+            if not name.startswith("_") and not inspect.ismodule(value)} == set(names)
+    assert "Operator" in names
 
 
 class TestLoadGraph:
@@ -286,3 +299,20 @@ class TestBoundaryVectors:
         with_far = hk.make_boundary_problem(g, {1: 1.0, 4: 3.0}, sub)
         without = hk.make_boundary_problem(g, {1: 1.0}, sub)
         assert np.array_equal(with_far.b1, without.b1)
+
+    def test_problem_memory_does_not_grow_with_n(self):
+        # S = {500..509} on a path of 10^6 vertices: the problem is built
+        # from S's rows and the entries of b on its boundary, with no array
+        # of length n.
+        n = 10**6
+        ids = np.arange(n - 1, dtype=np.int64)
+        graph = hk.Graph.from_edges(np.stack([ids, ids + 1], axis=1))
+        subset = hk.VertexSubset.from_iterable(np.arange(500, 510, dtype=np.int64), n)
+        tracemalloc.start()
+        try:
+            problem = hk.make_boundary_problem(graph, {499: 1.0, 510: -2.0}, subset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(problem.delta_s, [499, 510])

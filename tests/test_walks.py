@@ -5,6 +5,7 @@ import bisect
 import contextlib
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -537,6 +538,34 @@ class TestLockstepEngine:
             master_seed=seed, stats=stats,
         )
         assert stats.steps_simulated == int(lengths.sum())
+
+
+    def test_chunks_are_planned_as_they_run(self, p3_graph, p3_subset, monkeypatch):
+        # Constant 1e6 gives r = 8.8e6 walks, about 1.4e5 chunks of 63 at
+        # budget 64.  The pass stops at the keys of its first chunk, so the
+        # memory it has taken by then is that of the chunk plan.
+        class Stop(Exception):
+            pass
+
+        calls, keys = [], walks._keys
+
+        def first_chunk_keys(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise Stop
+            return keys(*args)
+
+        monkeypatch.setattr(walks, "PASS_BUDGET", 64)
+        monkeypatch.setattr(walks, "_keys", first_chunk_keys)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                hk.approx_dirhkpr(p3_graph, 1.0, np.array([1.0]), p3_subset, 0.5,
+                                  master_seed=0, constant=1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLazyLengths:
