@@ -79,11 +79,40 @@ def _check_finite(values) -> None:
         raise ValueError(_NOT_FINITE)
 
 
+# json's C encoder serves only indent=None; its item separator is ", ".
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+# The types it writes as one token: a container of only these is flat.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _json_doc(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, byte for byte,
+    for a document whose keys are all ``str``."""
     try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return _indented(doc, "\n") + "\n"
     except ValueError:
         raise ValueError(_NOT_FINITE) from None
+
+
+def _indented(value, newline: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at the depth whose
+    line break and indent are ``newline``.  A flat container is encoded once
+    by the C encoder and re-indented at its item separators, which is exact
+    when the text holds no other ", "."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _ENCODE(value)
+    inner = newline + "  "
+    is_dict = isinstance(value, dict)
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        flat = _ENCODE(value)
+        if flat.count(", ") == len(value) - 1:
+            return flat[0] + inner + flat[1:-1].replace(", ", "," + inner) + newline + flat[-1]
+    if is_dict:
+        parts = [_ENCODE(k) + ": " + _indented(v, inner) for k, v in value.items()]
+    else:
+        parts = [_indented(v, inner) for v in value]
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + ("," + inner).join(parts) + newline + closing
 
 
 def _vector_csv(problem: BoundaryProblem, values: np.ndarray) -> str:

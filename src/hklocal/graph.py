@@ -525,6 +525,8 @@ def make_boundary_problem(
     ------
     BoundaryConditionError
         Listing every violated admissibility condition.
+    ValueError
+        When b1 or b2 overflows float64.
     """
     start = time.perf_counter()
     sl = _restrict(graph, subset)
@@ -534,8 +536,11 @@ def make_boundary_problem(
         raise BoundaryConditionError(violations)
     log.info("validated the boundary problem: s = %d, |delta S| = %d in %.4f s",
              subset.size, len(delta), time.perf_counter() - start)
-    b1 = _b1(graph, b, sl)
-    b2 = b1 * np.sqrt(sl.degrees.astype(np.float64))
+    with np.errstate(over="ignore"):
+        b1 = _b1(graph, b, sl)
+        b2 = b1 * np.sqrt(sl.degrees.astype(np.float64))
+    if not np.isfinite(b2).all():  # then b1 is finite too: |b2| >= |b1|
+        raise ValueError("the boundary values overflow float64: b1 or b2 is not finite")
     return BoundaryProblem(
         graph=graph,
         b=dict(b),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -363,10 +363,11 @@ def error_bound(
 def report_to_json(report: SolveReport, problem: BoundaryProblem) -> dict:
     """JSON-ready view of a report; x_hat keyed by original vertex id.  The
     command line adds the command, its error bounds and ``elapsed_seconds``."""
+    schedule = report.schedule
     return {
         "format_version": 1,
         "method": report.method,
-        "schedule": asdict(report.schedule),
+        "schedule": {f.name: getattr(schedule, f.name) for f in fields(schedule)},
         "x_hat": _by_original_id(problem, report.x_hat),
         "error_bound_terms": report.error_bound_terms,
         "instrumentation": {
@@ -379,5 +380,5 @@ def report_to_json(report: SolveReport, problem: BoundaryProblem) -> dict:
             "abort_rate": report.walks_aborted / max(report.walks_started, 1),
             "mean_walk_length": report.walk_steps_total / max(report.walks_started, 1),
         },
-        "sampled_ts": [float(t) for t in report.sampled_ts],
+        "sampled_ts": report.sampled_ts.tolist(),
     }

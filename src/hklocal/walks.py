@@ -126,12 +126,18 @@ def _keys(groups: np.ndarray, members: np.ndarray) -> np.ndarray:
     return _mix(groups[:, None] + members * _PHI)
 
 
+def _mix_int(z: int) -> int:
+    """The SplitMix64 finaliser on one Python int below 2**64."""
+    z = (z ^ (z >> 30)) * int(_M1) % 2**64
+    z = (z ^ (z >> 27)) * int(_M2) % 2**64
+    return z ^ (z >> 31)
+
+
 def _schedule_draws(master_seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Time uniforms u(w_i + START) and child seeds w_i of a solve's r samples,
     w_i the key of member i of the (master_seed, PHASE_SCHEDULE) group."""
-    seed = np.array([int(master_seed) % 2**64], dtype=np.uint64)
-    group = _keys(_mix(seed), np.array([PHASE_SCHEDULE], dtype=np.uint64)).ravel()
-    keys = _keys(group, np.arange(r, dtype=np.uint64)).ravel()
+    group = _mix_int((_mix_int(int(master_seed) % 2**64) + PHASE_SCHEDULE * int(_PHI)) % 2**64)
+    keys = _keys(np.array([group], dtype=np.uint64), np.arange(r, dtype=np.uint64))[0]
     return _uniform(keys + _START), keys
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, and output determinism."""
 
+import contextlib
 import json
 import math
 import os
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hklocal as hk
 from conftest import clique_hub_pairs, grid_patch, grid_patch_problem, load_sweep_csv, load_vector_csv
-from hklocal.cli import run
+from hklocal.cli import _NOT_FINITE, _json_doc, run
 from hklocal.fixtures import (
     dolphins_boundary_path,
     dolphins_graph_path,
@@ -162,24 +165,36 @@ class TestSolveCommands:
     @pytest.mark.parametrize("value", ["1e308", "1e200"])
     def test_overflowing_result_exits_two(self, tmp_path, capsys, value):
         # On the path 0-1-2 with S = {1} and b = value at both ends, b1 =
-        # sqrt(2) value is finite; b2 = 2 value overflows at 1e308, and the
-        # solvers' ||b1|| at 1e200.  Every writer refuses a non-finite
-        # result with one message and writes nothing to standard output.
+        # sqrt(2) value is finite.  At 1e308 b2 = 2 value overflows, and
+        # building the problem refuses it before any solve: every command
+        # that builds one exits 2, with no numpy warning (the test
+        # configuration turns a RuntimeWarning into an error), while
+        # validate checks conditions (i)-(iii) only.  At 1e200 the solvers'
+        # ||b1|| overflows, and their writers refuse the non-finite result.
+        # Either way one error line is written and nothing goes to stdout.
         files = _write_files(tmp_path, "0 1\n1 2\n", "1\n", f"0 {value}\n2 {value}\n")
         solves = [["solve-local", "--gamma", "0.3"], ["solve-greens", "--gamma", "0.3", "--eps", "0.5"]]
-        vectors = [["hkpr-exact", "--t", "1"], ["hkpr-approx", "--t", "1", "--eps", "0.5"],
-                   ["sweep-norms", "--points", "3"]]
-        refused = solves + vectors if value == "1e308" else solves
-        with np.errstate(over="ignore", invalid="ignore"):
+        if value == "1e308":
+            assert run(["validate", *_io_args(files)]) == 0
+            assert json.loads(capsys.readouterr().out)["valid"] is True
+            refused = [["solve-exact"], *solves, ["hkpr-exact", "--t", "1"],
+                       ["hkpr-approx", "--t", "1", "--eps", "0.5"], ["sweep-norms", "--points", "3"]]
+            message = "the boundary values overflow float64: b1 or b2 is not finite"
+            quiet = contextlib.nullcontext()
+        else:
+            refused, message = solves, "the result is not finite: a value overflowed float64"
+            quiet = np.errstate(over="ignore", invalid="ignore")
+        with quiet:
             for argv in refused:
                 assert run([*argv, *_io_args(files)]) == 2, argv
                 out, err = capsys.readouterr()
                 assert out == "", argv
-                assert err.splitlines()[-1] == (
-                    "error: the result is not finite: a value overflowed float64"), argv
+                assert [line for line in err.splitlines() if line.startswith("error:")] == [
+                    f"error: {message}"], argv
+        if value == "1e200":
             assert run(["solve-exact", *_io_args(files)]) == 0
-        x_s = json.loads(capsys.readouterr().out)["x_s"]["1"]
-        assert x_s == pytest.approx(math.sqrt(2.0) * float(value), rel=1e-12)
+            x_s = json.loads(capsys.readouterr().out)["x_s"]["1"]
+            assert x_s == pytest.approx(math.sqrt(2.0) * float(value), rel=1e-12)
 
     def test_elapsed_covers_the_whole_command(self, p4_files, capsys, monkeypatch):
         # elapsed_seconds of every solve command times the whole command,
@@ -570,3 +585,46 @@ def test_parser_reuse_after_rejected_flag(p4_files, capsys):
         text=True, env=dict(os.environ, PYTHONPATH=src),
     ).stdout
     assert _strip_elapsed(reused) == _strip_elapsed(fresh)
+
+
+# The report writer against json.dumps(indent=2).  Strings hold the separators
+# the writer re-indents at, quotes, backslashes, control and non-ASCII
+# characters; floats include the edge cases of float repr.
+_TEXTS = st.lists(st.one_of(st.sampled_from([", ", ": ", ",", '"', "\\", "\n", "\x00", "\x1f",
+                                             "\u00e9", "\u2028", "\U0001f600"]),
+                            st.characters()), max_size=4).map("".join)
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]),
+                    st.integers(0, 30).map(lambda j: 0.1 * j))
+_LEAVES = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _TEXTS)
+
+
+def _containers(children):
+    return st.lists(children, max_size=5) | st.dictionaries(_TEXTS, children, max_size=5)
+
+
+_DOCS = st.dictionaries(_TEXTS, st.recursive(_LEAVES, _containers, max_leaves=20), max_size=6)
+_NON_FINITE = st.recursive(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: st.one_of(
+        st.tuples(st.lists(_LEAVES, max_size=3), inner, st.lists(_LEAVES, max_size=3))
+        .map(lambda t: [*t[0], t[1], *t[2]]),
+        st.tuples(st.dictionaries(_TEXTS, _LEAVES, max_size=3), _TEXTS, inner)
+        .map(lambda t: {**t[0], t[1]: t[2]})),
+    max_leaves=5,
+)
+_WRITER = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+
+
+@_WRITER
+@given(_DOCS)
+@example({"a, b": 1.0, "e": [], "d": {}, "l": [-0.0, 2, True, None, "x, y"], "n": [[{}], {"": []}]})
+def test_json_doc_is_json_dumps_with_indent(doc):
+    assert _json_doc(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+@_WRITER
+@given(_TEXTS, _NON_FINITE)
+def test_json_doc_refuses_non_finite_at_any_depth(key, bad):
+    with pytest.raises(ValueError, match=re.escape(_NOT_FINITE)):
+        _json_doc({"format_version": 1, key: bad})
