@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -363,11 +363,10 @@ def error_bound(
 def report_to_json(report: SolveReport, problem: BoundaryProblem) -> dict:
     """JSON-ready view of a report; x_hat keyed by original vertex id.  The
     command line adds the command, its error bounds and ``elapsed_seconds``."""
-    schedule = report.schedule
     return {
         "format_version": 1,
         "method": report.method,
-        "schedule": {f.name: getattr(schedule, f.name) for f in fields(schedule)},
+        "schedule": dict(vars(report.schedule)),
         "x_hat": _by_original_id(problem, report.x_hat),
         "error_bound_terms": report.error_bound_terms,
         "instrumentation": {

@@ -128,9 +128,9 @@ def _keys(groups: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 def _mix_int(z: int) -> int:
     """The SplitMix64 finaliser on one Python int below 2**64."""
-    z = (z ^ (z >> 30)) * int(_M1) % 2**64
-    z = (z ^ (z >> 27)) * int(_M2) % 2**64
-    return z ^ (z >> 31)
+    z = (z ^ (z >> int(_S30))) * int(_M1) % 2**64
+    z = (z ^ (z >> int(_S27))) * int(_M2) % 2**64
+    return z ^ (z >> int(_S31))
 
 
 def _schedule_draws(master_seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:

@@ -196,6 +196,26 @@ class TestSolveCommands:
             x_s = json.loads(capsys.readouterr().out)["x_s"]["1"]
             assert x_s == pytest.approx(math.sqrt(2.0) * float(value), rel=1e-12)
 
+    def test_overflowing_csv_output_exits_two(self, tmp_path, capsys):
+        # A star whose six leaves each meet one boundary vertex with b =
+        # 1.7e308: the problem builds, as b2 is finite, but ||b2||_1
+        # overflows, and the heat kernel pagerank piles more than the
+        # largest float64 on the centre.  hkpr-exact's and hkpr-approx's
+        # vector writer and sweep-norms' norm check refuse the result.
+        leaves = range(1, 7)
+        graph = "".join(f"0 {v}\n{v} {v + 6}\n" for v in leaves)
+        subset = "".join(f"{v}\n" for v in range(7))
+        boundary = "".join(f"{v + 6} 1.7e308\n" for v in leaves)
+        files = _write_files(tmp_path, graph, subset, boundary)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for argv in (["hkpr-exact", "--t", "1"], ["hkpr-approx", "--t", "1", "--eps", "0.5"],
+                         ["sweep-norms", "--points", "3"]):
+                assert run([*argv, *_io_args(files)]) == 2, argv
+                out, err = capsys.readouterr()
+                assert out == "", argv
+                assert [line for line in err.splitlines() if line.startswith("error:")] == [
+                    "error: the result is not finite: a value overflowed float64"], argv
+
     def test_elapsed_covers_the_whole_command(self, p4_files, capsys, monkeypatch):
         # elapsed_seconds of every solve command times the whole command,
         # the restricted operator the command builds included.
