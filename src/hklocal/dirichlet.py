@@ -10,9 +10,10 @@ through the operator's ``solve(f)``; the heat-kernel pagerank
 the oracle every other component is tested against; from that size on it
 is :class:`KrylovOperator`, which keeps the sparse coupling (and L_S
 itself where the coupling is dense) and runs Lanczos from f (Saad, SIAM J.
-Numer. Anal. 1992): ``apply`` evaluates ``fn`` on the Ritz values, and
-``solve`` solves the tridiagonal system T_k y = e1 in O(k), with no
-eigensolve.  Both check the spectrum's structural bounds eagerly.
+Numer. Anal. 1992): ``apply`` evaluates ``fn`` on the Ritz values and stops
+on Saad's a posteriori error estimate, and ``solve`` solves the tridiagonal
+system T_k y = e1 in O(k), with no eigensolve.  Both check the spectrum's
+structural bounds eagerly.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ _DENSE_SHARE = 16
 
 _EIGENVALUE_FLOOR = 1e-12
 _SPECTRUM_SLACK = 1e-8
-# Lanczos stops when two successive estimates of fn(T_k) e1 agree to this
-# relative tolerance; it compares them every _LANCZOS_CHECK steps at first.
+# The relative accuracy at which Lanczos stops, checked every _LANCZOS_CHECK
+# steps at first: an apply's error estimate beta_k |e_k^T fn(T_k) e1|, and
+# the change of a solve's T_k^-1 e1 since the previous check.
 _LANCZOS_TOL = 1e-13
 _LANCZOS_CHECK = 16
 _EPS = np.finfo(np.float64).eps
@@ -180,8 +182,11 @@ class KrylovOperator:
         ``fn`` is evaluated on the Ritz values, the eigenvalues of the
         tridiagonal T_k, as the dense operator evaluates it on the
         eigenvalues, with the same optional leading axis of m functions.
-        k is not fixed: the run stops when successive estimates of
-        fn(T_k) e1 agree (:func:`_settled`), or on breakdown.  From the
+        k is not fixed: the run stops at the first checkpoint where, for
+        every function, c = fn(T_k) e1 passes Saad's a posteriori estimate
+        beta_k |c_k| (beta_k couples q_k to the next Lanczos vector) of
+        :func:`_error_ratio`, or on breakdown.  That takes one eigensolve of
+        T_k per checkpoint, and none past the one it stops at.  From the
         previous apply's vector the checkpoints are replayed, and the run is
         extended only if ``fn`` needs more steps.
         """
@@ -199,11 +204,13 @@ class KrylovOperator:
                     run.eigenpairs[i] = np.linalg.eigh(_tridiagonal(alpha, beta))
             theta, vectors = run.eigenpairs[i]
             estimate, noise = _estimate(fn, theta, vectors)
-            if end or (previous is not None
-                       and _settled(estimate, noise, previous, (theta, previous_theta))):
+            bottom = previous is not None and _bottom_settled(theta, previous)
+            ratio = _error_ratio(estimate, noise, beta[-1] * estimate[..., -1:], bottom)
+            if end or ratio <= 1.0:
                 break
-            previous, previous_theta = estimate, theta
-        log.debug("Krylov apply: %d steps, %s run", theta.size, state)
+            previous = theta
+        log.debug("Krylov apply: %d steps, %s run, error estimate %.2g of its limit",
+                  theta.size, state, ratio)
         return run.norm * (estimate @ run.basis[:theta.size])
 
     def solve(self, f: np.ndarray) -> np.ndarray:
@@ -214,9 +221,11 @@ class KrylovOperator:
         the run keeps as it grows, so each checkpoint pays one O(k) back
         substitution.  Its rounding floor is the same solve with the
         diagonal raised by one ulp of the lambda1 run's largest Ritz value,
-        the shift :func:`_estimate` takes from T_k's own.  The run stops,
-        and is shared with :meth:`apply`, as there.  A pivot <= 0 means L_S
-        is not positive definite and raises :class:`SpectrumError`.
+        the shift :func:`_estimate` takes from T_k's own.  The run stops when
+        y changed since the previous checkpoint by at most the limit of
+        :func:`_error_ratio`, or on breakdown, and is shared with
+        :meth:`apply`.  A pivot <= 0 means L_S is not positive definite and
+        raises :class:`SpectrumError`.
         """
         f = np.asarray(f, dtype=np.float64)
         largest = float(np.max(np.abs(f), initial=0.0))
@@ -231,7 +240,8 @@ class KrylovOperator:
                 for factors in run.factors:
                     factors.extend(alpha, beta)
             y, shifted = (factors.solve(beta, alpha.size) for factors in run.factors)
-            if end or (previous is not None and _settled(y, shifted - y, previous)):
+            if end or (previous is not None and _error_ratio(
+                    y, shifted - y, y - np.pad(previous, (0, y.size - previous.size))) <= 1.0):
                 break
             previous = y
         log.debug("Krylov solve: %d steps, %s run", y.size, state)
@@ -249,7 +259,8 @@ class KrylovOperator:
 
 class _Run:
     """A Lanczos run from a copy of f: its basis, its live steps, and per
-    checkpoint reached so far the coefficients of T_k and the end flag; the
+    checkpoint reached so far the coefficients of T_k with the next
+    coupling beta_k, and the end flag (:func:`_lanczos`); the
     eigenpairs of T_k once an apply has needed them; and the LDL^T factors
     of T_k and of its shifted copy once a solve has."""
 
@@ -404,15 +415,17 @@ def _lanczos(
     """Plain Lanczos on the symmetric operator ``times`` from the unit vector q.
 
     Yields ``(alpha, beta, end)`` at check points: the diagonal (k entries)
-    and off-diagonal (k - 1) of the k x k tridiagonal T_k so far, and
-    whether the run must end there, because the next coupling broke down
-    (at most 2 s eps, the rounding of one product with L_S, whose norm is at
-    most 2, so q_1..q_k span an invariant subspace up to rounding) or
-    because k reached s, where the Krylov space is the whole space.  Check
-    points fall every _LANCZOS_CHECK steps, and once k passes
-    4 * _LANCZOS_CHECK every k / 4 steps, so the O(k^3) eigensolves of the
-    checks stay a bounded share of the run.  Writes q_2, q_3, ... into the
-    arrays ``rows()`` returns, when given, so a caller can keep the basis.
+    of the k x k tridiagonal T_k so far, the couplings (k entries: the
+    first k - 1 are the off-diagonal of T_k, and beta_k couples q_k to the
+    next Lanczos vector), and whether the run must end there, because
+    beta_k broke down (at most 2 s eps, the rounding of one product with
+    L_S, whose norm is at most 2, so q_1..q_k span an invariant subspace up
+    to rounding) or because k reached s, where the Krylov space is the
+    whole space.  Check points fall every _LANCZOS_CHECK steps, and once k
+    passes 4 * _LANCZOS_CHECK every k / 4 steps, so the O(k^3) eigensolves
+    of the checks stay a bounded share of the run.  Writes q_2, q_3, ...
+    into the arrays ``rows()`` returns, when given, so a caller can keep
+    the basis.
     """
     s = q.size
     alpha: list[float] = []
@@ -426,18 +439,20 @@ def _lanczos(
         v -= a * q
         b = math.sqrt(v @ v)
         alpha.append(a)
+        beta.append(b)
         k = len(alpha)
         end = b <= 2 * s * _EPS or k == s
         if end or k == check:
             yield np.array(alpha), np.array(beta), end
             check += max(_LANCZOS_CHECK, k // 4)
-        beta.append(b)
         q_prev, q = q, np.divide(v, b, out=None if rows is None else rows())
 
 
 def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The dense symmetric tridiagonal with diagonal alpha and off-diagonal beta."""
-    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    """T_k, dense, from the diagonal alpha and the k couplings beta of a
+    :func:`_lanczos` check point: the first k - 1 are its off-diagonal."""
+    off = beta[:-1]
+    return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def _lambda1_run(
@@ -479,40 +494,36 @@ def _estimate(
     return coefficients @ vectors.T, both[..., k:] - coefficients
 
 
-def _settled(
-    estimate: np.ndarray,
-    noise: np.ndarray,
-    previous: np.ndarray,
-    ritz: tuple[np.ndarray, np.ndarray] | None = None,
-) -> bool:
-    """Whether every function's estimate changed since the previous check by
-    at most _LANCZOS_TOL relative, plus its rounding floor ``noise`` (at
-    large t, e^{-t lambda} is conditioned only to t eps), plus the smallest
-    normal float.
+def _error_ratio(
+    estimate: np.ndarray, noise: np.ndarray, error: np.ndarray, bottom: bool = True
+) -> float:
+    """The largest ratio, over the functions, of the norm of ``error`` to
+    its limit: _LANCZOS_TOL relative to the estimate, plus its rounding
+    floor ``noise`` (at large t, e^{-t lambda} is conditioned only to
+    t eps), plus the smallest normal float.  At most 1 means settled.
 
-    Norms are taken of each row divided by its largest entry: the squares of
-    an estimate of 1e-200 would underflow to 0 and pass any test.  A row
-    below _TINY_ROW has no relative accuracy left: e^{-t theta} may
-    underflow at the Ritz values reached so far only because the smallest
-    has not converged yet, so such a row also waits for the smallest Ritz
-    value to settle (every function applied here is largest at the bottom
-    of the spectrum), given the Ritz values of this and the previous check
-    as ``ritz``.  A solve passes none: its y_1 = e1^T T^-1 e1 is at least
+    An apply's ``error`` is beta_k c_k, Saad's estimate of the distance of
+    c = fn(T_k) e1 from fn(L_S) f; a solve's is the change of y since the
+    previous check.  Norms are taken of each row divided by its largest
+    entry: the squares of an estimate of 1e-200 would underflow to 0 and
+    pass any test.  A row below _TINY_ROW has no relative accuracy left:
+    e^{-t theta} may underflow at the Ritz values reached so far only
+    because the smallest has not converged yet, so such a row counts as
+    unsettled until the smallest Ritz value has settled (every function
+    applied here is largest at the bottom of the spectrum), which ``bottom``
+    says.  A solve leaves it true: its y_1 = e1^T T^-1 e1 is at least
     1 / alpha_1, so no row of it is tiny.
     """
-    change = estimate.copy()
-    change[..., :previous.shape[-1]] -= previous
     largest = np.max(np.abs(estimate), axis=-1, keepdims=True)
     scale = np.where(largest > 0.0, largest, 1.0)
 
     def norm(x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(x / scale, axis=-1)
 
-    limit = _LANCZOS_TOL * norm(estimate) + norm(noise) + _TINY / scale[..., 0]
-    settled = norm(change) <= limit
-    if ritz is not None:
-        settled &= ~(largest[..., 0] < _TINY_ROW) | _bottom_settled(*ritz)
-    return bool(np.all(settled))
+    ratio = norm(error) / (_LANCZOS_TOL * norm(estimate) + norm(noise) + _TINY / scale[..., 0])
+    if not bottom:
+        ratio = np.where(largest[..., 0] < _TINY_ROW, np.inf, ratio)
+    return float(np.max(ratio))
 
 
 def restricted_laplacian(graph: Graph, subset: VertexSubset) -> np.ndarray:

@@ -335,12 +335,14 @@ def _log_sampling(method: str, schedule: SolverSchedule, start: float) -> float:
 
 
 def _bound_terms(problem: BoundaryProblem, gamma: float, epsilon: float | None) -> dict:
-    return {
-        "b1_norm": float(np.linalg.norm(problem.b1)),
-        "b2_l1": float(np.abs(problem.b2).sum()),
-        "gamma": float(gamma),
-        "epsilon": None if epsilon is None else float(epsilon),
-    }
+    # A norm past the largest float64 is inf, which the writers refuse.
+    with np.errstate(over="ignore"):
+        return {
+            "b1_norm": float(np.linalg.norm(problem.b1)),
+            "b2_l1": float(np.abs(problem.b2).sum()),
+            "gamma": float(gamma),
+            "epsilon": None if epsilon is None else float(epsilon),
+        }
 
 
 def error_bound(

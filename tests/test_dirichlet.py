@@ -13,6 +13,7 @@ import scipy.linalg
 
 import hklocal as hk
 from hklocal.dirichlet import _EPS as EPS
+from hklocal.dirichlet import _LANCZOS_TOL as LANCZOS_TOL
 from conftest import (
     EMPTY_BOUNDARY,
     NOT_CONNECTED,
@@ -487,6 +488,52 @@ class TestKrylovSolve:
             op.solve(prob.b1)
 
 
+def saad_ratio(fn, alpha, beta):
+    """beta_k |c_k| over its limit, for one function and c = fn(T_k) e1, at
+    a check point of a run: the limit is LANCZOS_TOL ||c||, plus how far
+    raising every Ritz value by one ulp of the largest moves c, plus the
+    smallest normal float."""
+    off = beta[:-1]
+    theta, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    c = vectors @ (fn(theta) * vectors[0])
+    noise = (fn(theta + EPS * theta[-1]) - fn(theta)) * vectors[0]
+    tiny = np.finfo(np.float64).tiny
+    return beta[-1] * abs(c[-1]) / (LANCZOS_TOL * np.linalg.norm(c) + np.linalg.norm(noise) + tiny)
+
+
+class TestKrylovApplyStop:
+    """An apply stops at the first check point whose own error estimate
+    passes, beta_k |e_k^T fn(T_k) e1| (Saad 1992), with no second check."""
+
+    def test_first_passing_checkpoint(self, grid15, monkeypatch, caplog):
+        # e^{-4 lambda} and the local solver's kernel sum, each the only
+        # apply of its run.  The ratio at the stop is also the figure the
+        # debug line prints.
+        prob, krylov = grid15
+        dense = hk.DirichletOperator.from_subset(prob.graph, prob.subset)
+        fns = {"heat": lambda lam: np.exp(-4.0 * lam)}
+        real = hk.KrylovOperator.apply
+
+        def keep(op, fn, f):
+            fns["kernel sum"] = fn
+            return real(op, fn, f)
+
+        monkeypatch.setattr(hk.KrylovOperator, "apply", keep)
+        hk.local_linear_solver(prob, 0.2, seed=3, operator=fresh(krylov))
+        monkeypatch.undo()
+        caplog.set_level(logging.DEBUG, logger="hklocal.dirichlet")
+        for name, fn in fns.items():
+            op = fresh(krylov)
+            caplog.clear()
+            x = op.apply(fn, prob.b1)
+            ratios = [saad_ratio(fn, alpha, beta) for alpha, beta, end in op._run.checks]
+            assert not op._run.checks[-1][2], name
+            assert ratios[-1] <= 1.0 and all(r > 1.0 for r in ratios[:-1]), (name, ratios)
+            logged = float(caplog.records[-1].getMessage().split("error estimate ")[1].split()[0])
+            assert logged == pytest.approx(ratios[-1], rel=0.05), (name, logged, ratios)
+            assert close_to_dense(x, dense.apply(fn, prob.b1), prob.b1), name
+
+
 class TestKrylovRunCache:
     """Applies from the vector of the previous apply replay its Lanczos run;
     every output must be bit-identical to a fresh operator's."""
@@ -516,10 +563,11 @@ class TestKrylovRunCache:
         short = heat_kernel(op, 0.01, prob.b1)
         long = op.apply(np.reciprocal, prob.b1)
         again = op.apply(np.reciprocal, prob.b1)
-        steps, states = zip(*(r.getMessage().split(" steps, ")
-                              for r in caplog.records if r.name == "hklocal.dirichlet"))
-        assert states == ("new run", "extended run", "reused run")
-        assert int(steps[0].split()[-1]) < int(steps[1].split()[-1]) == int(steps[2].split()[-1])
+        lines = [r.getMessage().split(", ") for r in caplog.records
+                 if r.name == "hklocal.dirichlet"]
+        steps = [int(line[0].split()[-2]) for line in lines]
+        assert [line[1] for line in lines] == ["new run", "extended run", "reused run"]
+        assert steps[0] < steps[1] == steps[2]
         assert np.array_equal(short, heat_kernel(fresh(krylov), 0.01, prob.b1))
         assert np.array_equal(long, fresh(krylov).apply(np.reciprocal, prob.b1))
         assert np.array_equal(again, long)

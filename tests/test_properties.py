@@ -334,16 +334,24 @@ LANCZOS_TOL = 1e-13
 def test_krylov_operator_matches_the_dense_oracle(problem):
     # lambda1, the Green's solve of b1 and e^{-tL} b1 at t = 0.5, 5 and
     # 5 / lambda1 agree within c kappa eps on the dense and on the sparse
-    # product, and the heat kernel also within LANCZOS_TOL.  A heat kernel
-    # row is measured against the larger of its norm and ||b1||, as
-    # close_to_dense in test_dirichlet.py does: at t = 5 / lambda1 it is
-    # conditioned to about t lambda_max eps = 10 kappa eps of b1.
+    # product, and the applies also within LANCZOS_TOL: the heat kernel,
+    # the local solver's weighted kernel sum and the Riemann series of
+    # solve-local.  An apply is measured against the larger of its norm
+    # and ||b1||, as close_to_dense in test_dirichlet.py does: at
+    # t = 5 / lambda1 the heat kernel is conditioned to about
+    # t lambda_max eps = 10 kappa eps of b1.
     dense = hk.DirichletOperator.from_subset(problem.graph, problem.subset)
     tol = KRYLOV_C * dense.eigenvalues[-1] / dense.lambda1 * EPS
     f = problem.b1
     times = np.array([0.5, 5.0, 5.0 / dense.lambda1])
     x, heat = dense.solve(f), heat_kernel(dense, times, f)
-    heat_scale = np.maximum(np.linalg.norm(heat, axis=1), np.linalg.norm(f))
+    schedule = hk.make_schedule(dense.s, 0.2)
+    riemann = hk.riemann_sum_solution(problem, schedule, operator=dense)
+
+    def within(got, want):
+        scale = np.maximum(np.linalg.norm(want, axis=-1), np.linalg.norm(f))
+        return np.all(np.linalg.norm(got - want, axis=-1) <= (tol + LANCZOS_TOL) * scale)
+
     # Every product dense (S of one vertex has no coupling to make dense),
     # then every product sparse.
     s = dense.s
@@ -353,5 +361,11 @@ def test_krylov_operator_matches_the_dense_oracle(problem):
         assert (krylov.laplacian is None) == (share == 0 or s == 1)
         assert abs(krylov.lambda1 - dense.lambda1) <= tol * dense.lambda1
         assert np.linalg.norm(krylov.solve(f) - x) <= tol * np.linalg.norm(x)
-        error = np.linalg.norm(heat_kernel(krylov, times, f) - heat, axis=1)
-        assert np.all(error <= (tol + LANCZOS_TOL) * heat_scale)
+        assert within(heat_kernel(krylov, times, f), heat)
+        assert within(hk.riemann_sum_solution(problem, schedule, operator=krylov), riemann)
+        # The kernel sum is drawn at the operator's lambda1, so the dense
+        # side applies the very function the Krylov solver built.
+        with mock.patch.object(hk.KrylovOperator, "apply", autospec=True,
+                               side_effect=hk.KrylovOperator.apply) as spy:
+            x_hat = hk.local_linear_solver(problem, 0.2, seed=0, operator=krylov).x_hat
+        assert within(x_hat, dense.apply(spy.call_args.args[1], f))
