@@ -12,8 +12,9 @@ is :class:`KrylovOperator`, which keeps the sparse coupling (and L_S
 itself where the coupling is dense) and runs Lanczos from f (Saad, SIAM J.
 Numer. Anal. 1992): ``apply`` evaluates ``fn`` on the Ritz values and stops
 on Saad's a posteriori error estimate, and ``solve`` solves the tridiagonal
-system T_k y = e1 in O(k), with no eigensolve.  Both check the spectrum's
-structural bounds eagerly.
+system T_k y = e1 in O(k), with no eigensolve, and stops once its residual
+is a backward error of one ulp.  Both check the spectrum's structural
+bounds eagerly.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ _DENSE_SHARE = 16
 
 _EIGENVALUE_FLOOR = 1e-12
 _SPECTRUM_SLACK = 1e-8
-# The relative accuracy at which Lanczos stops, checked every _LANCZOS_CHECK
-# steps at first: an apply's error estimate beta_k |e_k^T fn(T_k) e1|, and
-# the change of a solve's T_k^-1 e1 since the previous check.
+# The relative accuracy at which an apply stops, checked every _LANCZOS_CHECK
+# steps at first: its error estimate beta_k |e_k^T fn(T_k) e1|.  The lambda1
+# run's smallest Ritz value settles to it too; a solve stops on its residual.
 _LANCZOS_TOL = 1e-13
 _LANCZOS_CHECK = 16
 _EPS = np.finfo(np.float64).eps
@@ -219,32 +220,31 @@ class KrylovOperator:
         The Green's function applied to f, with no eigensolve: y comes from
         the LDL^T factors of T_k (the Lanczos-CG equivalence), whose pivots
         the run keeps as it grows, so each checkpoint pays one O(k) back
-        substitution.  Its rounding floor is the same solve with the
-        diagonal raised by one ulp of the lambda1 run's largest Ritz value,
-        the shift :func:`_estimate` takes from T_k's own.  The run stops when
-        y changed since the previous checkpoint by at most the limit of
-        :func:`_error_ratio`, or on breakdown, and is shared with
-        :meth:`apply`.  A pivot <= 0 means L_S is not positive definite and
-        raises :class:`SpectrumError`.
+        substitution.  The run, shared with :meth:`apply`, stops on breakdown
+        or at the first checkpoint where the residual ||f|| beta_k |y_k|
+        (Hestenes and Stiefel 1952) is at most eps theta_max ||f|| ||y||, with
+        theta_max <= ||L_S|| from the lambda1 run: a backward error of one ulp
+        (Rigal and Gaches 1967), a forward error of about kappa eps.  That
+        residual is the recurrence's, which keeps falling below rounding, so
+        the test needs no floor.  A pivot <= 0 means L_S is not positive
+        definite and raises :class:`SpectrumError`.
         """
         f = np.asarray(f, dtype=np.float64)
         largest = float(np.max(np.abs(f), initial=0.0))
         if largest == 0.0:
             return np.zeros(self.s)
         run, state = self._run_from(f, largest)
-        previous = None
         for i in itertools.count():
             with run.lock:
                 state = run.reach(i, state)
                 alpha, beta, end = run.checks[i]
-                for factors in run.factors:
-                    factors.extend(alpha, beta)
-            y, shifted = (factors.solve(beta, alpha.size) for factors in run.factors)
-            if end or (previous is not None and _error_ratio(
-                    y, shifted - y, y - np.pad(previous, (0, y.size - previous.size))) <= 1.0):
+                run.factors.extend(alpha, beta)
+            y = run.factors.solve(beta, alpha.size)
+            ratio = beta[-1] * abs(y[-1]) / (_EPS * self.ritz_values[-1] * np.linalg.norm(y))
+            if end or ratio <= 1.0:
                 break
-            previous = y
-        log.debug("Krylov solve: %d steps, %s run", y.size, state)
+        log.debug("Krylov solve: %d steps, %s run, residual %.2g of its limit",
+                  y.size, state, ratio)
         return run.norm * (y @ run.basis[:y.size])
 
     def _run_from(self, f: np.ndarray, largest: float) -> tuple[_Run, str]:
@@ -262,7 +262,7 @@ class _Run:
     checkpoint reached so far the coefficients of T_k with the next
     coupling beta_k, and the end flag (:func:`_lanczos`); the
     eigenpairs of T_k once an apply has needed them; and the LDL^T factors
-    of T_k and of its shifted copy once a solve has."""
+    of T_k once a solve has."""
 
     def __init__(self, op: KrylovOperator, f: np.ndarray, largest: float) -> None:
         self.start, self.norm = f.copy(), largest * float(np.linalg.norm(f / largest))
@@ -272,7 +272,7 @@ class _Run:
         self.basis[0], self.size = f / self.norm, 1
         self.checks: list[tuple[np.ndarray, np.ndarray, bool]] = []
         self.eigenpairs: list[tuple[np.ndarray, np.ndarray] | None] = []
-        self.factors = (_Factors(0.0), _Factors(_EPS * float(op.ritz_values[-1])))
+        self.factors = _Factors()
         times = _laplacian_times(op.rows, op.cols, op.weights, op.s, op.laplacian)
         self.steps = _lanczos(times, self.basis[0], self._next_row)
         self.lock = threading.Lock()
@@ -300,16 +300,15 @@ class _Run:
 
 
 class _Factors:
-    """T_k + shift I = L D L^T with L unit lower bidiagonal, grown with the run.
+    """T_k = L D L^T with L unit lower bidiagonal, grown with the run.
 
-    The pivots d_1 = alpha_1 + shift, d_{j+1} = alpha_{j+1} + shift -
-    beta_j^2 / d_j and the forward solve z = L^-1 e1, z_{j+1} =
-    -(beta_j / d_j) z_j, depend only on the first j coefficients, so they
-    are extended, never recomputed, as the run grows.
+    The pivots d_1 = alpha_1, d_{j+1} = alpha_{j+1} - beta_j^2 / d_j and
+    the forward solve z = L^-1 e1, z_{j+1} = -(beta_j / d_j) z_j, depend
+    only on the first j coefficients, so they are extended, never
+    recomputed, as the run grows.
     """
 
-    def __init__(self, shift: float) -> None:
-        self.shift = shift
+    def __init__(self) -> None:
         self.pivots: list[float] = []
         self.forward: list[float] = []
 
@@ -321,10 +320,10 @@ class _Factors:
         a, b = alpha.tolist(), beta.tolist()
         for j in range(len(d), len(a)):
             if j == 0:
-                pivot, entry = a[0] + self.shift, 1.0
+                pivot, entry = a[0], 1.0
             else:
                 ratio = b[j - 1] / d[j - 1]
-                pivot = a[j] + self.shift - b[j - 1] * ratio
+                pivot = a[j] - b[j - 1] * ratio
                 entry = -ratio * z[j - 1]
             if not pivot > 0.0:
                 raise SpectrumError(
@@ -333,7 +332,7 @@ class _Factors:
             z.append(entry)
 
     def solve(self, beta: np.ndarray, k: int) -> np.ndarray:
-        """(T_k + shift I)^-1 e1 by back substitution through L^T:
+        """T_k^-1 e1 by back substitution through L^T:
         y_j = (z_j - beta_j y_{j+1}) / d_j."""
         d, z, b = self.pivots, self.forward, beta.tolist()
         y = [0.0] * k
@@ -495,24 +494,22 @@ def _estimate(
 
 
 def _error_ratio(
-    estimate: np.ndarray, noise: np.ndarray, error: np.ndarray, bottom: bool = True
+    estimate: np.ndarray, noise: np.ndarray, error: np.ndarray, bottom: bool
 ) -> float:
     """The largest ratio, over the functions, of the norm of ``error`` to
     its limit: _LANCZOS_TOL relative to the estimate, plus its rounding
     floor ``noise`` (at large t, e^{-t lambda} is conditioned only to
     t eps), plus the smallest normal float.  At most 1 means settled.
 
-    An apply's ``error`` is beta_k c_k, Saad's estimate of the distance of
-    c = fn(T_k) e1 from fn(L_S) f; a solve's is the change of y since the
-    previous check.  Norms are taken of each row divided by its largest
-    entry: the squares of an estimate of 1e-200 would underflow to 0 and
-    pass any test.  A row below _TINY_ROW has no relative accuracy left:
+    ``error`` is beta_k c_k, Saad's estimate of the distance of c =
+    fn(T_k) e1 from fn(L_S) f.  Norms are taken of each row divided by its
+    largest entry: the squares of an estimate of 1e-200 would underflow to
+    0 and pass any test.  A row below _TINY_ROW has no relative accuracy left:
     e^{-t theta} may underflow at the Ritz values reached so far only
     because the smallest has not converged yet, so such a row counts as
     unsettled until the smallest Ritz value has settled (every function
     applied here is largest at the bottom of the spectrum), which ``bottom``
-    says.  A solve leaves it true: its y_1 = e1^T T^-1 e1 is at least
-    1 / alpha_1, so no row of it is tiny.
+    says.
     """
     largest = np.max(np.abs(estimate), axis=-1, keepdims=True)
     scale = np.where(largest > 0.0, largest, 1.0)

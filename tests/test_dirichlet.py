@@ -437,6 +437,12 @@ def path_problem(s):
     return prob, math.sqrt(2.0) * (1.0 + 2.0 * np.arange(1, s + 1) / (s + 1))
 
 
+def tridiagonal(alpha, beta):
+    """T_k, dense, at a check point of a run: beta's last entry is beta_k."""
+    off = beta[:-1]
+    return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+
+
 class TestKrylovSolve:
     """``solve`` is L_S^-1 f from the Lanczos tridiagonal, with no eigensolve."""
 
@@ -478,6 +484,29 @@ class TestKrylovSolve:
             error = np.linalg.norm(fresh(krylov).solve(f) - expected)
             assert error <= 1e-13 * np.linalg.norm(expected)
 
+    def test_first_passing_checkpoint(self, dense_cluster, caplog):
+        # The residual of ||f|| Q_k y is ||f|| beta_k |y_k| (T_k y = e1), and
+        # the solve stops at the first check point where that is at most
+        # eps theta_max ||f|| ||y||: a backward error of one ulp, with
+        # theta_max the lambda1 run's largest Ritz value.  The ratio at the
+        # stop is also the figure the debug line prints.
+        prob, dense, krylov = dense_cluster
+        caplog.set_level(logging.DEBUG, logger="hklocal.dirichlet")
+        for f in (prob.b1, prob.b2):
+            op = fresh(krylov)
+            caplog.clear()
+            x = op.solve(f)
+            ratios = []
+            for alpha, beta, _ in op._run.checks:
+                y = np.linalg.solve(tridiagonal(alpha, beta), np.eye(alpha.size)[0])
+                limit = EPS * krylov.ritz_values[-1] * np.linalg.norm(y)
+                ratios.append(beta[-1] * abs(y[-1]) / limit)
+            assert not op._run.checks[-1][2]
+            assert ratios[-1] <= 1.0 and all(r > 1.0 for r in ratios[:-1]), ratios
+            logged = float(caplog.records[-1].getMessage().split("residual ")[1].split()[0])
+            assert logged == pytest.approx(ratios[-1], rel=0.05), (logged, ratios)
+            assert close_to_dense(x, dense.solve(f), f)
+
     def test_non_positive_pivot_raises(self, grid15):
         # Coupling weights tripled: I - 3A is indefinite, so some pivot of
         # its tridiagonal is negative.
@@ -493,8 +522,7 @@ def saad_ratio(fn, alpha, beta):
     a check point of a run: the limit is LANCZOS_TOL ||c||, plus how far
     raising every Ritz value by one ulp of the largest moves c, plus the
     smallest normal float."""
-    off = beta[:-1]
-    theta, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    theta, vectors = np.linalg.eigh(tridiagonal(alpha, beta))
     c = vectors @ (fn(theta) * vectors[0])
     noise = (fn(theta + EPS * theta[-1]) - fn(theta)) * vectors[0]
     tiny = np.finfo(np.float64).tiny

@@ -325,7 +325,7 @@ EPS = np.finfo(np.float64).eps
 # chorded trees, on both products: lambda1 8.9, the solve 5.2 and the heat
 # kernel 4.6 (CHANGES.md).
 KRYLOV_C = 32
-# The relative change at which Lanczos stops, dirichlet._LANCZOS_TOL.
+# The relative accuracy at which a Krylov apply stops, dirichlet._LANCZOS_TOL.
 LANCZOS_TOL = 1e-13
 
 
