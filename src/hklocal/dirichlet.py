@@ -64,7 +64,8 @@ _EIGENVALUE_FLOOR = 1e-12
 _SPECTRUM_SLACK = 1e-8
 # The relative accuracy at which an apply stops, checked every _LANCZOS_CHECK
 # steps at first: its error estimate beta_k |e_k^T fn(T_k) e1|.  The lambda1
-# run's smallest Ritz value settles to it too; a solve stops on its residual.
+# run stops on a Kato-Temple bound of one ulp of ||L_S|| instead, and a solve
+# on its residual.
 _LANCZOS_TOL = 1e-13
 _LANCZOS_CHECK = 16
 _EPS = np.finfo(np.float64).eps
@@ -140,7 +141,9 @@ class KrylovOperator:
     1 / _DENSE_SHARE of it is nonzero, and every
     product is then one ``laplacian @ x``; otherwise it is None.
     ``ritz_values`` are the ascending Ritz values of the Lanczos run from
-    D^{1/2} 1 that fixed ``lambda1`` (:func:`_lambda1_run`).  Same
+    D^{1/2} 1 that fixed ``lambda1`` (:func:`_lambda1_run`), stopped at the
+    first check whose Kato-Temple bound on the error of ``lambda1`` is at
+    most one ulp of ||L_S||.  Same
     surface as :class:`DirichletOperator`: ``s``, ``degrees``, ``lambda1``,
     :meth:`apply` and :meth:`solve`, in O(|E(S)|) memory (at most 128 bytes
     per coupling entry with the dense L_S) instead of the O(s^2) of an
@@ -196,7 +199,6 @@ class KrylovOperator:
         if largest == 0.0:
             return np.zeros(np.shape(fn(self.ritz_values[:1]))[:-1] + (self.s,))
         run, state = self._run_from(f, largest)
-        previous = None
         for i in itertools.count():
             with run.lock:
                 state = run.reach(i, state)
@@ -205,11 +207,10 @@ class KrylovOperator:
                     run.eigenpairs[i] = np.linalg.eigh(_tridiagonal(alpha, beta))
             theta, vectors = run.eigenpairs[i]
             estimate, noise = _estimate(fn, theta, vectors)
-            bottom = previous is not None and _bottom_settled(theta, previous)
-            ratio = _error_ratio(estimate, noise, beta[-1] * estimate[..., -1:], bottom)
+            ratio = _error_ratio(estimate, noise, beta[-1] * estimate[..., -1:],
+                                 lambda: _kato_temple(alpha, beta, theta) <= 1.0)
             if end or ratio <= 1.0:
                 break
-            previous = theta
         log.debug("Krylov apply: %d steps, %s run, error estimate %.2g of its limit",
                   theta.size, state, ratio)
         return run.norm * (estimate @ run.basis[:theta.size])
@@ -449,9 +450,14 @@ def _lanczos(
 
 def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """T_k, dense, from the diagonal alpha and the k couplings beta of a
-    :func:`_lanczos` check point: the first k - 1 are its off-diagonal."""
-    off = beta[:-1]
-    return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+    :func:`_lanczos` check point: the first k - 1 are its off-diagonal.
+    Written as three strided slices of the flat array, with no temporaries."""
+    k = alpha.size
+    tridiagonal = np.zeros((k, k))
+    flat = tridiagonal.reshape(-1)
+    flat[::k + 1] = alpha
+    flat[1::k + 1] = flat[k::k + 1] = beta[:-1]
+    return tridiagonal
 
 
 def _lambda1_run(
@@ -459,26 +465,45 @@ def _lambda1_run(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """L_S, dense, when s^2 <= _DENSE_SHARE * (coupling entries), else None,
     and the ascending Ritz values of a Lanczos run on its product from
-    D^{1/2} 1, stopped once the smallest settles (:func:`_bottom_settled`).
-    The start vector is positive, so it overlaps the Perron vector of
-    lambda1, and the smallest Ritz value bounds lambda1 from above."""
+    D^{1/2} 1, stopped on breakdown or at the first check whose Kato-Temple
+    bound on the smallest passes (:func:`_kato_temple`).  The start vector
+    is positive, so it overlaps the Perron vector of lambda1, and the
+    smallest Ritz value bounds lambda1 from above."""
     s = degrees.size
     laplacian = _laplacian(rows, cols, weights, s) if s * s <= _DENSE_SHARE * rows.size else None
     times = _laplacian_times(rows, cols, weights, s, laplacian)
     start = np.sqrt(degrees)
-    previous = None
     for alpha, beta, end in _lanczos(times, start / np.linalg.norm(start)):
         theta = np.linalg.eigvalsh(_tridiagonal(alpha, beta))
-        if end or (previous is not None and _bottom_settled(theta, previous)):
+        ratio = _kato_temple(alpha, beta, theta)
+        if end or ratio <= 1.0:
+            log.debug("Krylov lambda1 run: %d steps, bound %.2g of its limit", theta.size, ratio)
             return laplacian, theta
-        previous = theta
 
 
-def _bottom_settled(theta: np.ndarray, previous: np.ndarray) -> bool:
-    """Whether the smallest Ritz value moved by at most _LANCZOS_TOL
-    relative since the previous check, or by one ulp of the largest, the
-    rounding of the eigensolve itself."""
-    return abs(theta[0] - previous[0]) <= _LANCZOS_TOL * theta[0] + _EPS * theta[-1]
+def _kato_temple(alpha: np.ndarray, beta: np.ndarray, theta: np.ndarray) -> float:
+    """The Kato-Temple bound on theta_1 - lambda, (beta_k s_k)^2 / (theta_2 -
+    theta_1) (Kato 1949; Parlett, The Symmetric Eigenvalue Problem), over
+    its limit eps theta_max, one ulp of ||L_S||: at most 1 means the
+    smallest Ritz value ``theta[0]`` of T_k has converged.  s_k is the last
+    entry of its unit eigenvector z, in O(k) from the bottom-up pivots of
+    T_k - theta_1 I, d_k = alpha_k - theta_1 and d_j = alpha_j - theta_1 -
+    beta_j^2 / d_{j+1}: z_k = 1 and z_j = -(d_{j+1} / beta_j) z_{j+1}, so
+    s_k^2 = 1 / ||z||^2.  The top-down recurrence from the first row is
+    unstable once theta_1 has converged.  By interlacing d_2, ..., d_k are
+    positive; a pivot that is not, or no gap, counts as not converged (inf).
+    """
+    if theta.size < 2 or not theta[1] > theta[0]:
+        return math.inf
+    a, b, low = alpha.tolist(), beta.tolist(), float(theta[0])
+    pivot, z, total = a[-1] - low, 1.0, 1.0
+    for j in range(len(a) - 2, -1, -1):
+        if not pivot > 0.0:
+            return math.inf
+        z *= pivot / b[j]
+        total += z * z
+        pivot = a[j] - low - b[j] * b[j] / pivot
+    return b[-1] ** 2 / (total * (theta[1] - theta[0]) * _EPS * theta[-1])
 
 
 def _estimate(
@@ -494,7 +519,7 @@ def _estimate(
 
 
 def _error_ratio(
-    estimate: np.ndarray, noise: np.ndarray, error: np.ndarray, bottom: bool
+    estimate: np.ndarray, noise: np.ndarray, error: np.ndarray, bottom: Callable[[], bool]
 ) -> float:
     """The largest ratio, over the functions, of the norm of ``error`` to
     its limit: _LANCZOS_TOL relative to the estimate, plus its rounding
@@ -507,9 +532,10 @@ def _error_ratio(
     0 and pass any test.  A row below _TINY_ROW has no relative accuracy left:
     e^{-t theta} may underflow at the Ritz values reached so far only
     because the smallest has not converged yet, so such a row counts as
-    unsettled until the smallest Ritz value has settled (every function
-    applied here is largest at the bottom of the spectrum), which ``bottom``
-    says.
+    unsettled until the smallest Ritz value has converged (every function
+    applied here is largest at the bottom of the spectrum).  ``bottom()``
+    says so, by the Kato-Temple bound of :func:`_kato_temple`; it is called
+    only when a row is that small.
     """
     largest = np.max(np.abs(estimate), axis=-1, keepdims=True)
     scale = np.where(largest > 0.0, largest, 1.0)
@@ -518,8 +544,9 @@ def _error_ratio(
         return np.linalg.norm(x / scale, axis=-1)
 
     ratio = norm(error) / (_LANCZOS_TOL * norm(estimate) + norm(noise) + _TINY / scale[..., 0])
-    if not bottom:
-        ratio = np.where(largest[..., 0] < _TINY_ROW, np.inf, ratio)
+    tiny = largest[..., 0] < _TINY_ROW
+    if np.any(tiny) and not bottom():
+        ratio = np.where(tiny, np.inf, ratio)
     return float(np.max(ratio))
 
 

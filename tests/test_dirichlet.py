@@ -443,6 +443,54 @@ def tridiagonal(alpha, beta):
     return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
 
 
+class TestLambda1Run:
+    """The lambda1 run stops at the first check point whose Kato-Temple
+    bound on its smallest Ritz value, (beta_k s_k)^2 / (theta_2 - theta_1)
+    with s_k the last entry of the bottom eigenvector of T_k, is at most
+    eps theta_max."""
+
+    @pytest.mark.parametrize("name", ["grid15", "dense_cluster"])
+    def test_first_passing_checkpoint(self, name, request, monkeypatch, caplog):
+        # Every check the run reached, kept by wrapping _lanczos, with its
+        # bound recomputed from the eigenvectors of T_k.  The ratio at the
+        # stop is also the figure the debug line prints.
+        prob = request.getfixturevalue(name)[0]
+        checks = []
+        lanczos = hk.dirichlet._lanczos
+
+        def keep(*args):
+            for check in lanczos(*args):
+                checks.append(check)
+                yield check
+
+        monkeypatch.setattr(hk.dirichlet, "_lanczos", keep)
+        caplog.set_level(logging.DEBUG, logger="hklocal.dirichlet")
+        op = hk.KrylovOperator.from_subset(prob.graph, prob.subset)
+        ratios = []
+        for alpha, beta, _ in checks:
+            theta, vectors = np.linalg.eigh(tridiagonal(alpha, beta))
+            bound = (beta[-1] * vectors[-1, 0]) ** 2 / (theta[1] - theta[0])
+            ratios.append(bound / (EPS * theta[-1]))
+        assert not checks[-1][2]
+        assert ratios[-1] <= 1.0 and all(r > 1.0 for r in ratios[:-1]), ratios
+        assert op.ritz_values.size == checks[-1][0].size
+        message = caplog.records[-1].getMessage()
+        assert message.startswith(f"Krylov lambda1 run: {op.ritz_values.size} steps, bound ")
+        logged = float(message.split("bound ")[1].split()[0])
+        assert logged == pytest.approx(ratios[-1], rel=0.05), (logged, ratios)
+
+    @pytest.mark.parametrize("s, settled_steps", [(300, 195), (1000, 737)])
+    def test_long_path(self, s, settled_steps):
+        # L_S = I - A / 2 on the path: lambda1 = 2 sin^2(pi / (2 (s + 1))).
+        # A stop once theta_1 agrees with the previous check pays one check
+        # past convergence, and ends at settled_steps; the bound needs none.
+        prob, _ = path_problem(s)
+        op = hk.KrylovOperator.from_subset(prob.graph, prob.subset)
+        assert op.lambda1 == pytest.approx(2 * math.sin(math.pi / (2 * (s + 1))) ** 2,
+                                           rel=1e-11, abs=0.0)
+        assert op.ritz_values.size < settled_steps
+
+
 class TestKrylovSolve:
     """``solve`` is L_S^-1 f from the Lanczos tridiagonal, with no eigensolve."""
 

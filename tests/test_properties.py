@@ -322,8 +322,9 @@ def chorded_trees(draw):
 EPS = np.finfo(np.float64).eps
 # The worst agreement seen, in units of kappa * eps with kappa = lambda_max /
 # lambda1, over 8,000 problems of problems() and of lollipops() and 4,000
-# chorded trees, on both products: lambda1 8.9, the solve 5.2 and the heat
-# kernel 4.6 (CHANGES.md).
+# chorded trees, on both products: lambda1 8.9, the solve 5.9 and the heat
+# kernel 4.3 with the lambda1 run's Kato-Temple stop (hypothesis seed 11;
+# CHANGES.md).
 KRYLOV_C = 32
 # The relative accuracy at which a Krylov apply stops, dirichlet._LANCZOS_TOL.
 LANCZOS_TOL = 1e-13
