@@ -148,12 +148,13 @@ class KrylovOperator:
     :meth:`apply` and :meth:`solve`, in O(|E(S)|) memory (at most 128 bytes
     per coupling entry with the dense L_S) instead of the O(s^2) of an
     eigendecomposition.  :meth:`apply` eigendecomposes the tridiagonal T_k
-    at its checkpoints; :meth:`solve` needs no eigenpairs and factors T_k in
-    O(k).  The fields are immutable; the one cached state is the Lanczos run
-    (:class:`_Run`) of the last vector applied or solved from, so that the
-    applies and the solve from one vector share one basis.  Concurrent calls
-    are safe: a run is swapped in by one assignment, each call keeps the run
-    it started with, and a run is extended only under its lock.
+    at its checkpoints; :meth:`solve` needs no eigenpairs and recomputes the
+    O(k) LDL^T recurrence of T_k at each, keeping no factors.  The fields
+    are immutable; the one cached state is the Lanczos run (:class:`_Run`)
+    of the last vector applied or solved from, so that the applies and the
+    solve from one vector share one basis.  Concurrent calls are safe: a
+    run is swapped in by one assignment, each call keeps the run it started
+    with, and a run is extended only under its lock.
     """
 
     degrees: np.ndarray
@@ -190,80 +191,80 @@ class KrylovOperator:
         every function, c = fn(T_k) e1 passes Saad's a posteriori estimate
         beta_k |c_k| (beta_k couples q_k to the next Lanczos vector) of
         :func:`_error_ratio`, or on breakdown.  That takes one eigensolve of
-        T_k per checkpoint, and none past the one it stops at.  From the
-        previous apply's vector the checkpoints are replayed, and the run is
-        extended only if ``fn`` needs more steps.
+        T_k per checkpoint, cached with the run, and none past the one it
+        stops at.  From the previous apply's vector the checkpoints are
+        replayed, and the run is extended only if ``fn`` needs more steps.
         """
-        f = np.asarray(f, dtype=np.float64)
-        largest = float(np.max(np.abs(f), initial=0.0))
-        if largest == 0.0:
-            return np.zeros(np.shape(fn(self.ritz_values[:1]))[:-1] + (self.s,))
-        run, state = self._run_from(f, largest)
-        for i in itertools.count():
+
+        def check(run: _Run, i: int, alpha: np.ndarray, beta: np.ndarray):
             with run.lock:
-                state = run.reach(i, state)
-                alpha, beta, end = run.checks[i]
                 if run.eigenpairs[i] is None:
                     run.eigenpairs[i] = np.linalg.eigh(_tridiagonal(alpha, beta))
             theta, vectors = run.eigenpairs[i]
             estimate, noise = _estimate(fn, theta, vectors)
-            ratio = _error_ratio(estimate, noise, beta[-1] * estimate[..., -1:],
-                                 lambda: _kato_temple(alpha, beta, theta) <= 1.0)
-            if end or ratio <= 1.0:
-                break
-        log.debug("Krylov apply: %d steps, %s run, error estimate %.2g of its limit",
-                  theta.size, state, ratio)
-        return run.norm * (estimate @ run.basis[:theta.size])
+            return estimate, _error_ratio(estimate, noise, beta[-1] * estimate[..., -1:],
+                                          lambda: _kato_temple(alpha, beta, theta) <= 1.0)
+
+        return self._lanczos_until(f, check, lambda: np.shape(fn(self.ritz_values[:1]))[:-1],
+                                   "apply", "error estimate")
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """L_S^-1 @ f, as ||f|| Q_k y with T_k y = e1 after k Lanczos steps from f.
 
-        The Green's function applied to f, with no eigensolve: y comes from
-        the LDL^T factors of T_k (the Lanczos-CG equivalence), whose pivots
-        the run keeps as it grows, so each checkpoint pays one O(k) back
-        substitution.  The run, shared with :meth:`apply`, stops on breakdown
-        or at the first checkpoint where the residual ||f|| beta_k |y_k|
-        (Hestenes and Stiefel 1952) is at most eps theta_max ||f|| ||y||, with
-        theta_max <= ||L_S|| from the lambda1 run: a backward error of one ulp
-        (Rigal and Gaches 1967), a forward error of about kappa eps.  That
-        residual is the recurrence's, which keeps falling below rounding, so
-        the test needs no floor.  A pivot <= 0 means L_S is not positive
-        definite and raises :class:`SpectrumError`.
+        The Green's function applied to f, with no eigensolve: each
+        checkpoint computes y from T_k in O(k) (:func:`_lanczos_cg`), and
+        the run, shared with :meth:`apply`, carries no factors.  It stops on
+        breakdown or at the first checkpoint where the residual
+        ||f|| beta_k |y_k| (Hestenes and Stiefel 1952) is at most
+        eps theta_max ||f|| ||y||, with theta_max <= ||L_S|| from the
+        lambda1 run: a backward error of one ulp (Rigal and Gaches 1967), a
+        forward error of about kappa eps.  That residual is the
+        recurrence's, which keeps falling below rounding, so the test needs
+        no floor.  Raises :class:`SpectrumError` if L_S is not positive
+        definite.
         """
+
+        def check(run: _Run, i: int, alpha: np.ndarray, beta: np.ndarray):
+            y = _lanczos_cg(alpha, beta)
+            return y, beta[-1] * abs(y[-1]) / (_EPS * self.ritz_values[-1] * np.linalg.norm(y))
+
+        return self._lanczos_until(f, check, lambda: (), "solve", "residual")
+
+    def _lanczos_until(self, f: np.ndarray, check: Callable[..., tuple[np.ndarray, float]],
+                       lead: Callable[[], tuple], name: str, measure: str) -> np.ndarray:
+        """||f|| Q_k c from the run of f at its first checkpoint i whose
+        ``check(run, i, alpha, beta)`` returns coefficients c (k per row)
+        with a ratio at most 1, or where the run ends; f = 0 gives zeros of
+        shape lead() + (s,).  The run is the cached one if it started from
+        f, else a new one, swapped in, and is stepped only under its lock.
+        Raises ValueError if f is not finite."""
         f = np.asarray(f, dtype=np.float64)
         largest = float(np.max(np.abs(f), initial=0.0))
         if largest == 0.0:
-            return np.zeros(self.s)
-        run, state = self._run_from(f, largest)
+            return np.zeros(lead() + (self.s,))
+        if not math.isfinite(largest):
+            raise ValueError(f"f has a non-finite entry: max |f| = {largest}")
+        run, state = self._run, "reused"
+        if run is None or not np.array_equal(run.start, f):
+            run, state = _Run(self, f, largest), "new"
+            object.__setattr__(self, "_run", run)
         for i in itertools.count():
             with run.lock:
                 state = run.reach(i, state)
                 alpha, beta, end = run.checks[i]
-                run.factors.extend(alpha, beta)
-            y = run.factors.solve(beta, alpha.size)
-            ratio = beta[-1] * abs(y[-1]) / (_EPS * self.ritz_values[-1] * np.linalg.norm(y))
+            coefficients, ratio = check(run, i, alpha, beta)
             if end or ratio <= 1.0:
                 break
-        log.debug("Krylov solve: %d steps, %s run, residual %.2g of its limit",
-                  y.size, state, ratio)
-        return run.norm * (y @ run.basis[:y.size])
-
-    def _run_from(self, f: np.ndarray, largest: float) -> tuple[_Run, str]:
-        """The cached run if it started from f, else a new one, swapped in."""
-        run = self._run
-        if run is not None and np.array_equal(run.start, f):
-            return run, "reused"
-        run = _Run(self, f, largest)
-        object.__setattr__(self, "_run", run)
-        return run, "new"
+        log.debug("Krylov %s: %d steps, %s run, %s %.2g of its limit",
+                  name, alpha.size, state, measure, ratio)
+        return run.norm * (coefficients @ run.basis[:alpha.size])
 
 
 class _Run:
     """A Lanczos run from a copy of f: its basis, its live steps, and per
     checkpoint reached so far the coefficients of T_k with the next
-    coupling beta_k, and the end flag (:func:`_lanczos`); the
-    eigenpairs of T_k once an apply has needed them; and the LDL^T factors
-    of T_k once a solve has."""
+    coupling beta_k, and the end flag (:func:`_lanczos`), and the
+    eigenpairs of T_k once an apply has needed them."""
 
     def __init__(self, op: KrylovOperator, f: np.ndarray, largest: float) -> None:
         self.start, self.norm = f.copy(), largest * float(np.linalg.norm(f / largest))
@@ -273,7 +274,6 @@ class _Run:
         self.basis[0], self.size = f / self.norm, 1
         self.checks: list[tuple[np.ndarray, np.ndarray, bool]] = []
         self.eigenpairs: list[tuple[np.ndarray, np.ndarray] | None] = []
-        self.factors = _Factors()
         times = _laplacian_times(op.rows, op.cols, op.weights, op.s, op.laplacian)
         self.steps = _lanczos(times, self.basis[0], self._next_row)
         self.lock = threading.Lock()
@@ -300,47 +300,28 @@ class _Run:
         return "extended" if state == "reused" else state
 
 
-class _Factors:
-    """T_k = L D L^T with L unit lower bidiagonal, grown with the run.
-
-    The pivots d_1 = alpha_1, d_{j+1} = alpha_{j+1} - beta_j^2 / d_j and
-    the forward solve z = L^-1 e1, z_{j+1} = -(beta_j / d_j) z_j, depend
-    only on the first j coefficients, so they are extended, never
-    recomputed, as the run grows.
-    """
-
-    def __init__(self) -> None:
-        self.pivots: list[float] = []
-        self.forward: list[float] = []
-
-    def extend(self, alpha: np.ndarray, beta: np.ndarray) -> None:
-        """Factor the steps of T_k not factored yet (under the run's lock)."""
-        d, z = self.pivots, self.forward
-        if len(d) == alpha.size:
-            return
-        a, b = alpha.tolist(), beta.tolist()
-        for j in range(len(d), len(a)):
-            if j == 0:
-                pivot, entry = a[0], 1.0
-            else:
-                ratio = b[j - 1] / d[j - 1]
-                pivot = a[j] - b[j - 1] * ratio
-                entry = -ratio * z[j - 1]
-            if not pivot > 0.0:
-                raise SpectrumError(
-                    f"Lanczos pivot {pivot!r} at step {j + 1}: L_S is not positive definite")
-            d.append(pivot)
-            z.append(entry)
-
-    def solve(self, beta: np.ndarray, k: int) -> np.ndarray:
-        """T_k^-1 e1 by back substitution through L^T:
-        y_j = (z_j - beta_j y_{j+1}) / d_j."""
-        d, z, b = self.pivots, self.forward, beta.tolist()
-        y = [0.0] * k
-        y[k - 1] = last = z[k - 1] / d[k - 1]
-        for j in range(k - 2, -1, -1):
-            y[j] = last = (z[j] - b[j] * last) / d[j]
-        return np.array(y)
+def _lanczos_cg(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """T_k^-1 e1 from T_k = L D L^T, L unit lower bidiagonal: the Lanczos-CG
+    coefficients.  The pivots d_1 = alpha_1, d_{j+1} = alpha_{j+1} -
+    beta_j^2 / d_j, each checked positive as it is formed (else raises
+    :class:`SpectrumError`: L_S is not positive definite); the forward solve
+    z = L^-1 e1, z_1 = 1, z_{j+1} = -(beta_j / d_j) z_j; and the back
+    substitution y_k = z_k / d_k, y_j = (z_j - beta_j y_{j+1}) / d_j."""
+    a, b = alpha.tolist(), beta.tolist()
+    d, z = [a[0]], [1.0]
+    for j in range(len(a)):
+        if not d[j] > 0.0:
+            raise SpectrumError(
+                f"Lanczos pivot {d[j]!r} at step {j + 1}: L_S is not positive definite")
+        if j + 1 < len(a):
+            ratio = b[j] / d[j]
+            d.append(a[j + 1] - b[j] * ratio)
+            z.append(-ratio * z[j])
+    y, last = [], 0.0
+    for j in range(len(a) - 1, -1, -1):
+        last = (z[j] - b[j] * last) / d[j]
+        y.append(last)
+    return np.array(y[::-1])
 
 
 # Either backend: both have ``s``, ``degrees``, ``lambda1``, ``apply`` and ``solve``.
@@ -596,7 +577,8 @@ def exact_dirhkpr(op: Operator, t: float | np.ndarray, f: np.ndarray) -> np.ndar
     walk-normalized kernel, through the operator's ``apply``.  ``f`` may
     have entries of any sign; no normalization is performed.  ``t`` is one
     time, or a 1-d array of m times, which gives an (m, s) result from one
-    Krylov basis.  t = 0 returns f unchanged.
+    Krylov basis.  t = 0 returns f unchanged.  A non-finite f raises
+    ValueError.
     """
     times = np.asarray(t, dtype=np.float64)
     if times.ndim > 1 or not np.all(np.isfinite(times) & (times >= 0)):
@@ -604,6 +586,8 @@ def exact_dirhkpr(op: Operator, t: float | np.ndarray, f: np.ndarray) -> np.ndar
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (op.s,):
         raise ValueError(f"preference vector has shape {f.shape}, expected ({op.s},)")
+    if not np.isfinite(f).all():
+        raise ValueError("preference vector has a non-finite entry")
     root = np.sqrt(op.degrees)
     rho = op.apply(lambda lam: np.exp(-np.multiply.outer(times, lam)), f * (1.0 / root)) * root
     rho[times == 0] = f

@@ -26,6 +26,7 @@ from .walks import (
     PASS_BUDGET,
     WalkStats,
     _check_workers,
+    _int64,
     _schedule_draws,
     solver_approx_dirhkpr,
 )
@@ -98,7 +99,8 @@ def make_schedule(
     least ``gamma`` there; the walk-length cap analysis breaks down below
     that.  ``lambda1``, when known, fixes the restricted-range threshold.
     ``rate`` is the decay rate of the time-index distribution; it does not
-    change T, N, floor(N) or r_outer.
+    change T, N, floor(N) or r_outer.  N and r_outer must be finite and
+    below 2**63 (else ValueError).
     """
     if s < 1:
         raise ValueError(f"subset size must be positive, got {s}")
@@ -116,10 +118,12 @@ def make_schedule(
             )
     cube = float(s) ** 3
     T = cube * math.log(cube / gamma)
-    N = T / gamma
+    N = _int64(T / gamma, "grid size N = T / gamma")
     if math.floor(N) < 1:
         raise ValueError(f"empty time grid: floor(N) = 0 for s = {s}, gamma = {gamma}")
-    r_outer = math.ceil(math.log(s / gamma) / gamma**2)
+    square = gamma**2
+    r_outer = math.ceil(_int64(math.log(s / gamma) / square if square else math.inf,
+                               "r_outer = ln(s / gamma) / gamma^2"))
     t_prime = None
     if lambda1 is not None and epsilon is not None:
         t_prime = restricted_threshold(lambda1, epsilon)

@@ -71,14 +71,26 @@ UNIFORM_BUDGET = 1 << 12
 
 
 def sample_count(epsilon: float, n: int, constant: float = DEFAULT_SAMPLE_CONSTANT) -> int:
-    """Number of walks per signed part: ceil((c / eps^3) * ln n)."""
+    """Number of walks per signed part: ceil((c / eps^3) * ln n), below
+    2**63 (else ValueError)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not (math.isfinite(constant) and constant > 0.0):
         raise ValueError(f"sample constant must be finite and positive, got {constant}")
     if n < 2:
         return 1
-    return max(1, math.ceil(constant / epsilon**3 * math.log(n)))
+    cube = epsilon**3
+    return max(1, math.ceil(_int64(constant / cube * math.log(n) if cube else math.inf,
+                                   "walk count r = c / eps^3 ln n")))
+
+
+def _int64(count: float, name: str) -> float:
+    """``count`` once it is finite and below 2**63: grid indices, samples
+    and walks are counted in int64, and samples and walks numbered as
+    uint64 hash members."""
+    if not count < 2**63:
+        raise ValueError(f"{name} = {count:.4g} is not finite or does not fit in int64")
+    return count
 
 
 @dataclass
@@ -280,6 +292,8 @@ def _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats):
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (subset.size,):
         raise ValueError(f"preference vector has shape {f.shape}, expected ({subset.size},)")
+    if not np.isfinite(f).all():
+        raise ValueError("preference vector has a non-finite entry")
     # The entrywise split f = f_plus - f_minus, one walk group per nonzero part.
     parts = []
     for phase, part, sign in ((PHASE_POSITIVE, np.where(f > 0.0, f, 0.0), 1.0),

@@ -289,12 +289,20 @@ class TestRejectedInput:
         ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--constant-override", "-3"],
         ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--constant-override", "0"],
         ["hkpr-approx", "--t", "1.0", "--eps", "0.3", "--constant-override", "0"],
+        # Counts past int64: gamma^2 or eps^3 underflows to 0, or the
+        # schedule's N or r_outer overflows.
+        ["solve-local", "--gamma", "1e-200"],
+        ["solve-local", "--gamma", "1e-160"],
+        ["solve-greens", "--gamma", "1e-200", "--eps", "0.5"],
+        ["sweep-norms", "--gamma", "1e-200"],
+        ["hkpr-approx", "--t", "1.0", "--eps", "1e-200"],
     ])
     def test_non_finite_t_or_bad_walk_constant_exit_two(self, p4_files, capsys, argv):
         assert run([argv[0], *_io_args(p4_files), *argv[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 class TestVectorCommands:

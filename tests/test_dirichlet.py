@@ -309,6 +309,24 @@ class TestKrylovOperator:
                 rows = op.apply(lambda lam: np.exp(-np.outer([1.0, 2.0], lam)), zero)
                 assert rows.shape == (2, op.s) and not np.any(rows)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, oracle_pairs, bad):
+        # Refused up front on both backends, before a Lanczos run could
+        # blame L_S or an eigensolve fail; the cached run is kept.
+        for prob, dense, krylov in oracle_pairs[:2]:
+            f = prob.b1.copy()
+            f[1] = bad
+            op = fresh(krylov)
+            x = op.solve(prob.b1)
+            for backend in (dense, op):
+                with pytest.raises(ValueError, match="non-finite"):
+                    hk.exact_dirhkpr(backend, 1.0, f)
+            with pytest.raises(ValueError, match="non-finite"):
+                op.solve(f)
+            with pytest.raises(ValueError, match="non-finite"):
+                op.apply(np.reciprocal, f)
+            assert np.array_equal(op.solve(prob.b1), x)
+
     def test_many_times_from_one_call(self, oracle_pairs):
         # A 1-d array of times gives one row per time.  t = 0 is f exactly,
         # and a time at which every e^{-t theta} underflows gives zeros.

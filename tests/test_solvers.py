@@ -38,6 +38,15 @@ class TestSchedule:
         with pytest.raises(ValueError, match="empty time grid"):
             hk.make_schedule(1, 0.9)
 
+    @pytest.mark.parametrize("s, gamma, name", [
+        (20, 1e-200, "N"),  # gamma^2 underflows to 0
+        (20, 1e-160, "N"),  # ln(s / gamma) / gamma^2 overflows
+        (20, 1e-9, "r_outer"),  # r_outer is finite, about 2.4e19
+    ])
+    def test_counts_past_int64_rejected(self, s, gamma, name):
+        with pytest.raises(ValueError, match=rf"{name} = .* does not fit in int64"):
+            hk.make_schedule(s, gamma)
+
     def test_t_prime_attached(self):
         sched = hk.make_schedule(20, 0.01, epsilon=0.1, lambda1=0.5)
         assert sched.t_prime == pytest.approx(2.0 * math.log(10.0), rel=1e-12)

@@ -48,11 +48,19 @@ class TestWalkConfig:
     def test_round_count_formula(self):
         assert hk.sample_count(0.3, 3) == math.ceil(16.0 / 0.3**3 * math.log(3))
         assert hk.sample_count(0.3, 3) == 652
+        # A count of about 6.6e16 still fits in int64 and is given.
+        assert hk.sample_count(1e-5, 62) == math.ceil(16.0 / 1e-5**3 * math.log(62))
 
     @pytest.mark.parametrize("constant", [0.0, -3.0, math.inf, math.nan])
     def test_bad_constant_rejected(self, constant):
         with pytest.raises(ValueError, match="constant"):
             hk.sample_count(0.3, 10, constant)
+
+    @pytest.mark.parametrize("epsilon, constant", [(1e-200, 16.0), (1e-7, 16.0), (0.3, 1e300)])
+    def test_count_past_int64_rejected(self, epsilon, constant):
+        # Walks are numbered as uint64 hash members and counted in int64.
+        with pytest.raises(ValueError, match="int64"):
+            hk.sample_count(epsilon, 62, constant)
 
 
 class TestSignedSplit:
@@ -154,6 +162,15 @@ class TestApproxDirhkpr:
             hk.approx_dirhkpr(p4_graph, t, f, p4_subset, 0.3, master_seed=0)
         with pytest.raises(ValueError, match="t must"):
             hk.solver_approx_dirhkpr(p4_graph, t, f, p4_subset, 0.3, master_seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_f_rejected(self, p4_graph, p4_subset, bad):
+        f = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="non-finite"):
+            hk.approx_dirhkpr(p4_graph, 1.0, f, p4_subset, 0.3, master_seed=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            hk.solver_approx_dirhkpr(p4_graph, np.array([0.5, 2.0]), f, p4_subset, 0.3,
+                                     np.array([1, 2]), weights=np.array([2.0, 3.0]))
 
     def test_invalid_epsilon_rejected(self, p4_graph, p4_subset):
         with pytest.raises(ValueError, match="epsilon"):
