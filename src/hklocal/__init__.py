@@ -1,10 +1,6 @@
-"""Local solutions of graph-Laplacian boundary problems via heat kernel pagerank.
-
-The library solves the restricted system over a connected vertex subset S
-exactly (through the Green's function of the restricted normalized
-Laplacian) and approximately (by Monte-Carlo sampling of Dirichlet heat
-kernel pagerank vectors with capped random walks).
-"""
+"""Local solutions of graph-Laplacian boundary problems over a vertex subset
+S: exact through the Green's function of the restricted normalized
+Laplacian, approximate from sampled Dirichlet heat kernel pagerank vectors."""
 
 from . import dirichlet, graph, solvers, walks
 from .dirichlet import *

@@ -1,10 +1,6 @@
-"""Command-line front end: validation, exact and Monte-Carlo solves, sweeps.
-
-Results go to --out or standard output as JSON (solve commands) or CSV
-(vector and sweep commands); diagnostics go to standard error under the
-SOLVER_LOG environment variable.  Reruns with identical configuration are
-byte-identical except for the elapsed-seconds field.
-"""
+"""The ``hklocal`` command line.  Results go to --out or standard output as
+JSON (solve commands) or CSV, diagnostics to standard error under SOLVER_LOG;
+reruns of one configuration are byte-identical but for ``elapsed_seconds``."""
 
 from __future__ import annotations
 
@@ -33,7 +29,10 @@ from .graph import (
     make_boundary_problem,
     validate_b_boundable,
 )
+# make_schedule is imported for the benchmark's tracer, which wraps it under
+# this module's name.
 from .solvers import (
+    _horizon,
     error_bound,
     greens_solver,
     local_linear_solver,
@@ -234,9 +233,10 @@ def _cmd_hkpr_approx(args: argparse.Namespace) -> int:
 def _cmd_sweep_norms(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
     op = restricted_operator(problem.graph, problem.subset)
-    schedule = make_schedule(problem.subset.size, args.gamma)
+    T = _horizon(problem.subset.size, args.gamma)
+    _check_finite(T)
     # Ascending t, also when T < 1 (s = 1 and gamma > 1/e).
-    grid = np.sort(np.geomspace(1.0, schedule.T, args.points))
+    grid = np.sort(np.geomspace(1.0, T, args.points))
     lines = ["# format_version=1", "t,l1_norm,max_abs_entry"]
     # All times of a chunk share one Krylov basis of b2; a chunk holds at
     # most about PASS_BUDGET entries.

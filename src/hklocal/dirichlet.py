@@ -1,20 +1,10 @@
-"""Restricted operators, Dirichlet spectra, and exact heat-kernel solves.
+"""The restricted normalized Laplacian L_S and the exact solves through it.
 
-This is the exact backend: the restricted normalized Laplacian L_S of a
-connected subset.  Every exact quantity is a scalar function of L_S applied
-to one vector, f(L_S) b.  The Green's function solution L_S^-1 b goes
-through the operator's ``solve(f)``; the heat-kernel pagerank
-(exp(-t lambda)) and the solvers' sums of kernels go through
-``apply(fn, f)``.  Below ``KRYLOV_MIN_SIZE`` the operator is
-:class:`DirichletOperator`, a dense eigendecomposition that also serves as
-the oracle every other component is tested against; from that size on it
-is :class:`KrylovOperator`, which keeps the sparse coupling (and L_S
-itself where the coupling is dense) and runs Lanczos from f (Saad, SIAM J.
-Numer. Anal. 1992): ``apply`` evaluates ``fn`` on the Ritz values and stops
-on Saad's a posteriori error estimate, and ``solve`` solves the tridiagonal
-system T_k y = e1 in O(k), with no eigensolve, and stops once its residual
-is a backward error of one ulp.  Both check the spectrum's structural
-bounds eagerly.
+Every exact quantity is one function of L_S applied to one vector: the
+Green's function solution L_S^-1 f by an operator's ``solve(f)``, heat
+kernels and the solvers' sums of them by ``apply(fn, f)``.  The two
+operators, :class:`DirichletOperator` and :class:`KrylovOperator`, share
+that surface; README, "Krylov stop rules", derives the Krylov backend's stops.
 """
 
 from __future__ import annotations
@@ -29,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BoundaryProblem, Graph, VertexSubset, _condition_iii, _restrict
+from .graph import BoundaryProblem, Graph, VertexSubset, _condition_iii, _preference, _restrict
 
 log = logging.getLogger(__name__)
 
@@ -62,10 +52,7 @@ _DENSE_SHARE = 16
 
 _EIGENVALUE_FLOOR = 1e-12
 _SPECTRUM_SLACK = 1e-8
-# The relative accuracy at which an apply stops, checked every _LANCZOS_CHECK
-# steps at first: its error estimate beta_k |e_k^T fn(T_k) e1|.  The lambda1
-# run stops on a Kato-Temple bound of one ulp of ||L_S|| instead, and a solve
-# on its residual.
+# An apply's relative accuracy, and the first checkpoint interval.
 _LANCZOS_TOL = 1e-13
 _LANCZOS_CHECK = 16
 _EPS = np.finfo(np.float64).eps
@@ -84,16 +71,10 @@ class SpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class DirichletOperator:
-    """The spectrum of the restricted Laplacian L_S of a subset S.
-
-    ``degrees`` are the full-graph degrees of the members of S, in local
-    order.  ``eigenvalues`` are ascending with orthonormal ``eigenvectors``
-    as columns, so L_S = V diag(lambda) V^T.  Every solve acts with a
-    function of L_S through :meth:`apply` or :meth:`solve` and never reads
-    the eigenvectors itself.  This is the small-s backend of
-    :func:`restricted_operator`, the oracle :class:`KrylovOperator` is
-    tested against, and the input of :func:`greens_function`.  Immutable;
-    concurrent reads are safe.
+    """L_S = V diag(lambda) V^T, dense: ascending ``eigenvalues``, orthonormal
+    ``eigenvectors`` as columns, and the members' full-graph ``degrees`` in
+    local order.  The backend below KRYLOV_MIN_SIZE and the oracle of
+    :class:`KrylovOperator`.  Immutable; concurrent calls are safe.
     """
 
     degrees: np.ndarray
@@ -102,7 +83,8 @@ class DirichletOperator:
 
     @classmethod
     def from_subset(cls, graph: Graph, subset: VertexSubset) -> DirichletOperator:
-        """Eigendecompose :func:`restricted_laplacian` for S, checking the spectrum."""
+        """Eigendecompose L_S; raises as :func:`restricted_laplacian`, and
+        SpectrumError if the spectrum breaks its structural bounds."""
         *coupling, degrees = _checked_coupling(graph, subset, dense=True)
         eigenvalues, eigenvectors = np.linalg.eigh(_laplacian(*coupling, subset.size))
         _check_spectrum(eigenvalues, subset.size)
@@ -117,44 +99,29 @@ class DirichletOperator:
         return float(self.eigenvalues[0])
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray], f: np.ndarray) -> np.ndarray:
-        """fn(L_S) @ f, as V (fn(lambda) * V^T f).
-
-        ``fn`` takes the whole array of eigenvalues and acts elementwise.
-        Its output may carry a leading axis of m functions, shape (m, s);
-        the result is then (m, s), row i being fn_i(L_S) @ f.
-        """
-        scaled = fn(self.eigenvalues) * (self.eigenvectors.T @ f)
+        """fn(L_S) f, as V (fn(lambda) * V^T f).  ``fn`` acts elementwise on
+        the eigenvalues and may add a leading axis of m functions, giving
+        (m, s).  Raises ValueError unless f is finite with shape (s,)."""
+        scaled = fn(self.eigenvalues) * (self.eigenvectors.T @ _preference(f, self.s))
         return (self.eigenvectors @ scaled.T).T
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        """L_S^-1 @ f, the Green's function applied to f: ``apply(1/lambda, f)``."""
+        """L_S^-1 f, the Green's function applied to f: ``apply(1/lambda, f)``."""
         return self.apply(np.reciprocal, f)
 
 
 @dataclass(frozen=True)
 class KrylovOperator:
-    """The restricted Laplacian L_S of a subset S, kept as its sparse coupling.
-
-    ``rows``, ``cols`` and ``weights`` are the off-diagonal entries of
-    :func:`_checked_coupling`, so L_S x = x - bincount(rows, weights * x[cols]).
-    ``laplacian`` is L_S itself, dense and read-only, when at least
-    1 / _DENSE_SHARE of it is nonzero, and every
-    product is then one ``laplacian @ x``; otherwise it is None.
-    ``ritz_values`` are the ascending Ritz values of the Lanczos run from
-    D^{1/2} 1 that fixed ``lambda1`` (:func:`_lambda1_run`), stopped at the
-    first check whose Kato-Temple bound on the error of ``lambda1`` is at
-    most one ulp of ||L_S||.  Same
-    surface as :class:`DirichletOperator`: ``s``, ``degrees``, ``lambda1``,
-    :meth:`apply` and :meth:`solve`, in O(|E(S)|) memory (at most 128 bytes
-    per coupling entry with the dense L_S) instead of the O(s^2) of an
-    eigendecomposition.  :meth:`apply` eigendecomposes the tridiagonal T_k
-    at its checkpoints; :meth:`solve` needs no eigenpairs and recomputes the
-    O(k) LDL^T recurrence of T_k at each, keeping no factors.  The fields
-    are immutable; the one cached state is the Lanczos run (:class:`_Run`)
-    of the last vector applied or solved from, so that the applies and the
-    solve from one vector share one basis.  Concurrent calls are safe: a
-    run is swapped in by one assignment, each call keeps the run it started
-    with, and a run is extended only under its lock.
+    """L_S kept as its off-diagonal coupling, L_S x = x - bincount(rows,
+    weights * x[cols]), with the surface of :class:`DirichletOperator` in
+    O(|E(S)|) memory.  ``laplacian`` is L_S itself, dense and read-only,
+    when at least 1 / _DENSE_SHARE of it is nonzero (at most 128 bytes per
+    coupling entry), else None.  ``ritz_values`` are the ascending Ritz
+    values of the lambda1 run.  The fields are immutable; the Lanczos run of
+    the last vector applied or solved from is cached, so calls from one
+    vector share one basis.  Concurrent calls are safe: a run is swapped in
+    by one assignment, each call keeps the run it started with, and a run is
+    extended only under its lock.
     """
 
     degrees: np.ndarray
@@ -167,7 +134,8 @@ class KrylovOperator:
 
     @classmethod
     def from_subset(cls, graph: Graph, subset: VertexSubset) -> KrylovOperator:
-        """The coupling of S and its lambda1 run, checking the Ritz values."""
+        """The coupling of S and its lambda1 run; raises ValueError if S
+        fails condition (iii), SpectrumError as the dense operator does."""
         *coupling, degrees = _checked_coupling(graph, subset)
         laplacian, ritz_values = _lambda1_run(*coupling, degrees)
         _check_spectrum(ritz_values, subset.size)
@@ -182,19 +150,11 @@ class KrylovOperator:
         return float(self.ritz_values[0])
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray], f: np.ndarray) -> np.ndarray:
-        """fn(L_S) @ f, as ||f|| Q_k fn(T_k) e1 after k Lanczos steps from f.
-
-        ``fn`` is evaluated on the Ritz values, the eigenvalues of the
-        tridiagonal T_k, as the dense operator evaluates it on the
-        eigenvalues, with the same optional leading axis of m functions.
-        k is not fixed: the run stops at the first checkpoint where, for
-        every function, c = fn(T_k) e1 passes Saad's a posteriori estimate
-        beta_k |c_k| (beta_k couples q_k to the next Lanczos vector) of
-        :func:`_error_ratio`, or on breakdown.  That takes one eigensolve of
-        T_k per checkpoint, cached with the run, and none past the one it
-        stops at.  From the previous apply's vector the checkpoints are
-        replayed, and the run is extended only if ``fn`` needs more steps.
-        """
+        """fn(L_S) f, as ||f|| Q_k fn(T_k) e1 after k Lanczos steps from f,
+        with ``fn`` on the Ritz values as :meth:`DirichletOperator.apply`
+        takes it.  k is the first checkpoint at which Saad's (1992) error
+        estimate passes for every function, or breakdown.  Raises ValueError
+        unless f is finite with shape (s,)."""
 
         def check(run: _Run, i: int, alpha: np.ndarray, beta: np.ndarray):
             with run.lock:
@@ -209,20 +169,11 @@ class KrylovOperator:
                                    "apply", "error estimate")
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        """L_S^-1 @ f, as ||f|| Q_k y with T_k y = e1 after k Lanczos steps from f.
-
-        The Green's function applied to f, with no eigensolve: each
-        checkpoint computes y from T_k in O(k) (:func:`_lanczos_cg`), and
-        the run, shared with :meth:`apply`, carries no factors.  It stops on
-        breakdown or at the first checkpoint where the residual
-        ||f|| beta_k |y_k| (Hestenes and Stiefel 1952) is at most
-        eps theta_max ||f|| ||y||, with theta_max <= ||L_S|| from the
-        lambda1 run: a backward error of one ulp (Rigal and Gaches 1967), a
-        forward error of about kappa eps.  That residual is the
-        recurrence's, which keeps falling below rounding, so the test needs
-        no floor.  Raises :class:`SpectrumError` if L_S is not positive
-        definite.
-        """
+        """L_S^-1 f, as ||f|| Q_k y with T_k y = e1 after k Lanczos steps from
+        f (Hestenes and Stiefel 1952), k the first checkpoint whose residual
+        is a backward error of at most one ulp, or breakdown.  Raises
+        ValueError unless f is finite with shape (s,), SpectrumError if a
+        pivot of T_k shows L_S is not positive definite."""
 
         def check(run: _Run, i: int, alpha: np.ndarray, beta: np.ndarray):
             y = _lanczos_cg(alpha, beta)
@@ -232,18 +183,14 @@ class KrylovOperator:
 
     def _lanczos_until(self, f: np.ndarray, check: Callable[..., tuple[np.ndarray, float]],
                        lead: Callable[[], tuple], name: str, measure: str) -> np.ndarray:
-        """||f|| Q_k c from the run of f at its first checkpoint i whose
-        ``check(run, i, alpha, beta)`` returns coefficients c (k per row)
-        with a ratio at most 1, or where the run ends; f = 0 gives zeros of
-        shape lead() + (s,).  The run is the cached one if it started from
-        f, else a new one, swapped in, and is stepped only under its lock.
-        Raises ValueError if f is not finite."""
-        f = np.asarray(f, dtype=np.float64)
+        """||f|| Q_k c at the first checkpoint i of f's run whose
+        ``check(run, i, alpha, beta)`` gives coefficients c (k per row) with
+        a ratio at most 1, or where the run ends; f = 0 gives zeros of shape
+        lead() + (s,).  Reuses the cached run if it started from f."""
+        f = _preference(f, self.s)
         largest = float(np.max(np.abs(f), initial=0.0))
         if largest == 0.0:
             return np.zeros(lead() + (self.s,))
-        if not math.isfinite(largest):
-            raise ValueError(f"f has a non-finite entry: max |f| = {largest}")
         run, state = self._run, "reused"
         if run is None or not np.array_equal(run.start, f):
             run, state = _Run(self, f, largest), "new"
@@ -262,9 +209,8 @@ class KrylovOperator:
 
 class _Run:
     """A Lanczos run from a copy of f: its basis, its live steps, and per
-    checkpoint reached so far the coefficients of T_k with the next
-    coupling beta_k, and the end flag (:func:`_lanczos`), and the
-    eigenpairs of T_k once an apply has needed them."""
+    checkpoint reached the :func:`_lanczos` yield and, once an apply has
+    needed them, the eigenpairs of T_k."""
 
     def __init__(self, op: KrylovOperator, f: np.ndarray, largest: float) -> None:
         self.start, self.norm = f.copy(), largest * float(np.linalg.norm(f / largest))
@@ -279,8 +225,7 @@ class _Run:
         self.lock = threading.Lock()
 
     def _next_row(self) -> np.ndarray:
-        """The basis row the next Lanczos vector is written into, doubling
-        the array when it is full."""
+        """The basis row for the next Lanczos vector; doubles a full array."""
         rows, s = self.basis.shape
         if self.size == rows:
             grown = np.empty((min(2 * rows, s), s))
@@ -290,9 +235,8 @@ class _Run:
         return self.basis[self.size - 1]
 
     def reach(self, i: int, state: str) -> str:
-        """Step the run to checkpoint i if it has not got there (under the
-        lock), and the run's state for the log: extended if this stepped a
-        reused run."""
+        """Step the run to checkpoint i (call under the lock); returns the
+        state to log, "extended" if this stepped a reused run."""
         if i < len(self.checks):
             return state
         self.checks.append(next(self.steps))
@@ -301,12 +245,8 @@ class _Run:
 
 
 def _lanczos_cg(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """T_k^-1 e1 from T_k = L D L^T, L unit lower bidiagonal: the Lanczos-CG
-    coefficients.  The pivots d_1 = alpha_1, d_{j+1} = alpha_{j+1} -
-    beta_j^2 / d_j, each checked positive as it is formed (else raises
-    :class:`SpectrumError`: L_S is not positive definite); the forward solve
-    z = L^-1 e1, z_1 = 1, z_{j+1} = -(beta_j / d_j) z_j; and the back
-    substitution y_k = z_k / d_k, y_j = (z_j - beta_j y_{j+1}) / d_j."""
+    """T_k^-1 e1 by the LDL^T recurrence of T_k, in O(k); raises
+    SpectrumError at the first pivot that is not positive."""
     a, b = alpha.tolist(), beta.tolist()
     d, z = [a[0]], [1.0]
     for j in range(len(a)):
@@ -347,13 +287,10 @@ def _check_spectrum(eigenvalues: np.ndarray, s: int) -> None:
 def _checked_coupling(
     graph: Graph, subset: VertexSubset, dense: bool = False
 ) -> tuple[np.ndarray, ...]:
-    """The off-diagonal couplings of the restricted adjacency of S and the
-    member degrees, once S meets condition (iii) (else L_S may be singular)
-    and, for a ``dense`` L_S, s is at most DENSE_SIZE_LIMIT.
-
-    Returns ``(i, j, w, degrees)`` with w = 1 / sqrt(d_i d_j) for every
-    ordered pair of adjacent members (i, j), in local indices.
-    """
+    """``(i, j, w, degrees)``: w = 1 / sqrt(d_i d_j) for every ordered pair
+    of adjacent members (i, j), in local indices, and the member degrees.
+    Raises CapacityError if ``dense`` and s > DENSE_SIZE_LIMIT, ValueError
+    if S fails condition (iii)."""
     if dense and subset.size > DENSE_SIZE_LIMIT:
         raise CapacityError(f"subset size {subset.size} exceeds dense limit {DENSE_SIZE_LIMIT}")
     sl = _restrict(graph, subset)
@@ -377,8 +314,7 @@ def _laplacian(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, s: int) 
 def _laplacian_times(
     rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, s: int, laplacian: np.ndarray | None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> L_S x: one BLAS product with the dense ``laplacian`` when there
-    is one, else from the off-diagonal coupling, one bincount per product."""
+    """x -> L_S x, by the dense ``laplacian`` when given, else the coupling."""
     if laplacian is not None:
         return laplacian.__matmul__
 
@@ -393,21 +329,11 @@ def _lanczos(
     q: np.ndarray,
     rows: Callable[[], np.ndarray] | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
-    """Plain Lanczos on the symmetric operator ``times`` from the unit vector q.
-
-    Yields ``(alpha, beta, end)`` at check points: the diagonal (k entries)
-    of the k x k tridiagonal T_k so far, the couplings (k entries: the
-    first k - 1 are the off-diagonal of T_k, and beta_k couples q_k to the
-    next Lanczos vector), and whether the run must end there, because
-    beta_k broke down (at most 2 s eps, the rounding of one product with
-    L_S, whose norm is at most 2, so q_1..q_k span an invariant subspace up
-    to rounding) or because k reached s, where the Krylov space is the
-    whole space.  Check points fall every _LANCZOS_CHECK steps, and once k
-    passes 4 * _LANCZOS_CHECK every k / 4 steps, so the O(k^3) eigensolves
-    of the checks stay a bounded share of the run.  Writes q_2, q_3, ...
-    into the arrays ``rows()`` returns, when given, so a caller can keep
-    the basis.
-    """
+    """Plain Lanczos on the symmetric ``times`` from the unit vector q: yields
+    ``(alpha, beta, end)`` at each checkpoint, the k diagonal entries of T_k,
+    its k - 1 off-diagonal ones followed by beta_k, and whether the run ends
+    there (beta_k <= 2 s eps, or k = s).  Writes q_2, q_3, ... into the
+    arrays ``rows()`` returns, when given."""
     s = q.size
     alpha: list[float] = []
     beta: list[float] = []
@@ -430,9 +356,7 @@ def _lanczos(
 
 
 def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """T_k, dense, from the diagonal alpha and the k couplings beta of a
-    :func:`_lanczos` check point: the first k - 1 are its off-diagonal.
-    Written as three strided slices of the flat array, with no temporaries."""
+    """T_k, dense, from a :func:`_lanczos` checkpoint's alpha and beta."""
     k = alpha.size
     tridiagonal = np.zeros((k, k))
     flat = tridiagonal.reshape(-1)
@@ -445,11 +369,9 @@ def _lambda1_run(
     rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, degrees: np.ndarray
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """L_S, dense, when s^2 <= _DENSE_SHARE * (coupling entries), else None,
-    and the ascending Ritz values of a Lanczos run on its product from
-    D^{1/2} 1, stopped on breakdown or at the first check whose Kato-Temple
-    bound on the smallest passes (:func:`_kato_temple`).  The start vector
-    is positive, so it overlaps the Perron vector of lambda1, and the
-    smallest Ritz value bounds lambda1 from above."""
+    and the ascending Ritz values of the Lanczos run from D^{1/2} 1, stopped
+    on breakdown or at the first check whose :func:`_kato_temple` bound
+    passes.  The smallest bounds lambda1 from above."""
     s = degrees.size
     laplacian = _laplacian(rows, cols, weights, s) if s * s <= _DENSE_SHARE * rows.size else None
     times = _laplacian_times(rows, cols, weights, s, laplacian)
@@ -463,16 +385,10 @@ def _lambda1_run(
 
 
 def _kato_temple(alpha: np.ndarray, beta: np.ndarray, theta: np.ndarray) -> float:
-    """The Kato-Temple bound on theta_1 - lambda, (beta_k s_k)^2 / (theta_2 -
-    theta_1) (Kato 1949; Parlett, The Symmetric Eigenvalue Problem), over
-    its limit eps theta_max, one ulp of ||L_S||: at most 1 means the
-    smallest Ritz value ``theta[0]`` of T_k has converged.  s_k is the last
-    entry of its unit eigenvector z, in O(k) from the bottom-up pivots of
-    T_k - theta_1 I, d_k = alpha_k - theta_1 and d_j = alpha_j - theta_1 -
-    beta_j^2 / d_{j+1}: z_k = 1 and z_j = -(d_{j+1} / beta_j) z_{j+1}, so
-    s_k^2 = 1 / ||z||^2.  The top-down recurrence from the first row is
-    unstable once theta_1 has converged.  By interlacing d_2, ..., d_k are
-    positive; a pivot that is not, or no gap, counts as not converged (inf).
+    """The Kato-Temple bound on theta_1 - lambda_1 (Kato 1949; Parlett, The
+    Symmetric Eigenvalue Problem) over its limit, one ulp of ||L_S||: at
+    most 1 means the smallest Ritz value ``theta[0]`` has converged.  inf
+    when there is no gap or a pivot of T_k - theta_1 I is not positive.
     """
     if theta.size < 2 or not theta[1] > theta[0]:
         return math.inf
@@ -490,9 +406,9 @@ def _kato_temple(alpha: np.ndarray, beta: np.ndarray, theta: np.ndarray) -> floa
 def _estimate(
     fn: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, vectors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """fn(T) e1 per function from the eigenpairs of T, and how far adding one
-    ulp of the largest Ritz value to every Ritz value moves it (in the
-    eigenbasis of T, which keeps norms): the rounding floor of the estimate."""
+    """fn(T) e1 per function from the eigenpairs of T, and its rounding
+    floor: how far one ulp of theta_max added to every Ritz value moves it,
+    in T's eigenbasis."""
     k = theta.size
     both = fn(np.concatenate([theta, theta + _EPS * theta[-1]])) * np.tile(vectors[0], 2)
     coefficients = both[..., :k]
@@ -502,21 +418,12 @@ def _estimate(
 def _error_ratio(
     estimate: np.ndarray, noise: np.ndarray, error: np.ndarray, bottom: Callable[[], bool]
 ) -> float:
-    """The largest ratio, over the functions, of the norm of ``error`` to
-    its limit: _LANCZOS_TOL relative to the estimate, plus its rounding
-    floor ``noise`` (at large t, e^{-t lambda} is conditioned only to
-    t eps), plus the smallest normal float.  At most 1 means settled.
-
-    ``error`` is beta_k c_k, Saad's estimate of the distance of c =
-    fn(T_k) e1 from fn(L_S) f.  Norms are taken of each row divided by its
-    largest entry: the squares of an estimate of 1e-200 would underflow to
-    0 and pass any test.  A row below _TINY_ROW has no relative accuracy left:
-    e^{-t theta} may underflow at the Ritz values reached so far only
-    because the smallest has not converged yet, so such a row counts as
-    unsettled until the smallest Ritz value has converged (every function
-    applied here is largest at the bottom of the spectrum).  ``bottom()``
-    says so, by the Kato-Temple bound of :func:`_kato_temple`; it is called
-    only when a row is that small.
+    """The largest ratio, over the functions, of Saad's estimate ``error``
+    to its limit: _LANCZOS_TOL times the estimate, plus its rounding floor
+    ``noise``, plus the smallest normal float.  At most 1 means settled.
+    Each row's norms are taken over its largest entry, so none underflows.
+    A row below _TINY_ROW is unsettled unless ``bottom()``, called only
+    then, says the smallest Ritz value has converged.
     """
     largest = np.max(np.abs(estimate), axis=-1, keepdims=True)
     scale = np.where(largest > 0.0, largest, 1.0)
@@ -532,22 +439,15 @@ def _error_ratio(
 
 
 def restricted_laplacian(graph: Graph, subset: VertexSubset) -> np.ndarray:
-    """The dense s x s restricted normalized Laplacian L_S, read-only.
-
-    Rows and columns of S, degrees from the full graph.  Requires the
-    induced subgraph on S to be connected with a nonempty vertex boundary
-    (otherwise the restriction may be singular).  Guarded by DENSE_SIZE_LIMIT.
-    """
+    """The dense s x s restricted normalized Laplacian L_S, read-only, with
+    degrees from the full graph.  Raises CapacityError past
+    DENSE_SIZE_LIMIT, ValueError if S fails condition (iii)."""
     return _laplacian(*_checked_coupling(graph, subset, dense=True)[:3], subset.size)
 
 
 def restricted_operator(graph: Graph, subset: VertexSubset) -> Operator:
-    """The operator of L_S for S: dense below KRYLOV_MIN_SIZE, Krylov from it on.
-
-    Either one checks that S is connected with a nonempty vertex boundary,
-    and checks the spectrum's structural bounds, on
-    the eigenvalues or on the Ritz values of the lambda1 run.
-    """
+    """The operator of L_S: dense below KRYLOV_MIN_SIZE, Krylov from it on.
+    Raises as the chosen class's ``from_subset``."""
     start = time.perf_counter()
     dense = subset.size < KRYLOV_MIN_SIZE
     op = (DirichletOperator if dense else KrylovOperator).from_subset(graph, subset)
@@ -560,9 +460,9 @@ def restricted_operator(graph: Graph, subset: VertexSubset) -> Operator:
 
 
 def greens_function(op: DirichletOperator) -> np.ndarray:
-    """Green's function of S, the s x s matrix L_S^-1: the sum of
-    (1/lambda_i) times each eigenprojection.  Needs the dense operator; past
-    KRYLOV_MIN_SIZE build it with :meth:`DirichletOperator.from_subset`."""
+    """The Green's matrix L_S^-1, s x s.  Needs the dense operator (raises
+    TypeError otherwise); past KRYLOV_MIN_SIZE build it with
+    :meth:`DirichletOperator.from_subset`."""
     if not isinstance(op, DirichletOperator):
         raise TypeError("the Green's matrix needs the dense DirichletOperator")
     if op.eigenvalues[0] <= _EIGENVALUE_FLOOR:
@@ -571,23 +471,16 @@ def greens_function(op: DirichletOperator) -> np.ndarray:
 
 
 def exact_dirhkpr(op: Operator, t: float | np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Dirichlet heat kernel pagerank f^T exp(-t * (I - P_S)), exactly.
-
-    Computed as D^{-1/2} exp(-t L_S) D^{1/2} applied on the left, i.e. the
-    walk-normalized kernel, through the operator's ``apply``.  ``f`` may
-    have entries of any sign; no normalization is performed.  ``t`` is one
-    time, or a 1-d array of m times, which gives an (m, s) result from one
-    Krylov basis.  t = 0 returns f unchanged.  A non-finite f raises
-    ValueError.
+    """The Dirichlet heat kernel pagerank f^T exp(-t (I - P_S)), exactly, as
+    D^{-1/2} exp(-t L_S) D^{1/2} through ``op.apply``; f may have any sign
+    and is not normalised.  ``t`` is one time or a 1-d array of m times,
+    giving (m, s); t = 0 gives f.  Raises ValueError unless every t is
+    finite and nonnegative and f is finite with shape (s,).
     """
     times = np.asarray(t, dtype=np.float64)
     if times.ndim > 1 or not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError(f"t must be finite and nonnegative, got {t}")
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (op.s,):
-        raise ValueError(f"preference vector has shape {f.shape}, expected ({op.s},)")
-    if not np.isfinite(f).all():
-        raise ValueError("preference vector has a non-finite entry")
+    f = _preference(f, op.s)
     root = np.sqrt(op.degrees)
     rho = op.apply(lambda lam: np.exp(-np.multiply.outer(times, lam)), f * (1.0 / root)) * root
     rho[times == 0] = f
@@ -597,10 +490,7 @@ def exact_dirhkpr(op: Operator, t: float | np.ndarray, f: np.ndarray) -> np.ndar
 def exact_local_solution(
     problem: BoundaryProblem, operator: Operator | None = None
 ) -> np.ndarray:
-    """Exact local solution over S: the Green's function applied to b1.
-
-    Computed as L_S^-1 b1 through the operator's ``solve``, without
-    forming the s x s Green's matrix.
-    """
+    """x_S = L_S^-1 b1 through ``operator.solve`` (built when not given),
+    without forming the Green's matrix."""
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     return op.solve(problem.b1)

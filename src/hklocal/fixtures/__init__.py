@@ -1,10 +1,6 @@
-"""Bundled example network and boundary-problem files.
-
-The dolphins social network (62 vertices, 159 edges, 1-based ids) ships with
-a follower subset of size 20 and a mixed-sign boundary vector on its leader
-boundary; together they form the reference problem used by the sweep and
-solver examples.
-"""
+"""The bundled dolphins social network (62 vertices, 159 edges, 1-based ids)
+with a 20-vertex follower subset and a mixed-sign boundary vector on its
+leader boundary: the reference problem of the examples."""
 
 from importlib import resources
 from pathlib import Path

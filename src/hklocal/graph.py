@@ -1,8 +1,7 @@
-"""Simple undirected graphs, vertex subsets, and boundary-condition machinery.
+"""Simple undirected graphs, vertex subsets, and boundary problems.
 
-Graphs are stored in compressed sparse adjacency form.  Vertex ids appearing
-in input files may be arbitrary non-negative integers; they are compacted to
-``[0, n)`` internally and the original ids are kept for reporting.
+Vertex ids in input files are arbitrary non-negative integers below 2**63;
+they are compacted to [0, n) and the original ids kept for reporting.
 """
 
 from __future__ import annotations
@@ -55,6 +54,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _preference(f, s: int) -> np.ndarray:
+    """``f`` as float64; raises ValueError unless its shape is (s,) and its
+    entries are finite."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (s,):
+        raise ValueError(f"preference vector has shape {f.shape}, expected ({s},)")
+    if not np.isfinite(f).all():
+        raise ValueError("preference vector has a non-finite entry")
+    return f
+
+
 # Vertex ids are stored as int64.
 _ID_LIMIT = 2**63
 
@@ -79,13 +89,9 @@ _COMMENT = re.compile("\n[ \t]*#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
 def _bulk_ids(text: str, per_line: int) -> np.ndarray | None:
     """The (m, per_line) ids of a text whose lines are blank, comments or
-    ``per_line`` ids, tokenised in whole-text passes.
-
-    None, so that the caller runs its per-line parser, unless the data is
-    ASCII digits, spaces, tabs and LF or CRLF line ends and every id is below
-    10^18, leading zeros allowed: on such text this agrees with ``int``
-    exactly.  The comment pass covers the text up to the last ``#``; no
-    comment line starts past it.
+    ``per_line`` ids, tokenised in whole-text passes, exactly as ``int``
+    reads them; None, for the per-line parser, unless the data is ASCII
+    digits, spaces, tabs and LF or CRLF line ends with every id below 10^18.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -118,12 +124,8 @@ def _bulk_ids(text: str, per_line: int) -> np.ndarray | None:
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Distinct values of an int64 array in ascending order.
-
-    Equal to np.unique, whose hashing was 50-70x slower than this sort on
-    300k int64 values (numpy 2.4, 2-vCPU VM), and whose first call in a
-    process took 12-18 ms.
-    """
+    """Distinct values of an int64 array in ascending order: np.unique, by
+    one sort."""
     a = np.sort(a)
     keep = np.ones(len(a), dtype=bool)
     keep[1:] = a[1:] != a[:-1]
@@ -152,12 +154,9 @@ def _lookup(graph: "Graph", token: str, ln: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph with a degree table.
-
-    ``indptr``/``indices`` are the usual CSR neighbor lists in compact ids,
-    sorted per vertex, so each edge appears twice.  Construction is
-    single-threaded; instances are safe for unrestricted concurrent reads
-    afterwards.
+    """Immutable undirected simple graph: CSR neighbour lists
+    ``indptr``/``indices`` in compact ids, sorted per vertex (each edge
+    twice), ``degrees`` and ``original_ids``.  Concurrent reads are safe.
     """
 
     n: int
@@ -168,12 +167,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) pairs given in original ids.
-
-        The vertices are the ids the pairs name, so every vertex has an edge.
-        Self-loops are rejected; duplicate pairs (in either orientation)
-        collapse to a single edge.  An (m, 2) array of pairs is used as is.
-        Dense ids are compacted through a table, others by a sort, to the same graph.
+        """The graph of (u, v) pairs in original ids (an (m, 2) array is used
+        as is); its vertices are the ids named.  Duplicate pairs, in either
+        orientation, collapse.  Raises GraphFormatError on a self-loop or an
+        id that is negative or does not fit in 64 bits.
         """
         try:
             if not isinstance(pairs, np.ndarray):
@@ -230,6 +227,7 @@ class Graph:
         return len(self.indices) // 2
 
     def compact_id(self, original: int) -> int:
+        """The compact id of an original one; GraphFormatError if unknown."""
         i = int(np.searchsorted(self.original_ids, original))
         if i < self.n and self.original_ids[i] == original:
             return i
@@ -237,16 +235,10 @@ class Graph:
 
 
 def load_graph(source: str | IO[str]) -> Graph:
-    """Parse a whitespace-separated edge list into a :class:`Graph`.
-
-    One ``u v`` pair per line; blank lines and lines starting with ``#`` are
-    ignored.  Duplicate and reversed-duplicate edge lines collapse.
-
-    Raises
-    ------
-    GraphFormatError
-        On self-loops, non-integer, negative or out-of-range (2^63 and up)
-        ids, or malformed lines, with the offending line number.
+    """The :class:`Graph` of an edge list: one ``u v`` pair per line, blank
+    and ``#`` lines ignored, duplicate edges collapsed.  Raises
+    GraphFormatError, naming the line, on a malformed line, a self-loop or
+    an id that is not an integer in [0, 2**63).
     """
     start = time.perf_counter()
     text = source if isinstance(source, str) else source.read()
@@ -279,17 +271,16 @@ def _edge_lines(text: str) -> list[tuple[int, int]]:
 
 
 def load_graph_file(path: str | Path) -> Graph:
+    """:func:`load_graph` of a UTF-8 file; raises OSError if it cannot be
+    opened, UnicodeDecodeError if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
         return load_graph(fh)
 
 
 @dataclass(frozen=True)
 class VertexSubset:
-    """A validated vertex subset with local/global index maps.
-
-    ``members`` is sorted and duplicate-free; ``local_of`` is an int64 array
-    over all n compact ids holding each member's position in ``members``
-    and -1 elsewhere, so it round-trips exactly.
+    """A vertex subset: sorted, duplicate-free ``members`` and ``local_of``,
+    each compact id's position in ``members`` or -1, over all n ids.
     """
 
     members: np.ndarray
@@ -298,7 +289,8 @@ class VertexSubset:
 
     @classmethod
     def from_iterable(cls, vertices: Iterable[int], n: int) -> "VertexSubset":
-        """The subset of compact ids; a 1-D int64 array skips a per-element int()."""
+        """The subset of compact ids in [0, n); ValueError on one out of range
+        or repeated."""
         if getattr(vertices, "dtype", None) != np.int64 or np.ndim(vertices) != 1:
             vertices = np.array([int(v) for v in vertices], dtype=np.int64)
         members = np.sort(vertices)
@@ -323,7 +315,8 @@ class VertexSubset:
 
 
 def load_subset(source: str | IO[str], graph: Graph) -> VertexSubset:
-    """Read one original vertex id per line into a :class:`VertexSubset`."""
+    """The :class:`VertexSubset` of one original id per line; raises
+    GraphFormatError, naming the line, on a malformed, unknown or repeated id."""
     text = source if isinstance(source, str) else source.read()
     ids = _bulk_ids(text, 1)
     if ids is not None and len(ids):
@@ -351,11 +344,9 @@ def _subset_lines(text: str, graph: Graph) -> VertexSubset:
 
 
 def load_boundary(source: str | IO[str], graph: Graph) -> dict[int, float]:
-    """Read 'vertex_id value' lines into a sparse boundary vector.
-
-    Values are finite decimal reals and may be negative.  Keys are compact
-    ids.
-    """
+    """The boundary vector of 'vertex_id value' lines, keyed by compact id.
+    Raises GraphFormatError, naming the line, on a malformed line, an unknown
+    or repeated vertex, or a value that is not finite."""
     if not isinstance(source, str):
         source = source.read()
     b: dict[int, float] = {}
@@ -380,13 +371,10 @@ def load_boundary(source: str | IO[str], graph: Graph) -> dict[int, float]:
 
 
 class _Slice(NamedTuple):
-    """The CSR rows of the members of S, one entry per adjacency slot.
-
-    ``rows`` is each slot's local row in S, ``nbrs`` its neighbor's compact
-    id, and ``cols`` the neighbor's local index in S or -1 when the neighbor
-    lies outside S.  Slots come in member order, and within a member in
-    ascending neighbor order.  ``degrees`` are the members' full-graph
-    degrees and ``starts`` each member's first slot.
+    """The CSR rows of the members of S, one entry per adjacency slot, in
+    member then neighbour order: each slot's local ``rows``, its neighbour's
+    compact id ``nbrs`` and local index ``cols`` (-1 outside S); the
+    members' full-graph ``degrees`` and first slots ``starts``.
     """
 
     rows: np.ndarray
@@ -397,13 +385,8 @@ class _Slice(NamedTuple):
 
 
 def _restrict(graph: Graph, subset: VertexSubset) -> _Slice:
-    """Slice the adjacency of S once, vectorised.
-
-    Every restriction to S (the vertex boundary, condition (iii), b1 and
-    b2, the restricted Laplacian, the walks' adjacency) is built from this
-    one slice; callers that need several of them slice once and pass the
-    result on.
-    """
+    """The adjacency of S, sliced once; every restriction to S is built
+    from it."""
     degrees = graph.degrees[subset.members]
     starts = np.cumsum(degrees) - degrees
     rows = np.repeat(np.arange(subset.size), degrees)
@@ -463,24 +446,17 @@ def _violations(
 def validate_b_boundable(
     graph: Graph, b: Mapping[int, float], subset: VertexSubset
 ) -> list[str]:
-    """Check the boundary-problem preconditions; return violation messages.
-
-    An empty list means (graph, b, S) is admissible: the support of b avoids
-    S, the vertex boundary of S meets the support of b, and the induced
-    subgraph on S is connected with a nonempty vertex boundary.
+    """The violated admissibility conditions of (graph, b, S), none when the
+    support of b is nonempty and avoids S (i), meets the vertex boundary of
+    S (ii), and S is connected with a nonempty vertex boundary (iii).
     """
     sl = _restrict(graph, subset)
     return _violations(b, subset, sl, _vertex_boundary(sl))
 
 
 def _b1(graph: Graph, b: Mapping[int, float], sl: _Slice) -> np.ndarray:
-    """Fold the boundary values into S: b1(v) = sum over boundary neighbors
-    u of b(u) / sqrt(d_v * d_u), with degrees taken in the full graph.
-
-    Only entries of b on the vertex boundary of S contribute, looked up in
-    the sorted keys of b; each member's terms are added in ascending order
-    of u.
-    """
+    """b1(v) = sum over boundary neighbours u of b(u) / sqrt(d_v d_u),
+    full-graph degrees, each member's terms added in ascending order of u."""
     out = sl.cols < 0
     rows, nbrs = sl.rows[out], sl.nbrs[out]
     keys = np.fromiter(b.keys(), np.int64, len(b))
@@ -494,13 +470,9 @@ def _b1(graph: Graph, b: Mapping[int, float], sl: _Slice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryProblem:
-    """A graph, a boundary vector b, and an admissible subset S.
-
-    Holds the derived quantities used by every solver: the vertex boundary
-    ``delta_s`` and the folded boundary vectors ``b1`` and its
-    degree-weighted companion ``b2`` = b1 * sqrt(d) over S (in local index
-    order).
-    """
+    """An admissible (graph, b, S) with the vertex boundary ``delta_s`` and
+    the folded boundary vectors ``b1`` and ``b2`` = b1 sqrt(d), finite and in
+    local order."""
 
     graph: Graph
     b: Mapping[int, float]
@@ -519,15 +491,9 @@ def _by_original_id(problem: BoundaryProblem, values: np.ndarray) -> dict[str, f
 def make_boundary_problem(
     graph: Graph, b: Mapping[int, float], subset: VertexSubset
 ) -> BoundaryProblem:
-    """Validate (graph, b, S) and assemble the derived boundary vectors.
-
-    Raises
-    ------
-    BoundaryConditionError
-        Listing every violated admissibility condition.
-    ValueError
-        When b1 or b2 overflows float64.
-    """
+    """The :class:`BoundaryProblem` of (graph, b, S).  Raises
+    BoundaryConditionError listing every violated condition, and ValueError
+    when b1 or b2 overflows float64."""
     start = time.perf_counter()
     sl = _restrict(graph, subset)
     delta = _vertex_boundary(sl)

@@ -1,12 +1,7 @@
-"""Sampling schedules and the local linear solvers.
-
-Two backends approximate the local solution x_S = G b1 by sampling
-heat-kernel pagerank vectors at importance-weighted random times on the
-schedule grid: an exact backend that sums the samples as one function of
-the restricted Laplacian, and a Monte-Carlo backend that estimates each
-sample with capped Dirichlet random walks.  A closed form Riemann-sum
-reference and the error-bound bookkeeping live here too.
-"""
+"""Sampling schedules, the two sampled local solvers, the Riemann-sum
+reference and the error bounds.  Both solvers approximate x_S = L_S^-1 b1
+from heat-kernel pagerank samples at importance-weighted times: exactly,
+through the restricted operator, or with capped Dirichlet walks."""
 
 from __future__ import annotations
 
@@ -49,15 +44,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverSchedule:
-    """Derived sampling parameters for a subset of size s.
-
-    T is the integration horizon s^3 ln(s^3 / gamma), N = T / gamma the
-    discretization count, and r_outer = ceil(ln(s / gamma) / gamma^2) the
-    number of sampled times.  The time grid is the multiples of gamma up to
-    floor(N) of them.  The solvers draw grid index j with probability
-    P(j) proportional to exp(-rate * gamma * (j - 1)) (see
-    :func:`draw_weighted_t`) and weight the sample by gamma / P(j); rate 0
-    is the paper's uniform draw with the weight gamma * floor(N).
+    """The sampling parameters of a subset of size s: the horizon T =
+    s^3 ln(s^3 / gamma), N = T / gamma, the grid of the first floor(N)
+    multiples of gamma, r_outer = ceil(ln(s / gamma) / gamma^2) sampled
+    times, the restricted-range threshold t' (or None) and the time-draw
+    ``rate`` of :func:`draw_weighted_t`.
     """
 
     gamma: float
@@ -73,16 +64,25 @@ class SolverSchedule:
 
 
 def restricted_threshold(lambda1: float, epsilon: float) -> float:
-    """Time beyond which heat-kernel pagerank entries sink below epsilon.
-
-    Conservative cutoff ln(1/epsilon) / lambda1; sampled times past it can
-    be skipped and treated as zero vectors.
-    """
+    """t' = ln(1 / epsilon) / lambda1, past which heat-kernel pagerank
+    entries sink below epsilon; raises ValueError unless lambda1 > 0 and
+    0 < epsilon <= 1."""
     if lambda1 <= 0:
         raise ValueError(f"lambda1 must be positive, got {lambda1}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     return math.log(1.0 / epsilon) / lambda1
+
+
+def _horizon(s: int, gamma: float) -> float:
+    """The horizon T = s^3 ln(s^3 / gamma); raises ValueError unless s >= 1
+    and 0 < gamma < 1."""
+    if s < 1:
+        raise ValueError(f"subset size must be positive, got {s}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    cube = float(s) ** 3
+    return cube * math.log(cube / gamma)
 
 
 def make_schedule(
@@ -93,19 +93,13 @@ def make_schedule(
     lambda1: float | None = None,
     rate: float = 0.0,
 ) -> SolverSchedule:
-    """Build the sampling schedule for a subset of size s.
-
-    ``epsilon`` is only needed for the Monte-Carlo backend and must be at
-    least ``gamma`` there; the walk-length cap analysis breaks down below
-    that.  ``lambda1``, when known, fixes the restricted-range threshold.
-    ``rate`` is the decay rate of the time-index distribution; it does not
-    change T, N, floor(N) or r_outer.  N and r_outer must be finite and
-    below 2**63 (else ValueError).
+    """The sampling schedule of a subset of size s.  ``epsilon``, for the
+    walk backend only, must lie in [gamma, 1); with ``lambda1`` it fixes t'.
+    ``rate`` changes none of T, N and r_outer.  Raises ValueError as
+    :func:`_horizon`, for a negative or non-finite rate, or unless N and
+    r_outer are below 2**63 and floor(N) >= 1.
     """
-    if s < 1:
-        raise ValueError(f"subset size must be positive, got {s}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    T = _horizon(s, gamma)
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ValueError(f"rate must be finite and nonnegative, got {rate}")
     if epsilon is not None:
@@ -116,8 +110,6 @@ def make_schedule(
                 f"epsilon ({epsilon}) must be at least gamma ({gamma}): the sampled-time "
                 "walk estimator only guarantees its accuracy for epsilon >= gamma"
             )
-    cube = float(s) ** 3
-    T = cube * math.log(cube / gamma)
     N = _int64(T / gamma, "grid size N = T / gamma")
     if math.floor(N) < 1:
         raise ValueError(f"empty time grid: floor(N) = 0 for s = {s}, gamma = {gamma}")
@@ -142,18 +134,11 @@ def make_schedule(
 
 
 def draw_weighted_t(schedule: SolverSchedule, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniforms u to importance-sampled times t = j * gamma and weights gamma / P(j).
-
-    j follows the geometric law truncated to the integers [1, floor(N)],
-    P(j) = q^(j-1) (1 - q) / (1 - q^floor(N)) with q = exp(-rate * gamma),
-    drawn by the inverse CDF j = ceil(ln(1 - u (1 - q^floor(N))) / ln q);
-    rate 0 is the paper's uniform draw.  The weighted sample
-    gamma / P(j) * rho_t has mean exactly the Riemann sum over the grid, for
-    any rate.  Its variance stays bounded for every T only while the rate
-    is below 2 lambda1 for exact samples, and below lambda1 for walk
-    samples, whose second moment decays only like e^{-lambda1 t}.  Both
-    solvers map the same hashed uniforms of a seed here, each at its own
-    rate: lambda1 for the exact backend, lambda1 / 2 for the walks.
+    """Times t = j gamma and weights gamma / P(j) for uniforms u, with j on
+    [1, floor(N)] drawn by the inverse CDF of P(j) proportional to q^(j-1),
+    q = exp(-rate gamma); rate 0 is the paper's uniform draw.  For any rate
+    the weighted sample's mean is exactly the Riemann sum over the grid;
+    README, "Known limitations", gives the rates that bound its variance.
     """
     u = np.asarray(u, dtype=np.float64)
     a = schedule.rate * schedule.gamma
@@ -169,10 +154,8 @@ def draw_weighted_t(schedule: SolverSchedule, u: np.ndarray) -> tuple[np.ndarray
 
 
 def _draw_times(schedule: SolverSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, weights and child seeds of all r_outer samples, hashed from
-    the seed (see :mod:`hklocal.walks`).  Sample i maps its uniform U_i to
-    (i + U_i) / r: this stratified draw keeps the Riemann-sum mean, and its
-    variance is at most that of r independent draws."""
+    """Times, weights and child seeds of the r_outer samples, one draw per
+    stratum: sample i maps its uniform U_i to (i + U_i) / r."""
     r = schedule.r_outer
     u, child_seeds = _schedule_draws(schedule.master_seed, r)
     ts, weights = draw_weighted_t(schedule, (np.arange(r) + u) / r)
@@ -211,11 +194,8 @@ def riemann_sum_solution(
     schedule: SolverSchedule,
     operator: Operator | None = None,
 ) -> np.ndarray:
-    """Right Riemann sum of the heat-kernel integral for x_S on the schedule grid.
-
-    Satisfies ||x_S - x_rie|| <= gamma * (||b1|| + ||x_S||).  The series is
-    summed in closed form per eigenvalue or Ritz value.
-    """
+    """x_rie, the right Riemann sum of the heat-kernel integral for x_S on
+    the schedule's grid: ||x_S - x_rie|| <= gamma (||b1|| + ||x_S||)."""
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
     return _riemann_geometric(op, problem.b1, schedule)
 
@@ -227,22 +207,15 @@ def local_linear_solver(
     workers: int = 1,
     operator: Operator | None = None,
 ) -> SolveReport:
-    """Approximate x_S by averaging exact heat-kernel pagerank samples.
+    """Approximate x_S from exact heat-kernel pagerank samples.
 
-    Draws r_outer grid times t_i = j_i * gamma with P(j) proportional to
-    exp(-lambda1 * gamma * (j - 1)) (:func:`draw_weighted_t` at rate
-    lambda1, the operator's bottom eigenvalue or Ritz value), evaluates the
-    exact pagerank rho of b2 at each, and returns
-    (1 / r) sum_i (gamma / P(j_i)) rho_{t_i} carried back through D^{-1/2}.
-    Its mean is the Riemann sum x_rie, and with probability at least
-    1 - gamma the error is within gamma * (||b1|| + ||x_S|| + ||x_rie||).
-    That average is c(L_S) b1 with c(lambda) = (1 / r) sum_i w_i
-    exp(-t_i lambda), which is how it is computed, by the operator's
-    ``apply``: the r_outer uniforms are hashed from the seed and stratified
-    (see :mod:`hklocal.walks`), and c is a matrix product over chunks of at
-    most PASS_BUDGET // m samples for m eigenvalues or Ritz values, so the
-    samples never take more than about PASS_BUDGET entries at once.
-    ``workers`` must be at least 1 and does not change the output.
+    Draws r_outer stratified times at the operator's rate lambda1 (built
+    when not given) and returns c(L_S) b1, c(lambda) = (1 / r) sum_i w_i
+    exp(-t_i lambda), through ``apply``, holding about PASS_BUDGET sample
+    entries at most.  Its mean is x_rie, and with probability at least
+    1 - gamma its error is within gamma (||b1|| + ||x_S|| + ||x_rie||).  A
+    fixed seed gives bit-identical output.  ``workers`` must be at least 1
+    and does not change the output.
     """
     _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
@@ -280,23 +253,16 @@ def greens_solver(
     constant: float = DEFAULT_SAMPLE_CONSTANT,
     operator: Operator | None = None,
 ) -> SolveReport:
-    """Monte-Carlo local solver: walk-based pagerank samples, cap floor(2t).
+    """Approximate x_S from walk-estimated pagerank samples (cap floor(2t)).
 
-    Draws its times from the uniforms of :func:`local_linear_solver`, and
-    reduces as it does, but at rate lambda1 / 2 of the operator: a walk
-    sample's second moment decays only like e^{-lambda1 t}, so the variance
-    stays bounded for every T only while the rate is below lambda1, not
-    2 lambda1 as for exact samples.  The key each sample's uniform is
-    hashed from is also its child seed.  All simulated samples
-    run in one lockstep pass, one call of :func:`solver_approx_dirhkpr`
-    with their times, child seeds and weights; sample i's estimate is
-    exactly the one-sample call with (t_i, child seed i).  lambda1 itself
-    gives t' = :func:`restricted_threshold` under ``restricted_range``:
-    samples at t at or past t' contribute zero without simulating any
-    walk.  When b2 is zero, x_hat is zero and no walk runs.  Error is
-    within gamma * (||b1|| + ||x_S|| + ||x_rie||) + epsilon * ||b2||_1 with
-    probability at least 1 - gamma.  ``workers`` must be at least 1 and
-    does not change the output.
+    Draws the times of :func:`local_linear_solver`'s uniforms at the
+    operator's rate lambda1 / 2 and estimates all samples in one call of
+    :func:`solver_approx_dirhkpr`; under ``restricted_range`` samples at or
+    past t' = :func:`restricted_threshold` count zero and run no walk, and
+    the others do not change; b2 = 0 runs no walk.  With probability at least 1 - gamma the
+    error is within gamma (||b1|| + ||x_S|| + ||x_rie||) + epsilon ||b2||_1.
+    A fixed seed gives bit-identical output.  ``workers`` must be at least
+    1 and does not change the output.
     """
     _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
@@ -354,11 +320,8 @@ def error_bound(
     x_s_norm: float,
     x_rie_norm: float,
 ) -> dict[str, float]:
-    """Concrete error bounds from the run's terms and the oracle norms.
-
-    ``local`` is gamma * (||b1|| + ||x_S|| + ||x_rie||); ``greens`` adds
-    epsilon * ||b2||_1 on top (zero epsilon for the exact backend).
-    """
+    """``local`` = gamma (||b1|| + ||x_S|| + ||x_rie||) and ``greens`` =
+    local + epsilon ||b2||_1 (epsilon 0 for the exact backend)."""
     terms = report.error_bound_terms
     gamma = float(terms["gamma"])
     epsilon = terms.get("epsilon") or 0.0

@@ -1,31 +1,8 @@
-"""Dirichlet random walks and Monte-Carlo heat-kernel pagerank estimators.
+"""Dirichlet random walks and the Monte-Carlo heat-kernel pagerank estimators.
 
-Walks step to uniformly chosen neighbors in the full graph and are aborted
-the moment they step outside the subset; aborted walks contribute nothing.
-One lockstep engine runs every estimate, and every draw of the library is
-a hash.  With mix the SplitMix64 finaliser, phi = 0x9E3779B97F4A7C15,
-arithmetic modulo 2**64 and u(x) = (mix(x) >> 11) * 2**-53, a seed (modulo
-2**64) and a phase give the group key g = mix(mix(seed) + phase * phi), and
-member j of the group the key w = mix(g + j * phi).  Sample i of a solve is
-member i of (seed, PHASE_SCHEDULE): its time uniform is u(w + START) and its
-child seed is w.  Walk j of a sample's signed part is member j of (child
-seed, part) and starts at the vertex that u(w + START) picks from the
-part's CDF; its step k moves to neighbor number floor(u(w + k * phi) * deg)
-in adjacency order; and its Poisson(t) length is the inverse CDF at
-u(w + LENGTH), tested lazily: a walk still in S after k steps finishes
-there once u(w + LENGTH) <= F_t(k) or k reaches the cap, so a walk that
-aborts never needs its length.  F_t(k) sums exp(i ln t - t - lgamma(i + 1))
-over i <= k and is 1 from the first i > t whose term underflows to 0.
-
-The walks of all samples advance together as numpy arrays, in chunks of
-whole (sample, part) rows, or pieces of one row, of about ``PASS_BUDGET``
-entries.  A chunk tabulates F_t(k) a block of k at a time and hashes the
-step uniforms of its live walks a block of steps at a time; surviving walks
-are counted per sample and part as integers.  A sample's estimate thus
-depends only on its own seed and time, not on the other samples of the
-call, the chunking or the blocks.  The ``workers`` argument of
-:func:`approx_dirhkpr` is accepted and must be at least 1, but it does not
-change the output or how it is computed.
+Walks step to uniform neighbours in the full graph and abort the moment they
+leave S; aborted walks deposit nothing.  Every random draw of the library is
+a hash of the layout README, "Determinism", defines, chunking included.
 """
 
 from __future__ import annotations
@@ -37,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, VertexSubset, _restrict
+from .graph import Graph, VertexSubset, _preference, _restrict
 
 __all__ = [
     "WalkStats",
@@ -71,8 +48,8 @@ UNIFORM_BUDGET = 1 << 12
 
 
 def sample_count(epsilon: float, n: int, constant: float = DEFAULT_SAMPLE_CONSTANT) -> int:
-    """Number of walks per signed part: ceil((c / eps^3) * ln n), below
-    2**63 (else ValueError)."""
+    """Walks per signed part, ceil((c / eps^3) ln n); raises ValueError
+    unless 0 < eps < 1, c is finite and positive and the count is below 2**63."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not (math.isfinite(constant) and constant > 0.0):
@@ -85,9 +62,8 @@ def sample_count(epsilon: float, n: int, constant: float = DEFAULT_SAMPLE_CONSTA
 
 
 def _int64(count: float, name: str) -> float:
-    """``count`` once it is finite and below 2**63: grid indices, samples
-    and walks are counted in int64, and samples and walks numbered as
-    uint64 hash members."""
+    """``count``; raises ValueError unless it is below 2**63, since grid
+    indices, samples and walks are counted in int64."""
     if not count < 2**63:
         raise ValueError(f"{name} = {count:.4g} is not finite or does not fit in int64")
     return count
@@ -146,8 +122,8 @@ def _mix_int(z: int) -> int:
 
 
 def _schedule_draws(master_seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Time uniforms u(w_i + START) and child seeds w_i of a solve's r samples,
-    w_i the key of member i of the (master_seed, PHASE_SCHEDULE) group."""
+    """Time uniforms and child seeds of a solve's r samples (README,
+    "Determinism")."""
     group = _mix_int((_mix_int(int(master_seed) % 2**64) + PHASE_SCHEDULE * int(_PHI)) % 2**64)
     keys = _keys(np.array([group], dtype=np.uint64), np.arange(r, dtype=np.uint64))[0]
     return _uniform(keys + _START), keys
@@ -156,9 +132,8 @@ def _schedule_draws(master_seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 def _poisson_cdf(k0, lgamma, t, log_t, cap, carry):
     """F_t(k) of every row, k-major, for k = k0, k0 + 1, ... (one per entry of
     ``lgamma``, lgamma(k + 1)), summed on from each row's ``carry``; returns
-    the table and the sums to carry on.  Past the mean a term that underflowed
-    ends the sum at 1, so an uncapped walk finishes even where the rounded
-    sum stays below its uniform; at the cap every walk finishes."""
+    the table, set to 1 from the first underflow past the mean or the cap,
+    and the sums to carry on."""
     ks = np.arange(k0, k0 + lgamma.size)[:, None]
     pmf = np.exp(ks * log_t - t - lgamma[:, None])
     forced = np.logical_or.accumulate(((pmf == 0.0) & (ks > t)) | (ks >= cap))
@@ -170,14 +145,10 @@ def _poisson_cdf(k0, lgamma, t, log_t, cap, carry):
 
 
 def _lockstep(adjacency, s, parts, ts, seeds, weights, r, caps):
-    """Sum of weights[i] * rho_i over the samples, all walks in lockstep.
-
-    A chunk is a group of whole (sample, part) rows, or a piece of one row
-    when r walks exceed the chunk width, and every live walk of a chunk is
-    at the same step.  Terminal-vertex counts are summed per (sample, part)
-    as integers and carried from one chunk to the next, so the output
-    depends neither on the chunking nor on the other samples.  Returns the
-    sum, the steps taken, the walks aborted and the step blocks run.
+    """Sum of weights[i] * rho_i over the samples, all walks in lockstep, in
+    chunks of at most about PASS_BUDGET entries; the output does not depend
+    on the chunking.  Returns the sum, the steps taken, the walks aborted
+    and the step blocks run.
     """
     ptr, degrees, nbrs = adjacency
     nparts, m = len(parts), ts.size
@@ -274,10 +245,9 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, caps):
 
 
 def _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats):
-    """Both estimators: the weighted sum over samples i of r walks per signed
-    part of f at time t[i] and seed master_seed[i], each at most caps[i]
-    steps long (inf for no cap), as :func:`solver_approx_dirhkpr` describes.
-    Checks t, the seeds, the weights and f."""
+    """Both estimators, as :func:`solver_approx_dirhkpr` with r walks per
+    signed part and caps[i] steps per walk of sample i (inf for no cap);
+    raises ValueError on bad t, seeds, weights or f."""
     start = time.perf_counter()
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     seeds = np.ravel(np.asarray(master_seed, dtype=object))
@@ -289,11 +259,7 @@ def _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats):
         raise ValueError("t, master_seed and weights must have one entry per sample")
     if not np.all(np.isfinite(ts) & (ts > 0)):
         raise ValueError(f"t must be positive and finite, got {t}")
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (subset.size,):
-        raise ValueError(f"preference vector has shape {f.shape}, expected ({subset.size},)")
-    if not np.isfinite(f).all():
-        raise ValueError("preference vector has a non-finite entry")
+    f = _preference(f, subset.size)
     # The entrywise split f = f_plus - f_minus, one walk group per nonzero part.
     parts = []
     for phase, part, sign in ((PHASE_POSITIVE, np.where(f > 0.0, f, 0.0), 1.0),
@@ -333,30 +299,17 @@ def approx_dirhkpr(
     constant: float = DEFAULT_SAMPLE_CONSTANT,
     stats: WalkStats | None = None,
 ) -> np.ndarray:
-    """Monte-Carlo Dirichlet heat kernel pagerank with walk cap floor(t/eps).
+    """Monte-Carlo Dirichlet heat kernel pagerank of f at t, each walk capped
+    at floor(t / epsilon) steps.
 
-    For each signed part of f, runs r = ceil((c/eps^3) ln n) Poisson-length
-    Dirichlet walks started from the normalized part and deposits the part's
-    L1 mass (negated for the negative part) at each surviving terminal
-    vertex, then divides by r.  Every start, step and length uniform is a
-    SplitMix64 hash of the walk's key, which comes from (master_seed, part,
-    walk index); no generator is drawn from.  A walk's length is the
-    Poisson(t) inverse CDF at its length uniform, tested lazily at each
-    step, and all walks advance in lockstep.  The zero vector is a valid
-    output when every walk aborts, and the output for f = 0, where no walk
-    starts.
-
-    Parameters
-    ----------
-    t : positive and finite.
-    epsilon : accuracy/confidence knob in (0, 1).
-    master_seed : 64-bit stream key, taken modulo 2**64; a fixed seed gives
-        bit-identical output.
-    workers : accepted for compatibility and must be at least 1; walks run
-        serially and the value does not change the output.
-    constant : the c of r; finite and positive.
-    stats : counters to add to: r walks started per part, one step per live
-        walk and step, and every walk that left S as aborted.
+    Per signed part of f, r = :func:`sample_count` walks of Poisson(t) length
+    start from the normalised part, and each survivor deposits the part's
+    signed L1 mass / r at its end vertex; f = 0 starts no walk and gives
+    zeros.  ``master_seed`` is taken modulo 2**64, and a fixed seed gives
+    bit-identical output.  ``workers`` must be at least 1 and does not
+    change the output.  ``stats`` gains the walks started, the steps and
+    the walks that left S.  Raises ValueError unless t is positive and
+    finite and f is finite with shape (s,), and as :func:`sample_count`.
     """
     _check_workers(workers)
     r = sample_count(epsilon, graph.n, constant)  # checks epsilon and the constant
@@ -375,14 +328,10 @@ def solver_approx_dirhkpr(
     stats: WalkStats | None = None,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Solver variant of :func:`approx_dirhkpr` with walk cap floor(2t).
-
-    ``t`` and ``master_seed`` may also be 1-D arrays, one entry per sample,
-    with ``weights`` of the same length; the call then returns
-    sum_i weights[i] * rho_i, where rho_i is what the one-sample call with
-    t[i] and master_seed[i] returns, and the walks of every sample advance
-    together in one lockstep pass.  The caller is responsible for keeping
-    epsilon at or above the schedule's gamma.
+    """:func:`approx_dirhkpr` with walk cap floor(2t), for many samples: with
+    ``t`` and ``master_seed`` 1-D arrays and ``weights`` of their length it
+    returns sum_i weights[i] rho_i, rho_i exactly the one-sample call at
+    (t[i], master_seed[i]).  The caller keeps epsilon >= the schedule's gamma.
     """
     r = sample_count(epsilon, graph.n, constant)
     caps = np.floor(2.0 * np.asarray(t, dtype=np.float64))

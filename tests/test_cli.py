@@ -290,11 +290,12 @@ class TestRejectedInput:
         ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--constant-override", "0"],
         ["hkpr-approx", "--t", "1.0", "--eps", "0.3", "--constant-override", "0"],
         # Counts past int64: gamma^2 or eps^3 underflows to 0, or the
-        # schedule's N or r_outer overflows.
+        # schedule's N or r_outer overflows; for sweep-norms, s^3 / gamma
+        # overflows, so T is not finite.
         ["solve-local", "--gamma", "1e-200"],
         ["solve-local", "--gamma", "1e-160"],
         ["solve-greens", "--gamma", "1e-200", "--eps", "0.5"],
-        ["sweep-norms", "--gamma", "1e-200"],
+        ["sweep-norms", "--gamma", "1e-310"],
         ["hkpr-approx", "--t", "1.0", "--eps", "1e-200"],
     ])
     def test_non_finite_t_or_bad_walk_constant_exit_two(self, p4_files, capsys, argv):
@@ -342,6 +343,16 @@ class TestSweep:
         assert rows[-1][0] == pytest.approx(hk.make_schedule(2, 0.01).T, rel=1e-12)
         l1 = [r[1] for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(l1, l1[1:]))
+
+    def test_tiny_gamma_reaches_finite_horizon(self, p4_files, capsys):
+        # At gamma = 1e-200 the schedule's r_outer passes int64, but the sweep
+        # reads only T = s^3 ln(s^3 / gamma), which is finite.
+        assert run(["sweep-norms", *_io_args(p4_files), "--gamma", "1e-200",
+                    "--points", "5"]) == 0
+        ts = [row[0] for row in load_sweep_csv(capsys.readouterr().out)]
+        assert ts == sorted(ts) and len(set(ts)) == 5
+        assert ts[0] == 1.0
+        assert ts[-1] == pytest.approx(8 * math.log(8 / 1e-200), rel=1e-12)
 
     def test_first_row_matches_exact(self, p4_files, capsys, p4_problem):
         assert run(["sweep-norms", *_io_args(p4_files), "--points", "10"]) == 0

@@ -312,7 +312,7 @@ class TestKrylovOperator:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vector_rejected(self, oracle_pairs, bad):
         # Refused up front on both backends, before a Lanczos run could
-        # blame L_S or an eigensolve fail; the cached run is kept.
+        # blame L_S or a product spread it; the cached run is kept.
         for prob, dense, krylov in oracle_pairs[:2]:
             f = prob.b1.copy()
             f[1] = bad
@@ -321,10 +321,10 @@ class TestKrylovOperator:
             for backend in (dense, op):
                 with pytest.raises(ValueError, match="non-finite"):
                     hk.exact_dirhkpr(backend, 1.0, f)
-            with pytest.raises(ValueError, match="non-finite"):
-                op.solve(f)
-            with pytest.raises(ValueError, match="non-finite"):
-                op.apply(np.reciprocal, f)
+                with pytest.raises(ValueError, match="non-finite"):
+                    backend.solve(f)
+                with pytest.raises(ValueError, match="non-finite"):
+                    backend.apply(np.reciprocal, f)
             assert np.array_equal(op.solve(prob.b1), x)
 
     def test_many_times_from_one_call(self, oracle_pairs):
