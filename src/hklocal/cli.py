@@ -23,6 +23,7 @@ from .graph import (
     GraphFormatError,
     VertexSubset,
     _by_original_id,
+    _read_text,
     load_boundary,
     load_graph_file,
     load_subset,
@@ -124,10 +125,8 @@ def _vector_csv(problem: BoundaryProblem, values: np.ndarray) -> str:
 def _read_inputs(args: argparse.Namespace) -> tuple[Graph, dict[int, float], VertexSubset]:
     """The graph, boundary vector and subset named by the I/O options."""
     graph = load_graph_file(args.graph)
-    with open(args.subset, "r", encoding="utf-8") as fh:
-        subset = load_subset(fh, graph)
-    with open(args.boundary, "r", encoding="utf-8") as fh:
-        b = load_boundary(fh, graph)
+    subset = load_subset(_read_text(args.subset), graph)
+    b = load_boundary(_read_text(args.boundary), graph)
     return graph, b, subset
 
 

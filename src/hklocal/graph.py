@@ -91,10 +91,10 @@ def _bulk_ids(text: str, per_line: int) -> np.ndarray | None:
     """The (m, per_line) ids of a text whose lines are blank, comments or
     ``per_line`` ids, tokenised in whole-text passes, exactly as ``int``
     reads them; None, for the per-line parser, unless the data is ASCII
-    digits, spaces, tabs and LF or CRLF line ends with every id below 10^18.
+    digits, spaces, tabs and LF, CRLF or CR line ends with every id below 10^18.
     """
     if "\r" in text:
-        text = text.replace("\r\n", "\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     data = "\n" + text
     last = data.rfind("#")
     if last >= 0:
@@ -107,17 +107,18 @@ def _bulk_ids(text: str, per_line: int) -> np.ndarray | None:
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
     digit = b >= np.uint8(48)  # past the alphabet check, digits are the bytes from "0" up
-    # The byte before each token, which the leading line break gives every
-    # token; a token counts for the last line break at or before that byte.
-    starts = np.flatnonzero(digit[1:] & ~digit[:-1])
-    counts = np.diff(np.searchsorted(starts, np.flatnonzero(b == np.uint8(10))),
-                     append=len(starts))
+    # Line breaks and token starts, in one scan: the leading break is the
+    # first event, and a line's token count is the gap to the next break.
+    mark = b == np.uint8(10)
+    mark[1:] |= digit[1:] > digit[:-1]
+    events = np.flatnonzero(mark)
+    counts = np.diff(np.flatnonzero(b[events] == np.uint8(10)), append=len(events)) - 1
     if ((counts != 0) & (counts != per_line)).any():
         return None
     # np.fromstring reads a text of blanks alone as [0].  It parses with
     # strtoll, which saturates at 2^63 - 1, so an id too long to fit fails
     # the bound as well.
-    ids = np.fromstring(data, dtype=np.int64, sep=" ") if len(starts) else np.zeros(0, np.int64)
+    ids = np.fromstring(data, dtype=np.int64, sep=" ") if counts.any() else np.zeros(0, np.int64)
     if ids.max(initial=0) >= 10**18:
         return None
     return ids.reshape(-1, per_line)
@@ -185,8 +186,8 @@ class Graph:
             if u < 0 or v < 0:
                 raise GraphFormatError(f"negative vertex id in edge ({u}, {v})")
             raise GraphFormatError(f"self-loop at vertex {u}")
-        # Compaction preserves order, so the key lo * n + hi of a canonical
-        # row sorts edges lexicographically.
+        # Compaction preserves order, so the keys u * n + v of both directions
+        # of every edge sort into CSR order: by row, then by neighbour.
         top = pairs.max(initial=-1)
         if top < _TABLE_IDS * pairs.size + 64:
             original, cu, cv = _compact_by_table(us, vs, top)
@@ -202,18 +203,9 @@ class Graph:
             ids[order] = np.cumsum(first, out=ordered)  # over arrays no longer read
             cu, cv = ids[0::2], ids[1::2]
         n = len(original)
-        keys = _sorted_unique(np.minimum(cu, cv) * n + np.maximum(cu, cv))
-        lo, hi = np.divmod(keys, n)
-        # Row v holds its lower neighbours, in the sorted reversed keys hi * n + lo,
-        # then its upper ones, in keys; each kind is placed past the other's slots.
-        below, above = np.bincount(hi, minlength=n), np.bincount(lo, minlength=n)
-        degrees = np.add(below, above, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        slot, indices = np.arange(len(keys)), np.empty(2 * len(keys), dtype=np.int64)
-        indices[np.cumsum(below, out=below)[lo] + slot] = hi
-        row, nbr = np.divmod(np.sort(hi * n + lo), n, out=(hi, lo))
-        indices[(np.cumsum(above) - above)[row] + slot] = nbr
+        rows, indices = np.divmod(_sorted_unique(np.concatenate((cu * n + cv, cv * n + cu))), n)
+        degrees = np.bincount(rows, minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
         return cls(
             n=n,
             indptr=_frozen(indptr),
@@ -270,11 +262,20 @@ def _edge_lines(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; raises OSError, or GraphFormatError naming the first bad byte's line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        ln = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise GraphFormatError(f"line {ln}: byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
 def load_graph_file(path: str | Path) -> Graph:
-    """:func:`load_graph` of a UTF-8 file; raises OSError if it cannot be
-    opened, UnicodeDecodeError if it is not UTF-8."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh)
+    """:func:`load_graph` of a UTF-8 file; raises OSError if it cannot be read,
+    and GraphFormatError, naming the line, as load_graph does or on a byte that is not UTF-8."""
+    return load_graph(_read_text(path))
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,16 @@ class TestRejectedInput:
         assert run(["validate", *_io_args(dict(p4_files, **{kind: str(bad)}))]) == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["graph", "subset", "boundary"])
+    def test_non_utf8_file_exits_one(self, p4_files, tmp_path, capsys, kind):
+        # Bytes ff fe, a UTF-16 byte-order mark, start the file.
+        bad = tmp_path / f"utf16_{kind}.txt"
+        bad.write_bytes(b"\xff\xfe" + Path(p4_files[kind]).read_text().encode("utf-16-le"))
+        assert run(["validate", *_io_args(dict(p4_files, **{kind: str(bad)}))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 1: ") and len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ["solve-local", "--gamma", "0.2", "--workers", "0"],
         ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--workers", "-3"],

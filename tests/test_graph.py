@@ -60,6 +60,16 @@ class TestLoadGraph:
         with pytest.raises(hk.GraphFormatError, match="two vertex ids"):
             hk.load_graph("0 1 2\n")
 
+    @pytest.mark.parametrize("data, line", [
+        (b"0 1\r\n1 2\n\xe9 3\n", 3),  # a Latin-1 byte after a CRLF line end
+        (b"0 1\r2 3\xe2\x82", 2),  # a cut-off sequence after a lone CR
+    ])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(data)
+        with pytest.raises(hk.GraphFormatError, match=f"^line {line}: byte 0x"):
+            hk.load_graph_file(path)
+
     def test_arbitrary_ids_compact_with_map(self):
         g = hk.load_graph("10 30\n30 700\n")
         assert g.n == 3
@@ -123,10 +133,27 @@ class TestBulkParse:
         for name in ("indptr", "indices", "degrees", "original_ids"):
             assert np.array_equal(getattr(g, name), getattr(expected, name)), name
 
+    def test_generated_file_with_repeats_and_reversals(self, tmp_path):
+        # Every edge listed in both orientations, a third of them once more.
+        edges = grid_patch(38)[0]
+        pairs = np.concatenate((edges, edges[:, ::-1], edges[::3]))
+        pairs = pairs[np.random.default_rng(5).permutation(len(pairs))]
+        path = tmp_path / "grid.edges"
+        path.write_text("# repeated edges\n" + "".join(f"{u} {v}\n" for u, v in pairs.tolist()))
+        g = hk.load_graph_file(path)
+        for expected in (hk.Graph.from_edges([tuple(row) for row in pairs.tolist()]),
+                         hk.Graph.from_edges(edges)):
+            assert g.n == expected.n
+            for name in ("indptr", "indices", "degrees", "original_ids"):
+                got, want = getattr(g, name), getattr(expected, name)
+                assert (got.dtype, got.flags.writeable) == (np.int64, False), name
+                assert np.array_equal(got, want), name
+
     @pytest.mark.parametrize("text", [
         "",
         "# only a comment\n",
         "\t0 1 \r\n1\t2\t\r\n",
+        "0 1\r1 2\r\r2 3",  # lone CR line ends, on which str.splitlines breaks too
         "# café → \r\n  # indented\n\n007 8\n",
         f"{'9' * 18} 1\n1 2",
     ])

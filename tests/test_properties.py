@@ -144,6 +144,11 @@ SUBSET_FIELDS = ("members", "local_of")
 @example("# a\n0 1\n# b\n1 2\n \t# c\n")  # comment lines after data lines
 @example("# a\n0 1\n1 #2\n")  # a "#" on a data line past the last comment line
 @example("# a\n0 1\n# caf\u00e9\n1 2 \u00e9\n")  # non-ASCII after the last "#"
+@example("0 1\n2\n")  # a short line after a good one
+@example("0 1\n2 3 4\n")  # a long line after a good one
+@example("0 1\n2 3")  # a last line with no line break
+@example("0 1\n \t\n2 3\n")  # a whitespace-only line between data lines
+@example(" \n\t\n")  # blanks only
 def test_load_graph_matches_per_line_parser(text):
     per_line = _outcome(lambda t: hk.Graph.from_edges(graph_module._edge_lines(t)), GRAPH_FIELDS, text)
     assert _outcome(hk.load_graph, GRAPH_FIELDS, text) == per_line
@@ -152,6 +157,10 @@ def test_load_graph_matches_per_line_parser(text):
 @PROPERTY
 @given(st.one_of(SUBSET_TEXTS, _odd_texts(1)))
 @example(f"{'0' * 20}1\n# a\n2\n# b\n")  # zero-padded ids, a comment after the data
+@example("1\n2 3\n")  # a long line after a good one
+@example("1\n2")  # a last line with no line break
+@example("1\n \t\n2\n")  # a whitespace-only line between data lines
+@example(" \n\t\n")  # blanks only
 def test_load_subset_matches_per_line_parser(text):
     per_line = _outcome(lambda t: graph_module._subset_lines(t, GRAPH), SUBSET_FIELDS, text)
     assert _outcome(lambda t: hk.load_subset(t, GRAPH), SUBSET_FIELDS, text) == per_line
