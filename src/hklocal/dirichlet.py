@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BoundaryProblem, Graph, VertexSubset, _condition_iii, _preference, _restrict
+from .graph import BoundaryProblem, Graph, VertexSubset, _preference, _restriction
 
 log = logging.getLogger(__name__)
 
@@ -293,8 +293,7 @@ def _checked_coupling(
     if S fails condition (iii)."""
     if dense and subset.size > DENSE_SIZE_LIMIT:
         raise CapacityError(f"subset size {subset.size} exceeds dense limit {DENSE_SIZE_LIMIT}")
-    sl = _restrict(graph, subset)
-    violation = _condition_iii(subset.size, sl)
+    sl, violation = _restriction(graph, subset, check=True)
     if violation:
         raise ValueError(violation)
     degrees = sl.degrees.astype(np.float64)

@@ -281,12 +281,14 @@ def load_graph_file(path: str | Path) -> Graph:
 @dataclass(frozen=True)
 class VertexSubset:
     """A vertex subset: sorted, duplicate-free ``members`` and ``local_of``,
-    each compact id's position in ``members`` or -1, over all n ids.
+    each compact id's position in ``members`` or -1, over all n ids.  S keeps
+    its restriction to the last graph it was restricted against; concurrent use is safe.
     """
 
     members: np.ndarray
     n: int
     local_of: np.ndarray = field(repr=False, compare=False)
+    _restriction: tuple = field(default=(None,) * 3, init=False, repr=False, compare=False)
 
     @classmethod
     def from_iterable(cls, vertices: Iterable[int], n: int) -> "VertexSubset":
@@ -386,22 +388,34 @@ class _Slice(NamedTuple):
 
 
 def _restrict(graph: Graph, subset: VertexSubset) -> _Slice:
-    """The adjacency of S, sliced once; every restriction to S is built
-    from it."""
+    """The adjacency of S, sliced, with its arrays frozen; every restriction
+    to S is built from it, through :func:`_restriction`."""
     degrees = graph.degrees[subset.members]
     starts = np.cumsum(degrees) - degrees
     rows = np.repeat(np.arange(subset.size), degrees)
     # Slot k of member i sits at indptr[v_i] + (k - first slot of i).
     shift = graph.indptr[subset.members] - starts
     nbrs = graph.indices[np.repeat(shift, degrees) + np.arange(len(rows))]
-    return _Slice(rows, nbrs, subset.local_of[nbrs], degrees, starts)
+    return _Slice(*map(_frozen, (rows, nbrs, subset.local_of[nbrs], degrees, starts)))
+
+
+def _restriction(graph: Graph, subset: VertexSubset, check: bool = False) -> tuple:
+    """S's :class:`_Slice` of ``graph`` and its condition (iii) violation, None if met or, without
+    ``check``, not yet known; S keeps both for the last graph asked for, swapped in at once."""
+    memo = subset._restriction
+    if memo[0] is not graph:
+        memo = (graph, _restrict(graph, subset), None)
+    if check and memo[2] is None:
+        memo = (graph, memo[1], _condition_iii(memo[1]) or "")
+    object.__setattr__(subset, "_restriction", memo)
+    return memo[1], memo[2] or None
 
 
 def _vertex_boundary(sl: _Slice) -> np.ndarray:
     return _sorted_unique(sl.nbrs[sl.cols < 0])
 
 
-def _condition_iii(size: int, sl: _Slice) -> str | None:
+def _condition_iii(sl: _Slice) -> str | None:
     """The violation of condition (iii) by the S of ``sl``, or None when S is
     nonempty and connected with a nonempty vertex boundary."""
     inside = sl.cols >= 0
@@ -409,7 +423,7 @@ def _condition_iii(size: int, sl: _Slice) -> str | None:
     # Each member takes the smallest label among itself and its neighbors,
     # then the label of its label, until nothing changes; the induced
     # subgraph is connected iff every label is then 0.
-    label = np.arange(size)
+    label = np.arange(len(sl.degrees))
     while True:
         nxt = label.copy()
         np.minimum.at(nxt, rows, label[cols])
@@ -417,28 +431,24 @@ def _condition_iii(size: int, sl: _Slice) -> str | None:
         if np.array_equal(nxt, label):
             break
         label = nxt
-    if size == 0 or label.any():
+    if not label.size or label.any():
         return "condition (iii) violated: induced subgraph on S is not connected"
     if inside.all():
         return "condition (iii) violated: vertex boundary of S is empty"
     return None
 
 
-def _violations(
-    b: Mapping[int, float], subset: VertexSubset, sl: _Slice, delta: np.ndarray
-) -> list[str]:
-    violations: list[str] = []
-    support = {int(v) for v, value in b.items() if value != 0.0}
-    if not support:
-        violations.append("trivial boundary vector (no nonzero entries)")
-        return violations
-    overlap = sorted(v for v in support if v in subset)
-    if overlap:
-        violations.append(f"condition (i) violated: supp(b) intersects S at {overlap}")
-    delta_set = set(int(v) for v in delta)
-    if not (support & delta_set):
+def _violations(b: Mapping[int, float], subset: VertexSubset, delta: np.ndarray,
+                structure: str | None) -> list[str]:
+    keys = np.fromiter(b.keys(), np.int64, len(b))
+    support = np.sort(keys[np.fromiter(b.values(), np.float64, len(b)) != 0.0])
+    if not support.size:
+        return ["trivial boundary vector (no nonzero entries)"]
+    known = support[(support >= 0) & (support < subset.n)]
+    overlap = known[subset.local_of[known] >= 0].tolist()
+    violations = [f"condition (i) violated: supp(b) intersects S at {overlap}"] if overlap else []
+    if not (np.searchsorted(delta, support, "right") > np.searchsorted(delta, support)).any():
         violations.append("condition (ii) violated: vertex boundary of S is disjoint from supp(b)")
-    structure = _condition_iii(subset.size, sl)
     if structure:
         violations.append(structure)
     return violations
@@ -451,8 +461,8 @@ def validate_b_boundable(
     support of b is nonempty and avoids S (i), meets the vertex boundary of
     S (ii), and S is connected with a nonempty vertex boundary (iii).
     """
-    sl = _restrict(graph, subset)
-    return _violations(b, subset, sl, _vertex_boundary(sl))
+    sl, structure = _restriction(graph, subset, check=True)
+    return _violations(b, subset, _vertex_boundary(sl), structure)
 
 
 def _b1(graph: Graph, b: Mapping[int, float], sl: _Slice) -> np.ndarray:
@@ -496,9 +506,9 @@ def make_boundary_problem(
     BoundaryConditionError listing every violated condition, and ValueError
     when b1 or b2 overflows float64."""
     start = time.perf_counter()
-    sl = _restrict(graph, subset)
+    sl, structure = _restriction(graph, subset, check=True)
     delta = _vertex_boundary(sl)
-    violations = _violations(b, subset, sl, delta)
+    violations = _violations(b, subset, delta, structure)
     if violations:
         raise BoundaryConditionError(violations)
     log.info("validated the boundary problem: s = %d, |delta S| = %d in %.4f s",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, VertexSubset, _preference, _restrict
+from .graph import Graph, VertexSubset, _preference, _restriction
 
 __all__ = [
     "WalkStats",
@@ -273,7 +273,7 @@ def _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats):
     # Walks run on S's rows of the adjacency, in local indices: slot k of
     # member i holds its neighbour's local index, or -1 outside S.  A step's
     # slot floor(u * deg) needs no clamp: u <= 1 - 2**-53 and deg < 2**53.
-    sl = _restrict(graph, subset)
+    sl, _ = _restriction(graph, subset)
     adjacency = (sl.starts, sl.degrees.astype(np.float64), sl.cols)
     acc, steps, aborted, blocks = _lockstep(
         adjacency, subset.size, parts, ts, seeds, weights, r, caps

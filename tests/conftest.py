@@ -314,6 +314,26 @@ def reference_is_connected(graph: hk.Graph, subset: hk.VertexSubset) -> bool:
     return len(seen) == subset.size
 
 
+def reference_violations(graph: hk.Graph, b: dict, subset: hk.VertexSubset) -> list[str]:
+    """``validate_b_boundable``'s messages by the set-based code its array
+    tests replaced, with condition (iii) from the literal-loop references."""
+    support = {int(v) for v, value in b.items() if value != 0.0}
+    if not support:
+        return ["trivial boundary vector (no nonzero entries)"]
+    violations = []
+    overlap = sorted(v for v in support if v in subset)
+    if overlap:
+        violations.append(f"condition (i) violated: supp(b) intersects S at {overlap}")
+    delta = {int(v) for v in reference_vertex_boundary(graph, subset)}
+    if not support & delta:
+        violations.append("condition (ii) violated: vertex boundary of S is disjoint from supp(b)")
+    if not reference_is_connected(graph, subset):
+        violations.append(NOT_CONNECTED)
+    elif not delta:
+        violations.append(EMPTY_BOUNDARY)
+    return violations
+
+
 def reference_b1(graph: hk.Graph, b: dict, subset: hk.VertexSubset) -> np.ndarray:
     """Literal-loop fold of b into S, adding each member's terms by ascending u."""
     b1 = np.zeros(subset.size)

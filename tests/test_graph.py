@@ -2,6 +2,8 @@
 
 import inspect
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 import hklocal as hk
 from hklocal import graph as graph_module
+from hklocal.fixtures import dolphins_boundary_path, dolphins_subset_path
 from conftest import (
     EMPTY_BOUNDARY,
     NOT_CONNECTED,
@@ -217,6 +220,107 @@ class TestVertexSubset:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
             hk.VertexSubset.from_iterable([4], 4)
+
+
+class TestRestrictionMemo:
+    """S keeps its restriction (the adjacency slice and the condition (iii)
+    verdict) for the last graph it was restricted against."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"_restrict": 0, "_condition_iii": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(graph_module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(graph_module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("patch", [None, 15])
+    def test_one_slice_and_one_check_per_problem(self, monkeypatch, dolphins_graph, patch):
+        # The dolphins problem (dense operator) and a 15 x 15 grid patch
+        # (Krylov operator), each from a fresh subset, through problem,
+        # operator, exact solution, local solver and walk estimator.
+        if patch is None:
+            graph = dolphins_graph
+            subset = hk.load_subset(dolphins_subset_path().read_text(), graph)
+            b = hk.load_boundary(dolphins_boundary_path().read_text(), graph)
+        else:
+            pairs, inner, boundary, values = grid_patch(patch)
+            graph = hk.Graph.from_edges(pairs)
+            subset = hk.VertexSubset.from_iterable(inner, graph.n)
+            b = dict(zip(boundary.tolist(), values.tolist()))
+        calls = self._counted(monkeypatch)
+        problem = hk.make_boundary_problem(graph, b, subset)
+        op = hk.restricted_operator(problem.graph, problem.subset)
+        assert isinstance(op, hk.DirichletOperator) == (patch is None)
+        hk.exact_local_solution(problem, operator=op)
+        hk.local_linear_solver(problem, 0.4, seed=0)
+        hk.approx_dirhkpr(problem.graph, 2.0, problem.b2, problem.subset, 0.5, 0)
+        assert hk.validate_b_boundable(graph, b, subset) == []
+        assert calls == {"_restrict": 1, "_condition_iii": 1}
+
+    @pytest.mark.parametrize("order", [(0, 1, 0), (1, 0, 1)])
+    def test_each_graph_gets_its_own_slice(self, p4_graph, order):
+        # The same members against the path 0-1-2-3 and the path with the
+        # chord 0-2, alternately: each restriction is that graph's, and so
+        # is the condition (iii) verdict ({0, 2} is connected only with the
+        # chord).
+        graphs = [p4_graph, hk.load_graph("0 1\n1 2\n2 3\n0 2\n")]
+        sub = hk.VertexSubset.from_iterable([0, 1, 2], 4)
+        for i in order:
+            sl, verdict = graph_module._restriction(graphs[i], sub, check=True)
+            want = graph_module._restrict(graphs[i], sub)
+            assert all(np.array_equal(a, w) for a, w in zip(sl, want))
+            assert verdict is None
+            assert list(vertex_boundary(graphs[i], sub)) == [3]
+        split = hk.VertexSubset.from_iterable([0, 2], 4)
+        for i in order:
+            assert graph_module._restriction(graphs[i], split, check=True)[1] == (
+                NOT_CONNECTED if i == 0 else None)
+
+    def test_memoized_slice_is_read_only(self, p4_graph):
+        sub = hk.VertexSubset.from_iterable([1, 2], p4_graph.n)
+        sl, _ = graph_module._restriction(p4_graph, sub)
+        assert sl is graph_module._restriction(p4_graph, sub)[0]
+        for array in sl:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_concurrent_restrictions_agree(self):
+        # Four threads restrict one subset at once, over and over, two against
+        # the grid and two against the grid with a chord inside S, with a
+        # short switch interval: every call gets its own graph's slice and
+        # verdict, equal to an uncached restriction.
+        pairs, inner, _, _ = grid_patch(20)
+        graphs = [hk.Graph.from_edges(pairs),
+                  hk.Graph.from_edges(np.concatenate([pairs, [inner[[0, -1]]]]))]
+        sub = hk.VertexSubset.from_iterable(inner, graphs[0].n)
+        wants = [graph_module._restrict(graph, sub) for graph in graphs]
+        barrier = threading.Barrier(4)
+        mismatches, finished = [], []
+
+        def work(i):
+            barrier.wait()
+            for _ in range(50):
+                sl, verdict = graph_module._restriction(graphs[i % 2], sub, check=True)
+                if verdict is not None or not all(
+                        np.array_equal(a, w) for a, w in zip(sl, wants[i % 2])):
+                    mismatches.append(i)
+            finished.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == [] and sorted(finished) == [0, 1, 2, 3]
 
 
 class TestBoundaries:

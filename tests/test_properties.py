@@ -1,7 +1,8 @@
 """Property tests: total parsers, the whole-text tokeniser against the
 per-line parsers, the CSR build, the sort dedupe against np.unique, the
 vectorised restriction of a graph to S against literal-loop references on
-generated graphs and subsets, and the Krylov operator against the dense
+generated graphs and subsets, the admissibility checks against the
+set-based code they replaced, and the Krylov operator against the dense
 oracle on generated problems."""
 
 from unittest import mock
@@ -25,6 +26,7 @@ from conftest import (
     reference_is_connected,
     reference_laplacian,
     reference_vertex_boundary,
+    reference_violations,
     vertex_boundary,
 )
 
@@ -379,3 +381,25 @@ def test_krylov_operator_matches_the_dense_oracle(problem):
                                side_effect=hk.KrylovOperator.apply) as spy:
             x_hat = hk.local_linear_solver(problem, 0.2, seed=0, operator=krylov).x_hat
         assert within(x_hat, dense.apply(spy.call_args.args[1], f))
+
+
+@PROPERTY
+@given(st.one_of(problems(), lollipops(), chorded_trees()).map(lambda p: (p.graph, p.subset))
+       | subsets(), st.data())
+def test_violations_match_the_set_based_oracle(case, data):
+    # The array tests of conditions (i) and (ii) give the set-based code's
+    # messages in its order, on a random b: keys in S, on its vertex
+    # boundary, elsewhere in the graph and outside [0, n), zero values
+    # among them.  Subsets from subsets() also break condition (iii).
+    graph, subset = case
+    near = subset.members.tolist() + vertex_boundary(graph, subset).tolist()
+    keys = st.one_of(st.integers(0, graph.n - 1), st.integers(-(2**63), -1),
+                     st.integers(graph.n, MAX_ID), *([st.sampled_from(near)] if near else []))
+    values = st.sampled_from([0.0, -0.0, 1.0, -0.5, 1e-300, float("nan")])
+    b = data.draw(st.dictionaries(keys, values, max_size=8))
+    want = reference_violations(graph, b, subset)
+    assert hk.validate_b_boundable(graph, b, subset) == want
+    if want:
+        with pytest.raises(hk.BoundaryConditionError) as err:
+            hk.make_boundary_problem(graph, b, subset)
+        assert err.value.violations == want
