@@ -9,12 +9,11 @@ that surface; README, "Krylov stop rules", derives the Krylov backend's stops.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import threading
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,111 +151,151 @@ class KrylovOperator:
     def apply(self, fn: Callable[[np.ndarray], np.ndarray], f: np.ndarray) -> np.ndarray:
         """fn(L_S) f, as ||f|| Q_k fn(T_k) e1 after k Lanczos steps from f,
         with ``fn`` on the Ritz values as :meth:`DirichletOperator.apply`
-        takes it.  k is the first checkpoint at which Saad's (1992) error
-        estimate passes for every function, or breakdown.  Raises ValueError
-        unless f is finite with shape (s,)."""
+        takes it.  k is the first checkpoint (:func:`_next_check`) at which
+        Saad's (1992) error estimate passes for every function, or breakdown.
+        Raises ValueError unless f is finite with shape (s,)."""
 
-        def check(run: _Run, i: int, alpha: np.ndarray, beta: np.ndarray):
-            with run.lock:
-                if run.eigenpairs[i] is None:
-                    run.eigenpairs[i] = np.linalg.eigh(_tridiagonal(alpha, beta))
-            theta, vectors = run.eigenpairs[i]
-            estimate, noise = _estimate(fn, theta, vectors)
-            return estimate, _error_ratio(estimate, noise, beta[-1] * estimate[..., -1:],
-                                          lambda: _kato_temple(alpha, beta, theta) <= 1.0)
+        def stop(run: _Run, reach: Callable[[int], int]) -> tuple[np.ndarray, float]:
+            k = 0
+            while True:
+                k = reach(_next_check(k))
+                alpha, beta = np.array(run.alpha[:k]), np.array(run.beta[:k])
+                with run.lock:
+                    if k not in run.eigenpairs:
+                        run.eigenpairs[k] = np.linalg.eigh(_tridiagonal(alpha, beta))
+                theta, vectors = run.eigenpairs[k]
+                estimate, noise = _estimate(fn, theta, vectors)
+                ratio = _error_ratio(estimate, noise, beta[-1] * estimate[..., -1:],
+                                     lambda: _kato_temple(alpha, beta, theta) <= 1.0)
+                if k == run.last or ratio <= 1.0:
+                    return estimate, ratio
 
-        return self._lanczos_until(f, check, lambda: np.shape(fn(self.ritz_values[:1]))[:-1],
+        return self._lanczos_until(f, stop, lambda: np.shape(fn(self.ritz_values[:1]))[:-1],
                                    "apply", "error estimate")
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """L_S^-1 f, as ||f|| Q_k y with T_k y = e1 after k Lanczos steps from
-        f (Hestenes and Stiefel 1952), k the first checkpoint whose residual
-        is a backward error of at most one ulp, or breakdown.  Raises
-        ValueError unless f is finite with shape (s,), SpectrumError if a
-        pivot of T_k shows L_S is not positive definite."""
+        f (Hestenes and Stiefel 1952), k the first step whose residual is a
+        backward error of at most one ulp, or breakdown.  Each step tests the
+        residual in O(1) from running LDL^T recurrences; a step that passes is
+        verified once by :func:`_lanczos_cg`.  Raises ValueError unless f is
+        finite with shape (s,), SpectrumError if a pivot of T_k shows L_S is
+        not positive definite."""
+        limit = float(_EPS * self.ritz_values[-1])
 
-        def check(run: _Run, i: int, alpha: np.ndarray, beta: np.ndarray):
-            y = _lanczos_cg(alpha, beta)
-            return y, beta[-1] * abs(y[-1]) / (_EPS * self.ritz_values[-1] * np.linalg.norm(y))
+        def stop(run: _Run, reach: Callable[[int], int]) -> tuple[np.ndarray, float]:
+            # At step k: the pivot d_k, z_k and w = y_k[k] = z_k / d_k; with g
+            # the last column of L_k^-T, y_k = (y_{k-1}, 0) + w g, so norm2 =
+            # ||y_k||^2 follows from gg = ||g||^2 and cross = <y_{k-1}, g>.
+            k, b, ratio, z, gg, cross, norm2 = 0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0
+            while True:
+                k = reach(k + 1)
+                d = run.alpha[k - 1] - b * ratio
+                if not d > 0.0:
+                    raise SpectrumError(
+                        f"Lanczos pivot {d!r} at step {k}: L_S is not positive definite")
+                w = z / d
+                norm2 += w * (2.0 * cross + w * gg)
+                b = run.beta[k - 1]
+                if b * abs(w) <= limit * math.sqrt(norm2) or k == run.last:
+                    y = _lanczos_cg(np.array(run.alpha[:k]), np.array(run.beta[:k]))
+                    residual = b * abs(y[-1]) / (limit * np.linalg.norm(y))
+                    if k == run.last or residual <= 1.0:
+                        return y, residual
+                ratio = b / d
+                z, cross, gg = -ratio * z, -ratio * (cross + w * gg), 1.0 + ratio * ratio * gg
 
-        return self._lanczos_until(f, check, lambda: (), "solve", "residual")
+        return self._lanczos_until(f, stop, lambda: (), "solve", "residual")
 
-    def _lanczos_until(self, f: np.ndarray, check: Callable[..., tuple[np.ndarray, float]],
+    def _lanczos_until(self, f: np.ndarray, stop: Callable[..., tuple[np.ndarray, float]],
                        lead: Callable[[], tuple], name: str, measure: str) -> np.ndarray:
-        """||f|| Q_k c at the first checkpoint i of f's run whose
-        ``check(run, i, alpha, beta)`` gives coefficients c (k per row) with
-        a ratio at most 1, or where the run ends; f = 0 gives zeros of shape
-        lead() + (s,).  Reuses the cached run if it started from f."""
+        """||f|| Q_k c, with c (k per row) and the ratio it stopped on from
+        ``stop(run, reach)`` on f's run, reusing the cached run if it started
+        from f; reach(k) steps the run to min(k, end), which it returns.  f =
+        0 gives zeros of shape lead() + (s,)."""
         f = _preference(f, self.s)
         largest = float(np.max(np.abs(f), initial=0.0))
         if largest == 0.0:
             return np.zeros(lead() + (self.s,))
         run, state = self._run, "reused"
         if run is None or not np.array_equal(run.start, f):
-            run, state = _Run(self, f, largest), "new"
+            times = _laplacian_times(self.rows, self.cols, self.weights, self.s, self.laplacian)
+            norm = largest * float(np.linalg.norm(f / largest))
+            run, state = _Run(times, f.copy(), norm, keep=True), "new"
             object.__setattr__(self, "_run", run)
-        for i in itertools.count():
+
+        def reach(k: int) -> int:
+            nonlocal state
             with run.lock:
-                state = run.reach(i, state)
-                alpha, beta, end = run.checks[i]
-            coefficients, ratio = check(run, i, alpha, beta)
-            if end or ratio <= 1.0:
-                break
-        log.debug("Krylov %s: %d steps, %s run, %s %.2g of its limit",
-                  name, alpha.size, state, measure, ratio)
-        return run.norm * (coefficients @ run.basis[:alpha.size])
+                if run.step_to(k) and state == "reused":
+                    state = "extended"
+                return min(k, len(run.alpha))
+
+        coefficients, ratio = stop(run, reach)
+        k = coefficients.shape[-1]
+        log.debug("Krylov %s: %d steps, %s run, %s %.2g of its limit", name, k, state, measure,
+                  ratio)
+        return run.norm * (coefficients @ run.basis[:k])
 
 
 class _Run:
-    """A Lanczos run from a copy of f: its basis, its live steps, and per
-    checkpoint reached the :func:`_lanczos` yield and, once an apply has
-    needed them, the eigenpairs of T_k."""
+    """Plain Lanczos on the symmetric ``times`` from q_1 = start / norm:
+    T_k's diagonal ``alpha`` and off-diagonal ``beta`` (beta_k last), lists
+    that only grow; ``last``, the step at which the run ends, once reached;
+    T_k's ``eigenpairs`` by k once an apply needs them; and with ``keep``,
+    q_1, q_2, ... as the rows of ``basis``, which a grow swaps for a larger
+    copy, so a reader keeps valid rows in the array it read."""
 
-    def __init__(self, op: KrylovOperator, f: np.ndarray, largest: float) -> None:
-        self.start, self.norm = f.copy(), largest * float(np.linalg.norm(f / largest))
-        # Rows 0..size-1 hold q_1, q_2, ...; a grow swaps in a larger copy,
-        # so a reader keeps valid rows in the array it read.
-        self.basis = np.empty((min(_LANCZOS_CHECK, op.s), op.s))
-        self.basis[0], self.size = f / self.norm, 1
-        self.checks: list[tuple[np.ndarray, np.ndarray, bool]] = []
-        self.eigenpairs: list[tuple[np.ndarray, np.ndarray] | None] = []
-        times = _laplacian_times(op.rows, op.cols, op.weights, op.s, op.laplacian)
-        self.steps = _lanczos(times, self.basis[0], self._next_row)
+    def __init__(self, times: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
+                 norm: float, keep: bool) -> None:
+        s = start.size
+        self.times, self.start, self.norm = times, start, norm
+        self.basis = np.empty((min(_LANCZOS_CHECK, s), s)) if keep else None
+        self.q = np.divide(start, norm, out=None if self.basis is None else self.basis[0])
+        self.q_prev = self.v = np.zeros(s)
+        self.alpha, self.beta, self.last = [], [], None
+        self.eigenpairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.lock = threading.Lock()
 
-    def _next_row(self) -> np.ndarray:
-        """The basis row for the next Lanczos vector; doubles a full array."""
-        rows, s = self.basis.shape
-        if self.size == rows:
-            grown = np.empty((min(2 * rows, s), s))
-            grown[:rows] = self.basis
-            self.basis = grown
-        self.size += 1
-        return self.basis[self.size - 1]
+    def step_to(self, k: int) -> bool:
+        """Step until the run has k steps or ends, on breakdown (beta_k <= 2 s
+        eps) or at k = s; call under the lock if shared.  True if it took any."""
+        taken, s = len(self.alpha), self.q.size
+        while len(self.alpha) < k and self.last is None:
+            j = len(self.alpha)
+            if j:  # q_{j+1} = v / beta_j, into row j of a kept basis
+                if self.basis is not None and j == len(self.basis):
+                    self.basis = np.concatenate([self.basis, np.empty((min(j, s - j), s))])
+                row = None if self.basis is None else self.basis[j]
+                self.q_prev, self.q = self.q, np.divide(self.v, self.beta[-1], out=row)
+            v = self.times(self.q)
+            v -= (self.beta[-1] if j else 0.0) * self.q_prev
+            a = float(self.q @ v)
+            v -= a * self.q
+            b = math.sqrt(v @ v)
+            self.alpha.append(a)
+            self.beta.append(b)
+            self.v = v
+            if b <= 2 * s * _EPS or j + 1 == s:
+                self.last = j + 1
+        return len(self.alpha) > taken
 
-    def reach(self, i: int, state: str) -> str:
-        """Step the run to checkpoint i (call under the lock); returns the
-        state to log, "extended" if this stepped a reused run."""
-        if i < len(self.checks):
-            return state
-        self.checks.append(next(self.steps))
-        self.eigenpairs.append(None)
-        return "extended" if state == "reused" else state
+
+def _next_check(k: int) -> int:
+    """The checkpoint after step k of an apply or the lambda1 run: every 16
+    steps up to 64, then every k/4 (README, "Krylov stop rules")."""
+    return k + max(_LANCZOS_CHECK, k // 4)
 
 
 def _lanczos_cg(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """T_k^-1 e1 by the LDL^T recurrence of T_k, in O(k); raises
-    SpectrumError at the first pivot that is not positive."""
+    """T_k^-1 e1 by the LDL^T recurrence of T_k, in O(k); every pivot must
+    be positive, as :meth:`KrylovOperator.solve` checks while it steps."""
     a, b = alpha.tolist(), beta.tolist()
     d, z = [a[0]], [1.0]
-    for j in range(len(a)):
-        if not d[j] > 0.0:
-            raise SpectrumError(
-                f"Lanczos pivot {d[j]!r} at step {j + 1}: L_S is not positive definite")
-        if j + 1 < len(a):
-            ratio = b[j] / d[j]
-            d.append(a[j + 1] - b[j] * ratio)
-            z.append(-ratio * z[j])
+    for j in range(len(a) - 1):
+        ratio = b[j] / d[j]
+        d.append(a[j + 1] - b[j] * ratio)
+        z.append(-ratio * z[j])
     y, last = [], 0.0
     for j in range(len(a) - 1, -1, -1):
         last = (z[j] - b[j] * last) / d[j]
@@ -323,39 +362,8 @@ def _laplacian_times(
     return times
 
 
-def _lanczos(
-    times: Callable[[np.ndarray], np.ndarray],
-    q: np.ndarray,
-    rows: Callable[[], np.ndarray] | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
-    """Plain Lanczos on the symmetric ``times`` from the unit vector q: yields
-    ``(alpha, beta, end)`` at each checkpoint, the k diagonal entries of T_k,
-    its k - 1 off-diagonal ones followed by beta_k, and whether the run ends
-    there (beta_k <= 2 s eps, or k = s).  Writes q_2, q_3, ... into the
-    arrays ``rows()`` returns, when given."""
-    s = q.size
-    alpha: list[float] = []
-    beta: list[float] = []
-    q_prev, b = np.zeros_like(q), 0.0
-    check = _LANCZOS_CHECK
-    while True:
-        v = times(q)
-        v -= b * q_prev
-        a = float(q @ v)
-        v -= a * q
-        b = math.sqrt(v @ v)
-        alpha.append(a)
-        beta.append(b)
-        k = len(alpha)
-        end = b <= 2 * s * _EPS or k == s
-        if end or k == check:
-            yield np.array(alpha), np.array(beta), end
-            check += max(_LANCZOS_CHECK, k // 4)
-        q_prev, q = q, np.divide(v, b, out=None if rows is None else rows())
-
-
 def _tridiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """T_k, dense, from a :func:`_lanczos` checkpoint's alpha and beta."""
+    """T_k, dense, from its diagonal alpha and off-diagonal beta[:-1]."""
     k = alpha.size
     tridiagonal = np.zeros((k, k))
     flat = tridiagonal.reshape(-1)
@@ -375,11 +383,15 @@ def _lambda1_run(
     laplacian = _laplacian(rows, cols, weights, s) if s * s <= _DENSE_SHARE * rows.size else None
     times = _laplacian_times(rows, cols, weights, s, laplacian)
     start = np.sqrt(degrees)
-    for alpha, beta, end in _lanczos(times, start / np.linalg.norm(start)):
+    run, k = _Run(times, start, np.linalg.norm(start), keep=False), 0
+    while True:
+        run.step_to(_next_check(k))
+        k = len(run.alpha)
+        alpha, beta = np.array(run.alpha), np.array(run.beta)
         theta = np.linalg.eigvalsh(_tridiagonal(alpha, beta))
         ratio = _kato_temple(alpha, beta, theta)
-        if end or ratio <= 1.0:
-            log.debug("Krylov lambda1 run: %d steps, bound %.2g of its limit", theta.size, ratio)
+        if k == run.last or ratio <= 1.0:
+            log.debug("Krylov lambda1 run: %d steps, bound %.2g of its limit", k, ratio)
             return laplacian, theta
 
 

@@ -438,14 +438,14 @@ def _condition_iii(sl: _Slice) -> str | None:
     return None
 
 
-def _violations(b: Mapping[int, float], subset: VertexSubset, delta: np.ndarray,
+def _violations(graph: Graph, b: Mapping[int, float], subset: VertexSubset, delta: np.ndarray,
                 structure: str | None) -> list[str]:
     keys = np.fromiter(b.keys(), np.int64, len(b))
     support = np.sort(keys[np.fromiter(b.values(), np.float64, len(b)) != 0.0])
     if not support.size:
         return ["trivial boundary vector (no nonzero entries)"]
     known = support[(support >= 0) & (support < subset.n)]
-    overlap = known[subset.local_of[known] >= 0].tolist()
+    overlap = graph.original_ids[known[subset.local_of[known] >= 0]].tolist()
     violations = [f"condition (i) violated: supp(b) intersects S at {overlap}"] if overlap else []
     if not (np.searchsorted(delta, support, "right") > np.searchsorted(delta, support)).any():
         violations.append("condition (ii) violated: vertex boundary of S is disjoint from supp(b)")
@@ -462,7 +462,7 @@ def validate_b_boundable(
     S (ii), and S is connected with a nonempty vertex boundary (iii).
     """
     sl, structure = _restriction(graph, subset, check=True)
-    return _violations(b, subset, _vertex_boundary(sl), structure)
+    return _violations(graph, b, subset, _vertex_boundary(sl), structure)
 
 
 def _b1(graph: Graph, b: Mapping[int, float], sl: _Slice) -> np.ndarray:
@@ -508,7 +508,7 @@ def make_boundary_problem(
     start = time.perf_counter()
     sl, structure = _restriction(graph, subset, check=True)
     delta = _vertex_boundary(sl)
-    violations = _violations(b, subset, delta, structure)
+    violations = _violations(graph, b, subset, delta, structure)
     if violations:
         raise BoundaryConditionError(violations)
     log.info("validated the boundary problem: s = %d, |delta S| = %d in %.4f s",

@@ -9,7 +9,10 @@ boundary and uncapped walk estimate, which only tests call."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hklocal.fixtures import (
     dolphins_graph_path,
     dolphins_subset_path,
 )
+from hklocal.dirichlet import _EPS, _lanczos_cg
 from hklocal.graph import _restrict, _vertex_boundary
 from hklocal.walks import _mc_dirhkpr
 
@@ -321,7 +325,7 @@ def reference_violations(graph: hk.Graph, b: dict, subset: hk.VertexSubset) -> l
     if not support:
         return ["trivial boundary vector (no nonzero entries)"]
     violations = []
-    overlap = sorted(v for v in support if v in subset)
+    overlap = sorted(int(graph.original_ids[v]) for v in support if v in subset)
     if overlap:
         violations.append(f"condition (i) violated: supp(b) intersects S at {overlap}")
     delta = {int(v) for v in reference_vertex_boundary(graph, subset)}
@@ -353,6 +357,35 @@ def reference_laplacian(graph: hk.Graph, subset: hk.VertexSubset) -> np.ndarray:
                 j = int(subset.local_of[u])
                 lap[i, j] = -1.0 / math.sqrt(float(graph.degrees[v]) * float(graph.degrees[u]))
     return lap
+
+
+def check_solve_stop(krylov: hk.KrylovOperator, f: np.ndarray) -> int:
+    """Solve f on a fresh copy of ``krylov`` and check its stop by brute
+    force; returns the steps k it took.  The run then holds exactly those
+    steps.  For every j <= k, :func:`_lanczos_cg` on T_j gives y_j and the
+    residual over its limit, beta_j |y_j[j]| / (eps theta_max ||y_j||): the
+    solve must stop at the first j where that is at most 1, or where the
+    run ends.  A second solve from f replays the run without stepping it,
+    so its only square roots are of the O(1) running ||y_j||^2, one per
+    step; each must match ||y_j|| to 1e-12 relative."""
+    op = dataclasses.replace(krylov)
+    x = op.solve(f)
+    alpha, beta = np.array(op._run.alpha), np.array(op._run.beta)
+    k, limit = alpha.size, _EPS * krylov.ritz_values[-1]
+    norms, ratios = [], []
+    for j in range(1, k + 1):
+        y = _lanczos_cg(alpha[:j], beta[:j])
+        norms.append(np.linalg.norm(y))
+        ratios.append(beta[j - 1] * abs(y[-1]) / (limit * norms[-1]))
+    assert all(r > 1.0 for r in ratios[:-1]), ratios
+    assert ratios[-1] <= 1.0 or op._run.last == k, ratios
+    squares = []
+    spy = types.SimpleNamespace(sqrt=lambda v: squares.append(v) or math.sqrt(v))
+    with mock.patch.object(hk.dirichlet, "math", spy):
+        assert np.array_equal(op.solve(f), x)
+    assert len(op._run.alpha) == k and len(squares) == k
+    assert np.allclose(np.sqrt(squares), norms, rtol=1e-12, atol=0.0), (squares, norms)
+    return k
 
 
 def dirichlet_walk(

@@ -88,6 +88,18 @@ class TestValidate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["violations"]
 
+    @pytest.mark.parametrize("command", ["validate", "solve-exact"])
+    def test_condition_i_names_file_ids(self, tmp_path, capsys, command):
+        # The path 10-11-12-13-14 is compacted to 0..4, so the file's vertex
+        # 12 in both S and supp(b) is compact id 2; the message names 12.
+        files = _write_files(tmp_path, "10 11\n11 12\n12 13\n13 14\n", "11\n12\n",
+                             "10 1\n12 0.5\n")
+        violation = "condition (i) violated: supp(b) intersects S at [12]"
+        assert run([command, *_io_args(files)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["violations"] == [violation]
+        assert "[2]" not in captured.err
+
     def test_malformed_graph_exits_one(self, p4_files, tmp_path, capsys):
         broken = tmp_path / "broken.edges"
         broken.write_text("0 zero\n")

@@ -17,6 +17,7 @@ from hklocal.dirichlet import _LANCZOS_TOL as LANCZOS_TOL
 from conftest import (
     EMPTY_BOUNDARY,
     NOT_CONNECTED,
+    check_solve_stop,
     clique_hub_problem,
     dense_cluster_problem,
     grid_patch_problem,
@@ -408,7 +409,7 @@ class TestDenseProduct:
         assert op.ritz_values.size == 1
         assert op.lambda1 == pytest.approx(1.0 / s, rel=s * s * EPS, abs=0.0)
         x = op.solve(prob.b1)
-        assert op._run.size == 1 and [alpha.size for alpha, _, _ in op._run.checks] == [1]
+        assert len(op._run.alpha) == op._run.last == 1
         assert np.max(np.abs(x / 3.0 - 1.0)) <= s * s * EPS
 
     def test_matches_the_dense_oracle(self, oracle_pairs, dense_cluster):
@@ -461,6 +462,28 @@ def tridiagonal(alpha, beta):
     return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
 
 
+@pytest.fixture()
+def tridiagonals():
+    """The (alpha, beta) of every T_k formed for an eigensolve, in order:
+    once per checkpoint of the lambda1 run, and of an apply on a fresh
+    operator."""
+    seen = []
+    real = hk.dirichlet._tridiagonal
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hk.dirichlet, "_tridiagonal",
+                      lambda alpha, beta: seen.append((alpha, beta)) or real(alpha, beta))
+        yield seen
+
+
+def checkpoints(k):
+    """The checkpoints of an apply or the lambda1 run up to step k: every
+    16 steps up to 64, then every k/4."""
+    steps = [16]
+    while steps[-1] < k:
+        steps.append(steps[-1] + max(16, steps[-1] // 4))
+    return steps
+
+
 class TestLambda1Run:
     """The lambda1 run stops at the first check point whose Kato-Temple
     bound on its smallest Ritz value, (beta_k s_k)^2 / (theta_2 - theta_1)
@@ -468,30 +491,25 @@ class TestLambda1Run:
     eps theta_max."""
 
     @pytest.mark.parametrize("name", ["grid15", "dense_cluster"])
-    def test_first_passing_checkpoint(self, name, request, monkeypatch, caplog):
-        # Every check the run reached, kept by wrapping _lanczos, with its
-        # bound recomputed from the eigenvectors of T_k.  The ratio at the
+    def test_first_passing_checkpoint(self, name, request, tridiagonals, caplog):
+        # Every check the run reached, kept as the T_k it eigensolved, with
+        # its bound recomputed from the eigenvectors of T_k.  The run did
+        # not end: beta_k is above 2 s eps and k < s.  The ratio at the
         # stop is also the figure the debug line prints.
         prob = request.getfixturevalue(name)[0]
-        checks = []
-        lanczos = hk.dirichlet._lanczos
-
-        def keep(*args):
-            for check in lanczos(*args):
-                checks.append(check)
-                yield check
-
-        monkeypatch.setattr(hk.dirichlet, "_lanczos", keep)
+        tridiagonals.clear()
         caplog.set_level(logging.DEBUG, logger="hklocal.dirichlet")
         op = hk.KrylovOperator.from_subset(prob.graph, prob.subset)
         ratios = []
-        for alpha, beta, _ in checks:
+        for alpha, beta in tridiagonals:
             theta, vectors = np.linalg.eigh(tridiagonal(alpha, beta))
             bound = (beta[-1] * vectors[-1, 0]) ** 2 / (theta[1] - theta[0])
             ratios.append(bound / (EPS * theta[-1]))
-        assert not checks[-1][2]
+        alpha, beta = tridiagonals[-1]
+        assert [a.size for a, _ in tridiagonals] == checkpoints(alpha.size)
+        assert beta[-1] > 2 * op.s * EPS and alpha.size < op.s
         assert ratios[-1] <= 1.0 and all(r > 1.0 for r in ratios[:-1]), ratios
-        assert op.ritz_values.size == checks[-1][0].size
+        assert op.ritz_values.size == alpha.size
         message = caplog.records[-1].getMessage()
         assert message.startswith(f"Krylov lambda1 run: {op.ritz_values.size} steps, bound ")
         logged = float(message.split("bound ")[1].split()[0])
@@ -550,28 +568,43 @@ class TestKrylovSolve:
             error = np.linalg.norm(fresh(krylov).solve(f) - expected)
             assert error <= 1e-13 * np.linalg.norm(expected)
 
-    def test_first_passing_checkpoint(self, dense_cluster, caplog):
+    def test_first_passing_step(self, dense_cluster, caplog):
         # The residual of ||f|| Q_k y is ||f|| beta_k |y_k| (T_k y = e1), and
-        # the solve stops at the first check point where that is at most
-        # eps theta_max ||f|| ||y||: a backward error of one ulp, with
-        # theta_max the lambda1 run's largest Ritz value.  The ratio at the
-        # stop is also the figure the debug line prints.
+        # the solve stops at the first step where that is at most eps
+        # theta_max ||f|| ||y||: a backward error of one ulp, with theta_max
+        # the lambda1 run's largest Ritz value.  A fresh solve steps its run
+        # only that far; T_j y = e1 is solved densely here at every step j.
+        # The ratio at the stop is also the figure the debug line prints.
         prob, dense, krylov = dense_cluster
         caplog.set_level(logging.DEBUG, logger="hklocal.dirichlet")
         for f in (prob.b1, prob.b2):
             op = fresh(krylov)
             caplog.clear()
             x = op.solve(f)
+            alpha, beta = np.array(op._run.alpha), np.array(op._run.beta)
             ratios = []
-            for alpha, beta, _ in op._run.checks:
-                y = np.linalg.solve(tridiagonal(alpha, beta), np.eye(alpha.size)[0])
+            for j in range(1, alpha.size + 1):
+                y = np.linalg.solve(tridiagonal(alpha[:j], beta[:j]), np.eye(j)[0])
                 limit = EPS * krylov.ritz_values[-1] * np.linalg.norm(y)
-                ratios.append(beta[-1] * abs(y[-1]) / limit)
-            assert not op._run.checks[-1][2]
+                ratios.append(beta[j - 1] * abs(y[-1]) / limit)
+            assert op._run.last is None
             assert ratios[-1] <= 1.0 and all(r > 1.0 for r in ratios[:-1]), ratios
             logged = float(caplog.records[-1].getMessage().split("residual ")[1].split()[0])
             assert logged == pytest.approx(ratios[-1], rel=0.05), (logged, ratios)
             assert close_to_dense(x, dense.solve(f), f)
+
+    @pytest.mark.parametrize("name", ["dense_cluster", "grid15", "path300"])
+    def test_stop_matches_brute_force(self, name, request):
+        # The 300-path's solve runs to k = s; the others stop before it.
+        if name == "path300":
+            prob = path_problem(300)[0]
+            krylov = hk.KrylovOperator.from_subset(prob.graph, prob.subset)
+        else:
+            fixture = request.getfixturevalue(name)
+            prob, krylov = fixture[0], fixture[-1]
+        for f in (prob.b1, prob.b2):
+            k = check_solve_stop(krylov, f)
+            assert (k == prob.subset.size) == (name == "path300"), k
 
     def test_non_positive_pivot_raises(self, grid15):
         # Coupling weights tripled: I - 3A is indefinite, so some pivot of
@@ -599,10 +632,11 @@ class TestKrylovApplyStop:
     """An apply stops at the first check point whose own error estimate
     passes, beta_k |e_k^T fn(T_k) e1| (Saad 1992), with no second check."""
 
-    def test_first_passing_checkpoint(self, grid15, monkeypatch, caplog):
+    def test_first_passing_checkpoint(self, grid15, monkeypatch, tridiagonals, caplog):
         # e^{-4 lambda} and the local solver's kernel sum, each the only
-        # apply of its run.  The ratio at the stop is also the figure the
-        # debug line prints.
+        # apply of its run, with every check it reached kept as the T_k it
+        # eigensolved.  The ratio at the stop is also the figure the debug
+        # line prints.
         prob, krylov = grid15
         dense = hk.DirichletOperator.from_subset(prob.graph, prob.subset)
         fns = {"heat": lambda lam: np.exp(-4.0 * lam)}
@@ -619,9 +653,12 @@ class TestKrylovApplyStop:
         for name, fn in fns.items():
             op = fresh(krylov)
             caplog.clear()
+            tridiagonals.clear()
             x = op.apply(fn, prob.b1)
-            ratios = [saad_ratio(fn, alpha, beta) for alpha, beta, end in op._run.checks]
-            assert not op._run.checks[-1][2], name
+            ratios = [saad_ratio(fn, alpha, beta) for alpha, beta in tridiagonals]
+            k = tridiagonals[-1][0].size
+            assert [alpha.size for alpha, _ in tridiagonals] == checkpoints(k), name
+            assert op._run.last is None and len(op._run.alpha) == k, name
             assert ratios[-1] <= 1.0 and all(r > 1.0 for r in ratios[:-1]), (name, ratios)
             logged = float(caplog.records[-1].getMessage().split("error estimate ")[1].split()[0])
             assert logged == pytest.approx(ratios[-1], rel=0.05), (name, logged, ratios)
@@ -695,7 +732,10 @@ class TestKrylovRunCache:
     def test_concurrent_applies_match_serial(self, grid15):
         # Four threads, more than the cores, share one operator, switching
         # often.  Equal copies of b1 and b2 hit each other's runs, so one
-        # thread may extend a run while another replays it.
+        # thread may extend a run while another replays it.  Thread i runs
+        # the calls rotated by i, so the two threads on each vector mix
+        # solves, which extend a run one step at a time, with applies,
+        # which extend it to a checkpoint.
         prob, krylov = grid15
         vectors = [prob.b1, prob.b2, prob.b1.copy(), prob.b2.copy()]
         fns = [lambda lam: np.exp(-0.01 * lam), np.reciprocal, lambda lam: np.exp(-4.0 * lam)]
@@ -708,8 +748,12 @@ class TestKrylovRunCache:
 
         def work(i):
             barrier.wait(timeout=60)
+            order = [(i + j) % len(calls) for j in range(len(calls))]
             for _ in range(5):
-                results[i].append([call(op, vectors[i]) for call in calls])
+                outputs = [None] * len(calls)
+                for j in order:
+                    outputs[j] = calls[j](op, vectors[i])
+                results[i].append(outputs)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(vectors))]
         interval = sys.getswitchinterval()

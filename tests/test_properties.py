@@ -17,6 +17,7 @@ from hklocal import dirichlet as dirichlet_module
 from hklocal import graph as graph_module
 from conftest import (
     NOT_CONNECTED,
+    check_solve_stop,
     condition_iii,
     harmonic_solve,
     heat_kernel,
@@ -381,6 +382,18 @@ def test_krylov_operator_matches_the_dense_oracle(problem):
                                side_effect=hk.KrylovOperator.apply) as spy:
             x_hat = hk.local_linear_solver(problem, 0.2, seed=0, operator=krylov).x_hat
         assert within(x_hat, dense.apply(spy.call_args.args[1], f))
+
+
+@PROPERTY
+@given(st.one_of(problems(), lollipops(), chorded_trees()))
+def test_krylov_solve_stops_at_the_first_passing_step(problem):
+    # check_solve_stop's brute force from b1 and b2: the solve stops at the
+    # first Lanczos step whose exact residual passes, or where the run
+    # ends, and its O(1) running ||y_k|| matches the exact one at every step.
+    krylov = hk.KrylovOperator.from_subset(problem.graph, problem.subset)
+    for f in (problem.b1, problem.b2):
+        if np.any(f):
+            check_solve_stop(krylov, f)
 
 
 @PROPERTY
