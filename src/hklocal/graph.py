@@ -6,6 +6,7 @@ they are compacted to [0, n) and the original ids kept for reporting.
 
 from __future__ import annotations
 
+import codecs
 import logging
 import math
 import re
@@ -125,7 +126,7 @@ def _bulk_ids(text: str, per_line: int) -> np.ndarray | None:
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Distinct values of an int64 array in ascending order: np.unique, by
+    """Distinct values of an integer array in ascending order: np.unique, by
     one sort."""
     a = np.sort(a)
     keep = np.ones(len(a), dtype=bool)
@@ -136,12 +137,44 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 _TABLE_IDS = 4  # ids are dense when the largest is below _TABLE_IDS * (ids given) + 64
 
 
+def _key_type(n: int) -> type:
+    """The integer type of the CSR keys u * n + v on n vertices: uint32 while
+    the largest, n**2 - 1, fits, else int64.  Its arithmetic takes operands of
+    this type only, since numpy 1.24 promotes mixed ones."""
+    return np.uint32 if n * n <= 2**32 else np.int64
+
+
 def _compact_by_table(us, vs, top):
-    """The distinct ids and the compact ids of us and vs, by a table of 0..top."""
+    """The distinct ids and the compact ids of us and vs, of the key type, by
+    a table of 0..top."""
     seen = np.zeros(top + 1, dtype=bool)
     seen[us] = seen[vs] = True
-    rank = np.cumsum(seen, dtype=np.int64) - 1
-    return np.flatnonzero(seen), rank[us], rank[vs]
+    original = np.flatnonzero(seen)
+    key = _key_type(len(original))
+    rank = np.cumsum(seen, dtype=key) - key(1)  # wraps only off the ids, where it is never read
+    return original, rank[us], rank[vs]
+
+
+def _id_pairs(pairs) -> np.ndarray:
+    """``pairs`` as an (m, 2) int64 array, with no pass over one that is
+    already int64; GraphFormatError on an id that is not an integer or does
+    not fit in int64."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    ids = np.asarray(pairs)
+    if ids.dtype != np.int64 and (ids.dtype.kind not in "iu"
+                                  or int(ids.max(initial=0)) >= _ID_LIMIT):
+        # Integers may read as float64 or object (numpy promotes uint64 and
+        # int64 to float64), so each id is read as a Python int.
+        items = np.asarray(pairs, dtype=object).ravel()
+        for x in items:
+            if not isinstance(x, (int, np.integer)):
+                raise GraphFormatError(f"non-integer vertex id {x!r}")
+        try:
+            ids = np.array([int(x) for x in items], dtype=np.int64)
+        except OverflowError:
+            raise GraphFormatError("vertex id does not fit in 64 bits") from None
+    return ids.astype(np.int64, copy=False).reshape(-1, 2)
 
 
 def _lookup(graph: "Graph", token: str, ln: int) -> tuple[int, int]:
@@ -168,17 +201,14 @@ class Graph:
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """The graph of (u, v) pairs in original ids (an (m, 2) array is used
-        as is); its vertices are the ids named.  Duplicate pairs, in either
-        orientation, collapse.  Raises GraphFormatError on a self-loop or an
-        id that is negative or does not fit in 64 bits.
+        """The graph of (u, v) pairs in original ids (an (m, 2) int64 array is
+        used as is); its vertices are the ids named.  Duplicate pairs, in
+        either orientation, collapse.  Ids must be Python or numpy integers,
+        or an array of an integer dtype: a float, even a whole one, or a
+        string is refused.  Raises GraphFormatError on a self-loop, an id that
+        is not an integer, or one that is negative or does not fit in 64 bits.
         """
-        try:
-            if not isinstance(pairs, np.ndarray):
-                pairs = list(pairs)
-            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            raise GraphFormatError("vertex id does not fit in 64 bits") from None
+        pairs = _id_pairs(pairs)
         us, vs = pairs[:, 0], pairs[:, 1]
         if pairs.min(initial=0) < 0 or (us == vs).any():
             bad = (pairs < 0).any(axis=1) | (us == vs)
@@ -186,28 +216,31 @@ class Graph:
             if u < 0 or v < 0:
                 raise GraphFormatError(f"negative vertex id in edge ({u}, {v})")
             raise GraphFormatError(f"self-loop at vertex {u}")
-        # Compaction preserves order, so the keys u * n + v of both directions
-        # of every edge sort into CSR order: by row, then by neighbour.
         top = pairs.max(initial=-1)
         if top < _TABLE_IDS * pairs.size + 64:
             original, cu, cv = _compact_by_table(us, vs, top)
         else:
             # One argsort gives the distinct ids and each id's rank among them.
-            ids = pairs.flatten()
+            ids = pairs.ravel()
             order = np.argsort(ids)
             ordered = ids[order]
             first = np.ones(len(ids), dtype=bool)
             first[1:] = ordered[1:] != ordered[:-1]
             original = ordered[first]
             first[:1] = False  # ranks count first occurrences past the smallest id
-            ids[order] = np.cumsum(first, out=ordered)  # over arrays no longer read
-            cu, cv = ids[0::2], ids[1::2]
-        n = len(original)
-        rows, indices = np.divmod(_sorted_unique(np.concatenate((cu * n + cv, cv * n + cu))), n)
-        degrees = np.bincount(rows, minlength=n)
+            ranks = np.empty(len(ids), dtype=_key_type(len(original)))
+            ranks[order] = np.cumsum(first, dtype=ranks.dtype)
+            cu, cv = ranks[0::2], ranks[1::2]
+        # Compaction preserves order, so the keys u * n + v of both directions
+        # of every edge sort into CSR order: by row, then by neighbour.
+        n = cu.dtype.type(len(original))
+        keys = _sorted_unique(np.concatenate((cu * n + cv, cv * n + cu)))
+        rows = keys // n
+        indices = (keys - rows * n).astype(np.int64, copy=False)
+        degrees = np.bincount(rows, minlength=int(n))
         indptr = np.concatenate(([0], np.cumsum(degrees)))
         return cls(
-            n=n,
+            n=int(n),
             indptr=_frozen(indptr),
             indices=_frozen(indices),
             degrees=_frozen(degrees),
@@ -235,10 +268,14 @@ def load_graph(source: str | IO[str]) -> Graph:
     start = time.perf_counter()
     text = source if isinstance(source, str) else source.read()
     pairs, parser = _bulk_ids(text, 2), "bulk"
-    if pairs is None or (pairs[:, 0] == pairs[:, 1]).any():
+    if pairs is None:
         pairs, parser = _edge_lines(text), "per-line"
     parse = time.perf_counter() - start
-    graph = Graph.from_edges(pairs)
+    try:
+        graph = Graph.from_edges(pairs)
+    except GraphFormatError:
+        _edge_lines(text)  # a bulk parse's self-loop: this names its line
+        raise
     build = time.perf_counter() - start - parse
     log.info("loaded %d vertices and %d edges with the %s parser in %.4f s (parse %.4f s, "
              "CSR build %.4f s)", graph.n, graph.edge_count, parser, parse + build, parse, build)
@@ -263,8 +300,9 @@ def _edge_lines(text: str) -> list[tuple[int, int]]:
 
 
 def _read_text(path: str | Path) -> str:
-    """A UTF-8 file's text; raises OSError, or GraphFormatError naming the first bad byte's line."""
-    data = Path(path).read_bytes()
+    """A UTF-8 file's text, less a leading byte-order mark; raises OSError, or
+    GraphFormatError naming the first bad byte's line."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -273,8 +311,9 @@ def _read_text(path: str | Path) -> str:
 
 
 def load_graph_file(path: str | Path) -> Graph:
-    """:func:`load_graph` of a UTF-8 file; raises OSError if it cannot be read,
-    and GraphFormatError, naming the line, as load_graph does or on a byte that is not UTF-8."""
+    """:func:`load_graph` of a UTF-8 file, a leading byte-order mark allowed;
+    raises OSError if it cannot be read, and GraphFormatError, naming the
+    line, as load_graph does or on a byte that is not UTF-8."""
     return load_graph(_read_text(path))
 
 

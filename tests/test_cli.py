@@ -288,6 +288,16 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err.startswith("error: line 1: ") and len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("kind", ["graph", "subset", "boundary"])
+    def test_utf8_byte_order_mark_is_read_past(self, p4_files, tmp_path, capsys, kind):
+        # A file saved with a leading UTF-8 byte-order mark solves as without it.
+        assert run(["solve-exact", *_io_args(p4_files)]) == 0
+        plain = capsys.readouterr().out
+        marked = tmp_path / f"bom_{kind}.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(p4_files[kind]).read_bytes())
+        assert run(["solve-exact", *_io_args(dict(p4_files, **{kind: str(marked)}))]) == 0
+        assert _strip_elapsed(capsys.readouterr().out) == _strip_elapsed(plain)
+
     @pytest.mark.parametrize("argv", [
         ["solve-local", "--gamma", "0.2", "--workers", "0"],
         ["solve-greens", "--gamma", "0.25", "--eps", "0.4", "--workers", "-3"],

@@ -66,6 +66,7 @@ class TestLoadGraph:
     @pytest.mark.parametrize("data, line", [
         (b"0 1\r\n1 2\n\xe9 3\n", 3),  # a Latin-1 byte after a CRLF line end
         (b"0 1\r2 3\xe2\x82", 2),  # a cut-off sequence after a lone CR
+        (b"\xef\xbb\xbf0 1\n1 2\n\xe9 3\n", 3),  # past a UTF-8 byte-order mark
     ])
     def test_non_utf8_byte_names_its_line(self, tmp_path, data, line):
         path = tmp_path / "latin1.edges"
@@ -189,6 +190,68 @@ class TestBulkParse:
     def test_declines_to_the_per_line_parser(self, text):
         with pytest.raises(AssertionError, match="the per-line parser ran"):
             hk.load_graph(text)
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1.5), (1, 2)], "non-integer vertex id 1.5"),
+        (np.array([[0.0, 1.0], [1.0, 2.0]]), "non-integer vertex id 0.0"),
+        ([(0, "1")], "non-integer vertex id '1'"),
+        (np.array([[2**63, 1]], dtype=np.uint64), "vertex id does not fit in 64 bits"),
+        ([(2**63, 1)], "vertex id does not fit in 64 bits"),
+        ([(-1, 2**63)], "vertex id does not fit in 64 bits"),
+        ([(2**64, 1)], "vertex id does not fit in 64 bits"),
+    ])
+    def test_ids_must_be_int64_integers(self, pairs, message):
+        with pytest.raises(hk.GraphFormatError, match=f"^{message}$"):
+            hk.Graph.from_edges(pairs)
+
+    @pytest.mark.parametrize("pairs", [
+        np.array([[0, 1], [1, 2]], dtype=np.int32),
+        np.array([[0, 1], [1, 2]], dtype=np.uint64),
+        [(np.int16(0), 1), (np.uint64(1), 2)],  # numpy reads these as float64
+        np.array([[0, 1], [1, 2]], dtype=object),
+        (pair for pair in [(0, 1), (1, 2)]),
+    ])
+    def test_integer_ids_of_any_type(self, pairs):
+        graph = hk.Graph.from_edges(pairs)
+        assert graph.indices.tolist() == [1, 0, 2, 1]
+        assert graph.original_ids.tolist() == [0, 1, 2]
+
+    def test_int64_pairs_are_used_in_place(self):
+        pairs = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        assert np.shares_memory(graph_module._id_pairs(pairs), pairs)
+
+    @pytest.mark.parametrize("shift", [0, 2**40])
+    @pytest.mark.parametrize("n, key", [(65_536, np.uint32), (65_537, np.int64)])
+    def test_key_width_boundary(self, monkeypatch, n, key, shift):
+        # The path on n vertices: at n = 65,536 its largest key u * n + v is
+        # 2^32 - 1 and the keys are uint32; one vertex more needs int64.  Its
+        # edges come shuffled, half of them reversed, under dense ids (the id
+        # table) or ids moved past 2^40 (the sort).
+        widths = []
+        unique = graph_module._sorted_unique
+        monkeypatch.setattr(graph_module, "_sorted_unique",
+                            lambda a: widths.append(a.dtype) or unique(a))
+        rng = np.random.default_rng(n)
+        pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)[rng.permutation(n - 1)]
+        flip = rng.random(n - 1) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
+        graph = hk.Graph.from_edges(pairs + shift)
+        assert widths == [key]
+        degrees = np.full(n, 2)
+        degrees[[0, -1]] = 1
+        expected = {
+            "indptr": np.concatenate(([0], np.cumsum(degrees))),
+            "indices": np.stack([np.arange(n) - 1, np.arange(n) + 1], axis=1).ravel()[1:-1],
+            "degrees": degrees,
+            "original_ids": np.arange(n) + shift,
+        }
+        assert graph.n == n
+        for name, values in expected.items():
+            array = getattr(graph, name)
+            assert (array.dtype, array.flags.writeable) == (np.int64, False), name
+            assert np.array_equal(array, values), name
 
 
 class TestVertexSubset:
