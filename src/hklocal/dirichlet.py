@@ -97,10 +97,12 @@ class DirichletOperator:
     def lambda1(self) -> float:
         return float(self.eigenvalues[0])
 
-    def apply(self, fn: Callable[[np.ndarray], np.ndarray], f: np.ndarray) -> np.ndarray:
+    def apply(self, fn: Callable[[np.ndarray], np.ndarray], f: np.ndarray, *,
+              inverse: bool = False) -> np.ndarray:
         """fn(L_S) f, as V (fn(lambda) * V^T f).  ``fn`` acts elementwise on
         the eigenvalues and may add a leading axis of m functions, giving
-        (m, s).  Raises ValueError unless f is finite with shape (s,)."""
+        (m, s).  ``inverse`` steers only the Krylov backend's checks and is
+        ignored.  Raises ValueError unless f is finite with shape (s,)."""
         scaled = fn(self.eigenvalues) * (self.eigenvectors.T @ _preference(f, self.s))
         return (self.eigenvectors @ scaled.T).T
 
@@ -148,17 +150,19 @@ class KrylovOperator:
     def lambda1(self) -> float:
         return float(self.ritz_values[0])
 
-    def apply(self, fn: Callable[[np.ndarray], np.ndarray], f: np.ndarray) -> np.ndarray:
+    def apply(self, fn: Callable[[np.ndarray], np.ndarray], f: np.ndarray, *,
+              inverse: bool = False) -> np.ndarray:
         """fn(L_S) f, as ||f|| Q_k fn(T_k) e1 after k Lanczos steps from f,
         with ``fn`` on the Ritz values as :meth:`DirichletOperator.apply`
-        takes it.  k is the first checkpoint (:func:`_next_check`) at which
-        Saad's (1992) error estimate passes for every function, or breakdown.
+        takes it.  k is the first checkpoint at which Saad's (1992) error
+        estimate passes for every function, or breakdown.  The checkpoints
+        follow :func:`_next_check` from step 0, or, with ``inverse`` (fn is a
+        quadrature of 1/lambda), from the step at which ``solve(f)`` stops.
         Raises ValueError unless f is finite with shape (s,)."""
 
         def stop(run: _Run, reach: Callable[[int], int]) -> tuple[np.ndarray, float]:
-            k = 0
+            k = self._cg_stop(run, reach)[0].size if inverse else reach(_next_check(0))
             while True:
-                k = reach(_next_check(k))
                 alpha, beta = np.array(run.alpha[:k]), np.array(run.beta[:k])
                 with run.lock:
                     if k not in run.eigenpairs:
@@ -169,6 +173,7 @@ class KrylovOperator:
                                      lambda: _kato_temple(alpha, beta, theta) <= 1.0)
                 if k == run.last or ratio <= 1.0:
                     return estimate, ratio
+                k = reach(_next_check(k))
 
         return self._lanczos_until(f, stop, lambda: np.shape(fn(self.ritz_values[:1]))[:-1],
                                    "apply", "error estimate")
@@ -181,31 +186,32 @@ class KrylovOperator:
         verified once by :func:`_lanczos_cg`.  Raises ValueError unless f is
         finite with shape (s,), SpectrumError if a pivot of T_k shows L_S is
         not positive definite."""
+        return self._lanczos_until(f, self._cg_stop, lambda: (), "solve", "residual")
+
+    def _cg_stop(self, run: _Run, reach: Callable[[int], int]) -> tuple[np.ndarray, float]:
+        """The solve's stop on ``run``: y = T_k^-1 e1 at the first step k that
+        passes, or where the run ends, and its residual over the limit."""
         limit = float(_EPS * self.ritz_values[-1])
-
-        def stop(run: _Run, reach: Callable[[int], int]) -> tuple[np.ndarray, float]:
-            # At step k: the pivot d_k, z_k and w = y_k[k] = z_k / d_k; with g
-            # the last column of L_k^-T, y_k = (y_{k-1}, 0) + w g, so norm2 =
-            # ||y_k||^2 follows from gg = ||g||^2 and cross = <y_{k-1}, g>.
-            k, b, ratio, z, gg, cross, norm2 = 0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0
-            while True:
-                k = reach(k + 1)
-                d = run.alpha[k - 1] - b * ratio
-                if not d > 0.0:
-                    raise SpectrumError(
-                        f"Lanczos pivot {d!r} at step {k}: L_S is not positive definite")
-                w = z / d
-                norm2 += w * (2.0 * cross + w * gg)
-                b = run.beta[k - 1]
-                if b * abs(w) <= limit * math.sqrt(norm2) or k == run.last:
-                    y = _lanczos_cg(np.array(run.alpha[:k]), np.array(run.beta[:k]))
-                    residual = b * abs(y[-1]) / (limit * np.linalg.norm(y))
-                    if k == run.last or residual <= 1.0:
-                        return y, residual
-                ratio = b / d
-                z, cross, gg = -ratio * z, -ratio * (cross + w * gg), 1.0 + ratio * ratio * gg
-
-        return self._lanczos_until(f, stop, lambda: (), "solve", "residual")
+        # At step k: the pivot d_k, z_k and w = y_k[k] = z_k / d_k; with g the
+        # last column of L_k^-T, y_k = (y_{k-1}, 0) + w g, so norm2 = ||y_k||^2
+        # follows from gg = ||g||^2 and cross = <y_{k-1}, g>.
+        k, b, ratio, z, gg, cross, norm2 = 0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0
+        while True:
+            k = reach(k + 1)
+            d = run.alpha[k - 1] - b * ratio
+            if not d > 0.0:
+                raise SpectrumError(
+                    f"Lanczos pivot {d!r} at step {k}: L_S is not positive definite")
+            w = z / d
+            norm2 += w * (2.0 * cross + w * gg)
+            b = run.beta[k - 1]
+            if b * abs(w) <= limit * math.sqrt(norm2) or k == run.last:
+                y = _lanczos_cg(np.array(run.alpha[:k]), np.array(run.beta[:k]))
+                residual = b * abs(y[-1]) / (limit * np.linalg.norm(y))
+                if k == run.last or residual <= 1.0:
+                    return y, residual
+            ratio = b / d
+            z, cross, gg = -ratio * z, -ratio * (cross + w * gg), 1.0 + ratio * ratio * gg
 
     def _lanczos_until(self, f: np.ndarray, stop: Callable[..., tuple[np.ndarray, float]],
                        lead: Callable[[], tuple], name: str, measure: str) -> np.ndarray:

@@ -261,12 +261,13 @@ class Graph:
 
 def load_graph(source: str | IO[str]) -> Graph:
     """The :class:`Graph` of an edge list: one ``u v`` pair per line, blank
-    and ``#`` lines ignored, duplicate edges collapsed.  Raises
+    and ``#`` lines ignored, duplicate edges collapsed, a leading
+    byte-order mark skipped.  Raises
     GraphFormatError, naming the line, on a malformed line, a self-loop or
     an id that is not an integer in [0, 2**63).
     """
     start = time.perf_counter()
-    text = source if isinstance(source, str) else source.read()
+    text = _source_text(source)
     pairs, parser = _bulk_ids(text, 2), "bulk"
     if pairs is None:
         pairs, parser = _edge_lines(text), "per-line"
@@ -297,6 +298,12 @@ def _edge_lines(text: str) -> list[tuple[int, int]]:
             raise GraphFormatError(f"line {ln}: self-loop at vertex {u}")
         pairs.append((u, v))
     return pairs
+
+
+def _source_text(source: str | IO[str]) -> str:
+    """The text of a string or text handle, less a leading byte-order mark."""
+    text = source if isinstance(source, str) else source.read()
+    return text.removeprefix("\ufeff")
 
 
 def _read_text(path: str | Path) -> str:
@@ -357,9 +364,10 @@ class VertexSubset:
 
 
 def load_subset(source: str | IO[str], graph: Graph) -> VertexSubset:
-    """The :class:`VertexSubset` of one original id per line; raises
-    GraphFormatError, naming the line, on a malformed, unknown or repeated id."""
-    text = source if isinstance(source, str) else source.read()
+    """The :class:`VertexSubset` of one original id per line, a leading
+    byte-order mark skipped; raises GraphFormatError, naming the line, on a
+    malformed, unknown or repeated id."""
+    text = _source_text(source)
     ids = _bulk_ids(text, 1)
     if ids is not None and len(ids):
         pos = np.searchsorted(graph.original_ids, ids.ravel())
@@ -386,13 +394,11 @@ def _subset_lines(text: str, graph: Graph) -> VertexSubset:
 
 
 def load_boundary(source: str | IO[str], graph: Graph) -> dict[int, float]:
-    """The boundary vector of 'vertex_id value' lines, keyed by compact id.
-    Raises GraphFormatError, naming the line, on a malformed line, an unknown
+    """The boundary vector of 'vertex_id value' lines, keyed by compact id,
+    a leading byte-order mark skipped.  Raises GraphFormatError, naming the line, on a malformed line, an unknown
     or repeated vertex, or a value that is not finite."""
-    if not isinstance(source, str):
-        source = source.read()
     b: dict[int, float] = {}
-    for ln, raw in enumerate(source.splitlines(), start=1):
+    for ln, raw in enumerate(_source_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -186,7 +186,7 @@ def _riemann_geometric(op: Operator, b1: np.ndarray, schedule: SolverSchedule) -
         total = np.exp(q_log) * (-np.expm1(q_log * schedule.floor_n)) / -np.expm1(q_log)
         return total * schedule.gamma
 
-    return op.apply(series, b1)
+    return op.apply(series, b1, inverse=True)
 
 
 def riemann_sum_solution(
@@ -231,7 +231,7 @@ def local_linear_solver(
             c += weights[lo:lo + rows] @ np.exp(-np.outer(ts[lo:lo + rows], lam))
         return c / schedule.r_outer
 
-    x_hat = op.apply(decay, problem.b1)
+    x_hat = op.apply(decay, problem.b1, inverse=True)
     log.info("local-linear-solver reduction in %.4f s", time.perf_counter() - stage)
     return SolveReport(
         x_hat=x_hat,

@@ -4,6 +4,7 @@ among them a dict-of-sets graph that ``Graph.from_edges`` is checked
 against, the one-walk reference the lockstep walk engine is replayed
 against, a pure-Python SplitMix64 that every hashed draw is checked
 against, the paper's uniform time draw and the literal Riemann sum; the
+Krylov solve's stop and an apply's Saad estimate, recomputed from T_k; the
 readers of the command line's CSV outputs; and the library's vertex
 boundary and uncapped walk estimate, which only tests call."""
 
@@ -23,7 +24,7 @@ from hklocal.fixtures import (
     dolphins_graph_path,
     dolphins_subset_path,
 )
-from hklocal.dirichlet import _EPS, _lanczos_cg
+from hklocal.dirichlet import _EPS, _LANCZOS_TOL, _lanczos_cg
 from hklocal.graph import _restrict, _vertex_boundary
 from hklocal.walks import _mc_dirhkpr
 
@@ -386,6 +387,24 @@ def check_solve_stop(krylov: hk.KrylovOperator, f: np.ndarray) -> int:
     assert len(op._run.alpha) == k and len(squares) == k
     assert np.allclose(np.sqrt(squares), norms, rtol=1e-12, atol=0.0), (squares, norms)
     return k
+
+
+def tridiagonal(alpha, beta):
+    """T_k, dense, at a check point of a run: beta's last entry is beta_k."""
+    off = beta[:-1]
+    return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def saad_ratio(fn, alpha, beta):
+    """beta_k |c_k| over its limit, for one function and c = fn(T_k) e1, at
+    a check point of a run: the limit is _LANCZOS_TOL ||c||, plus how far
+    raising every Ritz value by one ulp of the largest moves c, plus the
+    smallest normal float."""
+    theta, vectors = np.linalg.eigh(tridiagonal(alpha, beta))
+    c = vectors @ (fn(theta) * vectors[0])
+    noise = (fn(theta + _EPS * theta[-1]) - fn(theta)) * vectors[0]
+    tiny = np.finfo(np.float64).tiny
+    return beta[-1] * abs(c[-1]) / (_LANCZOS_TOL * np.linalg.norm(c) + np.linalg.norm(noise) + tiny)
 
 
 def dirichlet_walk(

@@ -6,6 +6,7 @@ import logging
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import scipy.linalg
 
 import hklocal as hk
 from hklocal.dirichlet import _EPS as EPS
-from hklocal.dirichlet import _LANCZOS_TOL as LANCZOS_TOL
 from conftest import (
     EMPTY_BOUNDARY,
     NOT_CONNECTED,
@@ -25,6 +25,8 @@ from conftest import (
     heat_kernel,
     random_connected_graph,
     random_problem,
+    saad_ratio,
+    tridiagonal,
 )
 
 
@@ -456,12 +458,6 @@ def path_problem(s):
     return prob, math.sqrt(2.0) * (1.0 + 2.0 * np.arange(1, s + 1) / (s + 1))
 
 
-def tridiagonal(alpha, beta):
-    """T_k, dense, at a check point of a run: beta's last entry is beta_k."""
-    off = beta[:-1]
-    return np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
-
-
 @pytest.fixture()
 def tridiagonals():
     """The (alpha, beta) of every T_k formed for an eigensolve, in order:
@@ -616,18 +612,6 @@ class TestKrylovSolve:
             op.solve(prob.b1)
 
 
-def saad_ratio(fn, alpha, beta):
-    """beta_k |c_k| over its limit, for one function and c = fn(T_k) e1, at
-    a check point of a run: the limit is LANCZOS_TOL ||c||, plus how far
-    raising every Ritz value by one ulp of the largest moves c, plus the
-    smallest normal float."""
-    theta, vectors = np.linalg.eigh(tridiagonal(alpha, beta))
-    c = vectors @ (fn(theta) * vectors[0])
-    noise = (fn(theta + EPS * theta[-1]) - fn(theta)) * vectors[0]
-    tiny = np.finfo(np.float64).tiny
-    return beta[-1] * abs(c[-1]) / (LANCZOS_TOL * np.linalg.norm(c) + np.linalg.norm(noise) + tiny)
-
-
 class TestKrylovApplyStop:
     """An apply stops at the first check point whose own error estimate
     passes, beta_k |e_k^T fn(T_k) e1| (Saad 1992), with no second check."""
@@ -642,9 +626,9 @@ class TestKrylovApplyStop:
         fns = {"heat": lambda lam: np.exp(-4.0 * lam)}
         real = hk.KrylovOperator.apply
 
-        def keep(op, fn, f):
+        def keep(op, fn, f, **options):
             fns["kernel sum"] = fn
-            return real(op, fn, f)
+            return real(op, fn, f, **options)
 
         monkeypatch.setattr(hk.KrylovOperator, "apply", keep)
         hk.local_linear_solver(prob, 0.2, seed=3, operator=fresh(krylov))
@@ -663,6 +647,98 @@ class TestKrylovApplyStop:
             logged = float(caplog.records[-1].getMessage().split("error estimate ")[1].split()[0])
             assert logged == pytest.approx(ratios[-1], rel=0.05), (name, logged, ratios)
             assert close_to_dense(x, dense.apply(fn, prob.b1), prob.b1), name
+        # exact_dirhkpr, the heat kernel of hkpr-exact and sweep-norms, keeps
+        # these checkpoints.
+        tridiagonals.clear()
+        hk.exact_dirhkpr(fresh(krylov), 4.0, prob.b1)
+        assert [alpha.size for alpha, _ in tridiagonals] == checkpoints(tridiagonals[-1][0].size)
+
+
+def solve_stop(krylov, f):
+    """The step at which a fresh operator's solve(f) stops."""
+    op = fresh(krylov)
+    op.solve(f)
+    return len(op._run.alpha)
+
+
+class TestInverseApplyStop:
+    """An apply told that fn is a quadrature of 1/lambda (``inverse``) checks
+    first at the step where solve(f) stops on the same run, then at the
+    checkpoints that follow from there, and still stops only on its own
+    error estimate."""
+
+    @pytest.mark.parametrize("name", ["grid15", "dense_cluster", "path300"])
+    def test_solver_sums_eigensolve_once_at_the_solve_stop(self, name, request, tridiagonals):
+        # The local solver's kernel sum and the Riemann series, each the
+        # only apply of a fresh run: one T_k eigensolved, at the solve's
+        # stop, where the estimate passes.  The 300-path's solve runs to
+        # k = s, and there the dense eigensolve is itself accurate only to
+        # about eps / lambda1; the dense cluster multiplies by a dense L_S.
+        if name == "path300":
+            prob = path_problem(300)[0]
+            krylov = hk.KrylovOperator.from_subset(prob.graph, prob.subset)
+        else:
+            fixture = request.getfixturevalue(name)
+            prob, krylov = fixture[0], fixture[-1]
+        dense = hk.DirichletOperator.from_subset(prob.graph, prob.subset)
+        stop = solve_stop(krylov, prob.b1)
+        assert (stop == prob.subset.size) == (name == "path300"), stop
+        tol = max(1e-12, 10 * EPS / dense.lambda1)
+        sched = hk.make_schedule(krylov.s, 0.2)
+        sums = {
+            "kernel sum": lambda op: hk.local_linear_solver(prob, 0.2, seed=3, operator=op).x_hat,
+            "riemann": lambda op: hk.riemann_sum_solution(prob, sched, operator=op),
+        }
+        for label, call in sums.items():
+            tridiagonals.clear()
+            with mock.patch.object(hk.KrylovOperator, "apply", autospec=True,
+                                   side_effect=hk.KrylovOperator.apply) as spy:
+                x = call(fresh(krylov))
+            assert spy.call_count == 1 and spy.call_args.kwargs == {"inverse": True}, label
+            fn = spy.call_args.args[1]
+            assert [alpha.size for alpha, _ in tridiagonals] == [stop], label
+            assert saad_ratio(fn, *tridiagonals[0]) <= 1.0, label
+            assert close_to_dense(x, dense.apply(fn, prob.b1), prob.b1, tol), label
+            assert close_to_dense(x, call(dense), prob.b1, tol), label
+
+    def test_slower_function_steps_on_to_its_own_stop(self, grid15, tridiagonals):
+        # cos(100 lambda) resolves the spectrum's interior and needs more
+        # steps than the solve; on this patch even lambda^-2 and lambda^-8
+        # pass at the solve's stop.  Its first check fails and the apply
+        # steps on by _next_check until its own estimate passes.
+        prob, krylov = grid15
+        dense = hk.DirichletOperator.from_subset(prob.graph, prob.subset)
+        fn = lambda lam: np.cos(100.0 * lam)
+        x = fresh(krylov).apply(fn, prob.b1, inverse=True)
+        sizes = [alpha.size for alpha, _ in tridiagonals]
+        ratios = [saad_ratio(fn, alpha, beta) for alpha, beta in tridiagonals]
+        expected = [solve_stop(krylov, prob.b1)]
+        while len(expected) < len(sizes):
+            expected.append(expected[-1] + max(16, expected[-1] // 4))
+        assert len(sizes) > 1 and sizes == expected, sizes
+        assert ratios[-1] <= 1.0 and all(r > 1.0 for r in ratios[:-1]), ratios
+        assert close_to_dense(x, dense.apply(fn, prob.b1), prob.b1)
+
+    def test_first_check_ignores_a_longer_cached_run(self, grid15, tridiagonals):
+        # An unflagged cos(100 lambda) extends the run past the solve's
+        # stop; the flagged sum still checks first at that stop, with the
+        # output of a fresh operator, bit for bit.
+        prob, krylov = grid15
+        fn = lambda lam: (1.0 - np.exp(-50.0 * lam)) / lam
+        op = fresh(krylov)
+        op.apply(lambda lam: np.cos(100.0 * lam), prob.b1)
+        stop = solve_stop(krylov, prob.b1)
+        assert len(op._run.alpha) > stop
+        tridiagonals.clear()
+        x = op.apply(fn, prob.b1, inverse=True)
+        assert [alpha.size for alpha, _ in tridiagonals] == [stop]
+        assert np.array_equal(x, fresh(krylov).apply(fn, prob.b1, inverse=True))
+
+    def test_dense_operator_ignores_the_flag(self, dolphins_problem):
+        dense = hk.DirichletOperator.from_subset(dolphins_problem.graph, dolphins_problem.subset)
+        fn = lambda lam: np.exp(-np.multiply.outer([0.5, 4.0], lam))
+        f = dolphins_problem.b1
+        assert np.array_equal(dense.apply(fn, f, inverse=True), dense.apply(fn, f))
 
 
 class TestKrylovRunCache:

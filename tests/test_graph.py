@@ -1,6 +1,7 @@
 """Graph ingestion, subset machinery, and boundary-vector folding."""
 
 import inspect
+import io
 import math
 import sys
 import threading
@@ -73,6 +74,27 @@ class TestLoadGraph:
         path.write_bytes(data)
         with pytest.raises(hk.GraphFormatError, match=f"^line {line}: byte 0x"):
             hk.load_graph_file(path)
+
+    @pytest.mark.parametrize("handle", [False, True], ids=["str", "handle"])
+    @pytest.mark.parametrize("loader", ["graph", "subset", "boundary"])
+    def test_byte_order_mark_is_skipped(self, loader, handle):
+        # A leading U+FEFF, which a text decoded as plain UTF-8 keeps, reads
+        # as the same text without it, from a string or a text handle.
+        g = hk.load_graph("0 1\n1 2\n")
+        texts = {"graph": "# header\n0 1\n1 2\n", "subset": "1\n", "boundary": "0 1.5\n2 -1\n"}
+        load = {"graph": hk.load_graph, "subset": lambda src: hk.load_subset(src, g),
+                "boundary": lambda src: hk.load_boundary(src, g)}[loader]
+        text = "\ufeff" + texts[loader]
+        got = load(io.StringIO(text) if handle else text)
+        want = load(texts[loader])
+        if loader == "graph":
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.original_ids, want.original_ids)
+        elif loader == "subset":
+            assert np.array_equal(got.members, want.members)
+        else:
+            assert got == want == {0: 1.5, 2: -1.0}
 
     def test_arbitrary_ids_compact_with_map(self):
         g = hk.load_graph("10 30\n30 700\n")

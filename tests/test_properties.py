@@ -5,6 +5,7 @@ generated graphs and subsets, the admissibility checks against the
 set-based code they replaced, and the Krylov operator against the dense
 oracle on generated problems."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from conftest import (
     reference_laplacian,
     reference_vertex_boundary,
     reference_violations,
+    saad_ratio,
     vertex_boundary,
 )
 
@@ -382,6 +384,44 @@ def test_krylov_operator_matches_the_dense_oracle(problem):
                                side_effect=hk.KrylovOperator.apply) as spy:
             x_hat = hk.local_linear_solver(problem, 0.2, seed=0, operator=krylov).x_hat
         assert within(x_hat, dense.apply(spy.call_args.args[1], f))
+
+
+@PROPERTY
+@given(st.one_of(problems(), lollipops(), chorded_trees()))
+def test_solver_sums_check_first_at_the_solve_stop(problem):
+    # The kernel sum and the Riemann series, each the only apply of a fresh
+    # run, eigensolve T_k first at the step where solve(b1) stops, then at
+    # the checkpoints that follow, and stop at the first whose own Saad
+    # estimate passes or where the run ends; b1 = 0 makes no run.  Both
+    # agree with the dense operator within the tolerance of the test above.
+    dense = hk.DirichletOperator.from_subset(problem.graph, problem.subset)
+    krylov = hk.KrylovOperator.from_subset(problem.graph, problem.subset)
+    tol = KRYLOV_C * dense.eigenvalues[-1] / dense.lambda1 * EPS + LANCZOS_TOL
+    f = problem.b1
+    first = [check_solve_stop(krylov, f)] if np.any(f) else []
+    schedule = hk.make_schedule(dense.s, 0.2)
+    sums = [lambda op: hk.local_linear_solver(problem, 0.2, seed=0, operator=op).x_hat,
+            lambda op: hk.riemann_sum_solution(problem, schedule, operator=op)]
+    for call in sums:
+        op, seen = dataclasses.replace(krylov), []
+        real = dirichlet_module._tridiagonal
+        with mock.patch.object(dirichlet_module, "_tridiagonal",
+                               lambda alpha, beta: seen.append((alpha, beta)) or real(alpha, beta)), \
+             mock.patch.object(hk.KrylovOperator, "apply", autospec=True,
+                               side_effect=hk.KrylovOperator.apply) as spy:
+            x = call(op)
+        fn = spy.call_args.args[1]
+        sizes = [alpha.size for alpha, _ in seen]
+        expected = first[:]
+        while expected and len(expected) < len(sizes):
+            expected.append(expected[-1] + max(16, expected[-1] // 4))
+        assert sizes == expected
+        ratios = [saad_ratio(fn, alpha, beta) for alpha, beta in seen]
+        assert all(r > 1.0 for r in ratios[:-1]), ratios
+        assert not ratios or ratios[-1] <= 1.0 or op._run.last == sizes[-1], ratios
+        want = call(dense)
+        scale = max(np.linalg.norm(want), np.linalg.norm(f))
+        assert np.linalg.norm(x - want) <= tol * scale
 
 
 @PROPERTY
