@@ -152,16 +152,20 @@ def _error_bounds(report, problem: BoundaryProblem, op) -> dict:
     }
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    violations = validate_b_boundable(*_read_inputs(args))
+def _emit_violations(args: argparse.Namespace, violations: list[str]) -> int:
+    """Write the command's violations document; the exit code it means."""
     doc = {
         "format_version": 1,
-        "command": "validate",
+        "command": args.command,
         "valid": not violations,
         "violations": violations,
     }
     _emit(_json_doc(doc), args.out)
     return EXIT_OK if not violations else EXIT_INVALID
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    return _emit_violations(args, validate_b_boundable(*_read_inputs(args)))
 
 
 def _cmd_solve_exact(args: argparse.Namespace) -> int:
@@ -341,15 +345,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except BoundaryConditionError as exc:
-        doc = {
-            "format_version": 1,
-            "command": args.command,
-            "valid": False,
-            "violations": exc.violations,
-        }
-        _emit(_json_doc(doc), getattr(args, "out", None))
         log.error("invalid boundary problem: %s", exc)
-        return EXIT_INVALID
+        return _emit_violations(args, exc.violations)
     except (GraphFormatError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

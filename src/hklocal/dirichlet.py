@@ -183,9 +183,9 @@ class KrylovOperator:
         f (Hestenes and Stiefel 1952), k the first step whose residual is a
         backward error of at most one ulp, or breakdown.  Each step tests the
         residual in O(1) from running LDL^T recurrences; a step that passes is
-        verified once by :func:`_lanczos_cg`.  Raises ValueError unless f is
-        finite with shape (s,), SpectrumError if a pivot of T_k shows L_S is
-        not positive definite."""
+        verified once, by back substitution through the pivots the solve
+        formed.  Raises ValueError unless f is finite with shape (s,),
+        SpectrumError if a pivot of T_k shows L_S is not positive definite."""
         return self._lanczos_until(f, self._cg_stop, lambda: (), "solve", "residual")
 
     def _cg_stop(self, run: _Run, reach: Callable[[int], int]) -> tuple[np.ndarray, float]:
@@ -194,19 +194,27 @@ class KrylovOperator:
         limit = float(_EPS * self.ritz_values[-1])
         # At step k: the pivot d_k, z_k and w = y_k[k] = z_k / d_k; with g the
         # last column of L_k^-T, y_k = (y_{k-1}, 0) + w g, so norm2 = ||y_k||^2
-        # follows from gg = ||g||^2 and cross = <y_{k-1}, g>.
+        # follows from gg = ||g||^2 and cross = <y_{k-1}, g>.  ``pivots`` and
+        # ``zs`` keep every d_j and z_j for the back substitution.
         k, b, ratio, z, gg, cross, norm2 = 0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0
+        pivots, zs = [], []
         while True:
             k = reach(k + 1)
             d = run.alpha[k - 1] - b * ratio
             if not d > 0.0:
                 raise SpectrumError(
                     f"Lanczos pivot {d!r} at step {k}: L_S is not positive definite")
+            pivots.append(d)
+            zs.append(z)
             w = z / d
             norm2 += w * (2.0 * cross + w * gg)
             b = run.beta[k - 1]
             if b * abs(w) <= limit * math.sqrt(norm2) or k == run.last:
-                y = _lanczos_cg(np.array(run.alpha[:k]), np.array(run.beta[:k]))
+                y, last = [], 0.0
+                for j in range(k - 1, -1, -1):
+                    last = (zs[j] - run.beta[j] * last) / pivots[j]
+                    y.append(last)
+                y = np.array(y[::-1])
                 residual = b * abs(y[-1]) / (limit * np.linalg.norm(y))
                 if k == run.last or residual <= 1.0:
                     return y, residual
@@ -291,22 +299,6 @@ def _next_check(k: int) -> int:
     """The checkpoint after step k of an apply or the lambda1 run: every 16
     steps up to 64, then every k/4 (README, "Krylov stop rules")."""
     return k + max(_LANCZOS_CHECK, k // 4)
-
-
-def _lanczos_cg(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """T_k^-1 e1 by the LDL^T recurrence of T_k, in O(k); every pivot must
-    be positive, as :meth:`KrylovOperator.solve` checks while it steps."""
-    a, b = alpha.tolist(), beta.tolist()
-    d, z = [a[0]], [1.0]
-    for j in range(len(a) - 1):
-        ratio = b[j] / d[j]
-        d.append(a[j + 1] - b[j] * ratio)
-        z.append(-ratio * z[j])
-    y, last = [], 0.0
-    for j in range(len(a) - 1, -1, -1):
-        last = (z[j] - b[j] * last) / d[j]
-        y.append(last)
-    return np.array(y[::-1])
 
 
 # Either backend: both have ``s``, ``degrees``, ``lambda1``, ``apply`` and ``solve``.

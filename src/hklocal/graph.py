@@ -1,7 +1,7 @@
 """Simple undirected graphs, vertex subsets, and boundary problems.
 
-Vertex ids in input files are arbitrary non-negative integers below 2**63;
-they are compacted to [0, n) and the original ids kept for reporting.
+Vertex ids in input files are ASCII decimal digits naming integers below
+2**63; they are compacted to [0, n) and the original ids kept for reporting.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -71,15 +71,18 @@ _ID_LIMIT = 2**63
 
 
 def _parse_id(token: str, ln: int) -> int:
-    """One non-negative vertex id that fits in int64, or a GraphFormatError."""
-    try:
-        v = int(token)
-    except ValueError:
-        raise GraphFormatError(f"line {ln}: non-integer vertex id {token!r}") from None
-    if v < 0:
+    """One vertex id, ASCII decimal digits naming an integer below 2**63, or
+    a GraphFormatError."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise GraphFormatError(f"line {ln}: non-integer vertex id {token!r}")
+    if digits != token:
         raise GraphFormatError(f"line {ln}: negative vertex id")
+    # int() refuses texts of more than a few thousand digits, zeros included.
+    significant = token.lstrip("0") or "0"
+    v = int(significant) if len(significant) <= 19 else _ID_LIMIT
     if v >= _ID_LIMIT:
-        raise GraphFormatError(f"line {ln}: vertex id {v} does not fit in 64 bits")
+        raise GraphFormatError(f"line {ln}: vertex id {significant} does not fit in 64 bits")
     return v
 
 
@@ -283,13 +286,19 @@ def load_graph(source: str | IO[str]) -> Graph:
     return graph
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, raw line, stripped line) of each line of a text that is
+    neither blank nor a ``#`` comment."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield ln, raw, line
+
+
 def _edge_lines(text: str) -> list[tuple[int, int]]:
     """The edges of a text, one line at a time; names the first bad line."""
     pairs: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, _, line in _data_lines(text):
         tokens = line.split()
         if len(tokens) != 2:
             raise GraphFormatError(f"line {ln}: expected two vertex ids, got {len(tokens)} tokens")
@@ -381,10 +390,7 @@ def _subset_lines(text: str, graph: Graph) -> VertexSubset:
     """The subset of a text, one line at a time; names the first bad line."""
     members = []
     seen = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, _, line in _data_lines(text):
         orig, v = _lookup(graph, line, ln)
         if v in seen:
             raise GraphFormatError(f"line {ln}: duplicate subset vertex {orig}")
@@ -395,18 +401,19 @@ def _subset_lines(text: str, graph: Graph) -> VertexSubset:
 
 def load_boundary(source: str | IO[str], graph: Graph) -> dict[int, float]:
     """The boundary vector of 'vertex_id value' lines, keyed by compact id,
-    a leading byte-order mark skipped.  Raises GraphFormatError, naming the line, on a malformed line, an unknown
-    or repeated vertex, or a value that is not finite."""
+    a leading byte-order mark skipped.  Values are ASCII text that ``float``
+    reads, with no ``_``.  Raises GraphFormatError, naming the line, on a
+    malformed line, an unknown or repeated vertex, or a value that is not
+    finite."""
     b: dict[int, float] = {}
-    for ln, raw in enumerate(_source_text(source).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, raw, line in _data_lines(_source_text(source)):
         tokens = line.split()
         if len(tokens) != 2:
             raise GraphFormatError(f"line {ln}: expected 'vertex_id value'")
         orig, v = _lookup(graph, tokens[0], ln)
         try:
+            if not tokens[1].isascii() or "_" in tokens[1]:
+                raise ValueError
             value = float(tokens[1])
         except ValueError:
             raise GraphFormatError(f"line {ln}: could not parse {raw!r}") from None
@@ -483,10 +490,24 @@ def _condition_iii(sl: _Slice) -> str | None:
     return None
 
 
-def _violations(graph: Graph, b: Mapping[int, float], subset: VertexSubset, delta: np.ndarray,
-                structure: str | None) -> list[str]:
+def _entries(graph: Graph, b: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """b's compact ids, ascending, and their values; raises ValueError,
+    naming the vertex's original id, on a value that is not finite."""
     keys = np.fromiter(b.keys(), np.int64, len(b))
-    support = np.sort(keys[np.fromiter(b.values(), np.float64, len(b)) != 0.0])
+    values = np.fromiter(b.values(), np.float64, len(b))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        v = int(keys[i])
+        name = int(graph.original_ids[v]) if 0 <= v < graph.n else v
+        raise ValueError(f"boundary value {float(values[i])!r} at vertex {name} is not finite")
+    order = np.argsort(keys)
+    return keys[order], values[order]
+
+
+def _violations(graph: Graph, keys: np.ndarray, values: np.ndarray, subset: VertexSubset,
+                delta: np.ndarray, structure: str | None) -> list[str]:
+    support = keys[values != 0.0]
     if not support.size:
         return ["trivial boundary vector (no nonzero entries)"]
     known = support[(support >= 0) & (support < subset.n)]
@@ -505,19 +526,18 @@ def validate_b_boundable(
     """The violated admissibility conditions of (graph, b, S), none when the
     support of b is nonempty and avoids S (i), meets the vertex boundary of
     S (ii), and S is connected with a nonempty vertex boundary (iii).
+    Raises ValueError, naming the vertex, on a value of b that is not finite.
     """
     sl, structure = _restriction(graph, subset, check=True)
-    return _violations(graph, b, subset, _vertex_boundary(sl), structure)
+    return _violations(graph, *_entries(graph, b), subset, _vertex_boundary(sl), structure)
 
 
-def _b1(graph: Graph, b: Mapping[int, float], sl: _Slice) -> np.ndarray:
+def _b1(graph: Graph, keys: np.ndarray, values: np.ndarray, sl: _Slice) -> np.ndarray:
     """b1(v) = sum over boundary neighbours u of b(u) / sqrt(d_v d_u),
-    full-graph degrees, each member's terms added in ascending order of u."""
+    full-graph degrees, each member's terms added in ascending order of u;
+    b is given as its ascending compact ids ``keys`` and their ``values``."""
     out = sl.cols < 0
     rows, nbrs = sl.rows[out], sl.nbrs[out]
-    keys = np.fromiter(b.keys(), np.int64, len(b))
-    order = np.argsort(keys)
-    keys, values = keys[order], np.fromiter(b.values(), np.float64, len(b))[order]
     at = np.minimum(np.searchsorted(keys, nbrs), len(keys) - 1)
     found = np.where(keys[at] == nbrs, values[at], 0.0)
     terms = found / np.sqrt(sl.degrees[rows] * graph.degrees[nbrs])
@@ -547,19 +567,21 @@ def _by_original_id(problem: BoundaryProblem, values: np.ndarray) -> dict[str, f
 def make_boundary_problem(
     graph: Graph, b: Mapping[int, float], subset: VertexSubset
 ) -> BoundaryProblem:
-    """The :class:`BoundaryProblem` of (graph, b, S).  Raises
+    """The :class:`BoundaryProblem` of (graph, b, S).  Raises ValueError,
+    naming the vertex, on a value of b that is not finite, then
     BoundaryConditionError listing every violated condition, and ValueError
     when b1 or b2 overflows float64."""
     start = time.perf_counter()
+    keys, values = _entries(graph, b)
     sl, structure = _restriction(graph, subset, check=True)
     delta = _vertex_boundary(sl)
-    violations = _violations(graph, b, subset, delta, structure)
+    violations = _violations(graph, keys, values, subset, delta, structure)
     if violations:
         raise BoundaryConditionError(violations)
     log.info("validated the boundary problem: s = %d, |delta S| = %d in %.4f s",
              subset.size, len(delta), time.perf_counter() - start)
     with np.errstate(over="ignore"):
-        b1 = _b1(graph, b, sl)
+        b1 = _b1(graph, keys, values, sl)
         b2 = b1 * np.sqrt(sl.degrees.astype(np.float64))
     if not np.isfinite(b2).all():  # then b1 is finite too: |b2| >= |b1|
         raise ValueError("the boundary values overflow float64: b1 or b2 is not finite")

@@ -114,18 +114,12 @@ def _keys(groups: np.ndarray, members: np.ndarray) -> np.ndarray:
     return _mix(groups[:, None] + members * _PHI)
 
 
-def _mix_int(z: int) -> int:
-    """The SplitMix64 finaliser on one Python int below 2**64."""
-    z = (z ^ (z >> int(_S30))) * int(_M1) % 2**64
-    z = (z ^ (z >> int(_S27))) * int(_M2) % 2**64
-    return z ^ (z >> int(_S31))
-
-
 def _schedule_draws(master_seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Time uniforms and child seeds of a solve's r samples (README,
     "Determinism")."""
-    group = _mix_int((_mix_int(int(master_seed) % 2**64) + PHASE_SCHEDULE * int(_PHI)) % 2**64)
-    keys = _keys(np.array([group], dtype=np.uint64), np.arange(r, dtype=np.uint64))[0]
+    seed = np.array([int(master_seed) % 2**64], dtype=np.uint64)
+    group = _keys(_mix(seed), np.array([PHASE_SCHEDULE], dtype=np.uint64))[0]
+    keys = _keys(group, np.arange(r, dtype=np.uint64))[0]
     return _uniform(keys + _START), keys
 
 

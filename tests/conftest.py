@@ -24,7 +24,7 @@ from hklocal.fixtures import (
     dolphins_graph_path,
     dolphins_subset_path,
 )
-from hklocal.dirichlet import _EPS, _LANCZOS_TOL, _lanczos_cg
+from hklocal.dirichlet import _EPS, _LANCZOS_TOL
 from hklocal.graph import _restrict, _vertex_boundary
 from hklocal.walks import _mc_dirhkpr
 
@@ -363,7 +363,7 @@ def reference_laplacian(graph: hk.Graph, subset: hk.VertexSubset) -> np.ndarray:
 def check_solve_stop(krylov: hk.KrylovOperator, f: np.ndarray) -> int:
     """Solve f on a fresh copy of ``krylov`` and check its stop by brute
     force; returns the steps k it took.  The run then holds exactly those
-    steps.  For every j <= k, :func:`_lanczos_cg` on T_j gives y_j and the
+    steps.  For every j <= k, a dense solve of T_j y = e1 gives y_j and the
     residual over its limit, beta_j |y_j[j]| / (eps theta_max ||y_j||): the
     solve must stop at the first j where that is at most 1, or where the
     run ends.  A second solve from f replays the run without stepping it,
@@ -375,7 +375,7 @@ def check_solve_stop(krylov: hk.KrylovOperator, f: np.ndarray) -> int:
     k, limit = alpha.size, _EPS * krylov.ritz_values[-1]
     norms, ratios = [], []
     for j in range(1, k + 1):
-        y = _lanczos_cg(alpha[:j], beta[:j])
+        y = np.linalg.solve(tridiagonal(alpha[:j], beta[:j]), np.eye(j)[0])
         norms.append(np.linalg.norm(y))
         ratios.append(beta[j - 1] * abs(y[-1]) / (limit * norms[-1]))
     assert all(r > 1.0 for r in ratios[:-1]), ratios

@@ -278,6 +278,26 @@ class TestRejectedInput:
         assert run(["validate", *_io_args(dict(p4_files, **{kind: str(bad)}))]) == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, text, message", [
+        ("graph", "0 1\n1 2\n2 1_0\n", "line 3: non-integer vertex id '1_0'"),
+        ("graph", "+0 1\n1 2\n2 3\n", "line 1: non-integer vertex id '+0'"),
+        ("graph", "0 1\n1 \u0662\n", "line 2: non-integer vertex id '\u0662'"),
+        ("graph", "0 1\n-0 2\n", "line 2: negative vertex id"),
+        ("subset", "1\n0_2\n", "line 2: non-integer vertex id '0_2'"),
+        ("boundary", "0 1_0\n", "line 1: could not parse '0 1_0'"),
+        ("boundary", "0 \u0661.5\n", "line 1: could not parse '0 \u0661.5'"),
+        ("boundary", "+3 1.0\n", "line 1: non-integer vertex id '+3'"),
+    ])
+    def test_text_outside_the_ascii_grammar_exits_one(self, p4_files, tmp_path, capsys, kind,
+                                                      text, message):
+        # Ids are ASCII decimal digits and values ASCII text without "_",
+        # though int() and float() read "1_0", "+0" and Arabic-Indic digits.
+        bad = tmp_path / f"odd_{kind}.txt"
+        bad.write_text(text, encoding="utf-8")
+        assert run(["validate", *_io_args(dict(p4_files, **{kind: str(bad)}))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("kind", ["graph", "subset", "boundary"])
     def test_non_utf8_file_exits_one(self, p4_files, tmp_path, capsys, kind):
         # Bytes ff fe, a UTF-16 byte-order mark, start the file.

@@ -60,6 +60,47 @@ class TestLoadGraph:
         with pytest.raises(hk.GraphFormatError, match="line 1"):
             hk.load_graph("0 x\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("10 2\n1_0 2\n", "line 2: non-integer vertex id '1_0'"),  # not a second 10
+        ("+3 1\n", "line 1: non-integer vertex id '+3'"),
+        ("\u0663 1\n", "line 1: non-integer vertex id '\u0663'"),  # Arabic-Indic 3
+        ("0 \uff11\n", "line 1: non-integer vertex id '\uff11'"),  # fullwidth 1
+        ("0 1\n-0 1\n", "line 2: negative vertex id"),
+        ("0 -3\n", "line 1: negative vertex id"),
+        ("0 --3\n", "line 1: non-integer vertex id '--3'"),
+    ])
+    def test_ids_are_ascii_decimal_digits(self, text, message):
+        with pytest.raises(hk.GraphFormatError) as err:
+            hk.load_graph(text)
+        assert str(err.value) == message
+
+    def test_ids_past_the_int_digit_limit(self):
+        # int() refuses a text of more than 4300 digits; leading zeros are
+        # not digits of the id, on the per-line path as in the bulk one.
+        g = hk.load_graph("1 2\n2 3\n")
+        with pytest.raises(hk.GraphFormatError) as err:
+            hk.load_boundary(f"{'9' * 5000} 1.0\n", g)
+        assert str(err.value) == f"line 1: vertex id {'9' * 5000} does not fit in 64 bits"
+        padded = "0" * 5000
+        assert hk.load_graph(f"{padded}1 {padded}2\n").original_ids.tolist() == [1, 2]
+        assert hk.load_boundary(f"{padded}1 +1.5\n", g) == {0: 1.5}
+        assert hk.load_subset(f"{padded}2\n", g).members.tolist() == [1]
+
+    @pytest.mark.parametrize("loader, text, message", [
+        ("subset", "1\n1_0\n", "line 2: non-integer vertex id '1_0'"),
+        ("subset", "\u0031\u0663\n", "line 1: non-integer vertex id '1\u0663'"),
+        ("boundary", "1_0 1.0\n", "line 1: non-integer vertex id '1_0'"),
+        ("boundary", "1 1_0\n", "line 1: could not parse '1 1_0'"),
+        ("boundary", "1 \u0663\n", "line 1: could not parse '1 \u0663'"),
+        ("boundary", "1 2.\uff15\n", "line 1: could not parse '1 2.\uff15'"),
+    ])
+    def test_subset_and_boundary_lines_take_the_same_grammar(self, loader, text, message):
+        g = hk.load_graph("1 10\n10 3\n")
+        load = hk.load_subset if loader == "subset" else hk.load_boundary
+        with pytest.raises(hk.GraphFormatError) as err:
+            load(text, g)
+        assert str(err.value) == message
+
     def test_wrong_token_count_rejected(self):
         with pytest.raises(hk.GraphFormatError, match="two vertex ids"):
             hk.load_graph("0 1 2\n")
@@ -464,6 +505,25 @@ class TestValidation:
         sub = hk.VertexSubset.from_iterable([1, 2], p4_graph.n)
         msgs = hk.validate_b_boundable(p4_graph, {0: 0.0}, sub)
         assert msgs and "trivial" in msgs[0]
+
+    @pytest.mark.parametrize("b, vertex", [
+        ({11: 1.0, 15: math.nan}, 15),  # off the vertex boundary
+        ({11: math.nan, 13: 1.0}, 11),  # on it
+        ({13: math.inf}, 13),
+        ({11: 1.0, 13: -math.inf}, 13),
+        ({12: math.nan}, 12),  # in S: refused before condition (i) is reported
+    ])
+    def test_non_finite_values_are_refused_first(self, b, vertex):
+        # The path 10-11-...-15 with S = {12}: compact id v is the file's
+        # v + 10, and the message names the file's id.
+        g = hk.load_graph("10 11\n11 12\n12 13\n13 14\n14 15\n")
+        sub = hk.VertexSubset.from_iterable([2], g.n)
+        compact = {v - 10: value for v, value in b.items()}
+        for call in (hk.validate_b_boundable, hk.make_boundary_problem):
+            with pytest.raises(ValueError) as err:
+                call(g, compact, sub)
+            assert not isinstance(err.value, hk.BoundaryConditionError)
+            assert str(err.value) == f"boundary value {b[vertex]!r} at vertex {vertex} is not finite"
 
     def test_make_boundary_problem_raises_with_violations(self, p4_graph):
         sub = hk.VertexSubset.from_iterable([1, 2], p4_graph.n)

@@ -6,6 +6,7 @@ set-based code they replaced, and the Krylov operator against the dense
 oracle on generated problems."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -443,13 +444,24 @@ def test_violations_match_the_set_based_oracle(case, data):
     # The array tests of conditions (i) and (ii) give the set-based code's
     # messages in its order, on a random b: keys in S, on its vertex
     # boundary, elsewhere in the graph and outside [0, n), zero values
-    # among them.  Subsets from subsets() also break condition (iii).
+    # among them.  Subsets from subsets() also break condition (iii).  A b
+    # with a NaN is refused first by both, naming the vertex's original id,
+    # or its key when that is outside [0, n).
     graph, subset = case
     near = subset.members.tolist() + vertex_boundary(graph, subset).tolist()
     keys = st.one_of(st.integers(0, graph.n - 1), st.integers(-(2**63), -1),
                      st.integers(graph.n, MAX_ID), *([st.sampled_from(near)] if near else []))
     values = st.sampled_from([0.0, -0.0, 1.0, -0.5, 1e-300, float("nan")])
     b = data.draw(st.dictionaries(keys, values, max_size=8))
+    nan = [v for v, value in b.items() if math.isnan(value)]
+    if nan:
+        named = {int(graph.original_ids[v]) if 0 <= v < graph.n else v for v in nan}
+        for call in (hk.validate_b_boundable, hk.make_boundary_problem):
+            with pytest.raises(ValueError, match="^boundary value nan at vertex") as err:
+                call(graph, b, subset)
+            assert not isinstance(err.value, hk.BoundaryConditionError)
+            assert int(str(err.value).split()[5]) in named
+        return
     want = reference_violations(graph, b, subset)
     assert hk.validate_b_boundable(graph, b, subset) == want
     if want:

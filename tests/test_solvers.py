@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hklocal as hk
+from hklocal.walks import _schedule_draws
 from conftest import draw_t, grid_patch_problem, riemann_direct, schedule_draws, uncapped_dirhkpr
 
 
@@ -227,14 +228,17 @@ def per_sample_greens(problem, report, epsilon, keep=lambda t: True):
     return x_hat, stats
 
 
-@pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+@pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 - 1, 2**64 + 5])
 def test_schedule_layout(p4_problem, p4_op, seed):
     # Sample i's time uniform and child seed are hashed from member i of the
     # (seed, PHASE_SCHEDULE) group, the seed taken modulo 2**64 as the walks
-    # take it: -1 is 2**64 - 1, and 2**64 + 5 is 5.
+    # take it: -1 is 2**64 - 1, and 2**64 + 5 is 5.  2**63 and 2**64 - 1
+    # are past int64, and 2 phi itself wraps modulo 2**64.
     exact = hk.local_linear_solver(p4_problem, 0.25, seed=seed, operator=p4_op)
     r = exact.schedule.r_outer
-    u, _ = schedule_draws(seed % 2**64, r)
+    u, seeds = schedule_draws(seed % 2**64, r)
+    drawn_u, drawn_seeds = _schedule_draws(seed, r)
+    assert np.array_equal(drawn_u, u) and drawn_seeds.tolist() == seeds
     ts, _ = hk.draw_weighted_t(exact.schedule, (np.arange(r) + u) / r)
     assert np.array_equal(exact.sampled_ts, ts)
     greens = hk.greens_solver(p4_problem, 0.25, 0.4, seed=seed, operator=p4_op)
