@@ -63,13 +63,6 @@ def _configure_logging() -> None:
     log.setLevel(level)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 # Every writer refuses a result that overflowed rather than print it.
 _NOT_FINITE = "the result is not finite: a value overflowed float64"
 
@@ -152,23 +145,22 @@ def _error_bounds(report, problem: BoundaryProblem, op) -> dict:
     }
 
 
-def _emit_violations(args: argparse.Namespace, violations: list[str]) -> int:
-    """Write the command's violations document; the exit code it means."""
-    doc = {
+def _violations_doc(command: str, violations: list[str]) -> tuple[str, int]:
+    """The command's violations document and the exit code it means."""
+    return _json_doc({
         "format_version": 1,
-        "command": args.command,
+        "command": command,
         "valid": not violations,
         "violations": violations,
-    }
-    _emit(_json_doc(doc), args.out)
-    return EXIT_OK if not violations else EXIT_INVALID
+    }), EXIT_OK if not violations else EXIT_INVALID
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    return _emit_violations(args, validate_b_boundable(*_read_inputs(args)))
+# Each command returns its document and exit code; run() writes the document.
+def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
+    return _violations_doc(args.command, validate_b_boundable(*_read_inputs(args)))
 
 
-def _cmd_solve_exact(args: argparse.Namespace) -> int:
+def _cmd_solve_exact(args: argparse.Namespace) -> tuple[str, int]:
     start = time.perf_counter()
     problem = _load_problem(args)
     op = restricted_operator(problem.graph, problem.subset)
@@ -181,11 +173,10 @@ def _cmd_solve_exact(args: argparse.Namespace) -> int:
         "x_s": _by_original_id(problem, x_s),
         "elapsed_seconds": time.perf_counter() - start,
     }
-    _emit(_json_doc(doc), args.out)
-    return EXIT_OK
+    return _json_doc(doc), EXIT_OK
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     """solve-local and solve-greens: one restricted operator serves the
     solver, its rate and the error bounds."""
     start = time.perf_counter()
@@ -205,19 +196,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     bounds = _error_bounds(report, problem, op)
     doc.update(elapsed_seconds=time.perf_counter() - start, command=args.command,
                error_bounds=bounds)
-    _emit(_json_doc(doc), args.out)
-    return EXIT_OK
+    return _json_doc(doc), EXIT_OK
 
 
-def _cmd_hkpr_exact(args: argparse.Namespace) -> int:
+def _cmd_hkpr_exact(args: argparse.Namespace) -> tuple[str, int]:
     problem = _load_problem(args)
     op = restricted_operator(problem.graph, problem.subset)
     rho = exact_dirhkpr(op, args.t, problem.b2)
-    _emit(_vector_csv(problem, rho), args.out)
-    return EXIT_OK
+    return _vector_csv(problem, rho), EXIT_OK
 
 
-def _cmd_hkpr_approx(args: argparse.Namespace) -> int:
+def _cmd_hkpr_approx(args: argparse.Namespace) -> tuple[str, int]:
     problem = _load_problem(args)
     rho = approx_dirhkpr(
         problem.graph,
@@ -229,11 +218,10 @@ def _cmd_hkpr_approx(args: argparse.Namespace) -> int:
         workers=args.workers,
         constant=args.constant_override,
     )
-    _emit(_vector_csv(problem, rho), args.out)
-    return EXIT_OK
+    return _vector_csv(problem, rho), EXIT_OK
 
 
-def _cmd_sweep_norms(args: argparse.Namespace) -> int:
+def _cmd_sweep_norms(args: argparse.Namespace) -> tuple[str, int]:
     problem = _load_problem(args)
     op = restricted_operator(problem.graph, problem.subset)
     T = _horizon(problem.subset.size, args.gamma)
@@ -250,8 +238,7 @@ def _cmd_sweep_norms(args: argparse.Namespace) -> int:
             l1 = rho.sum()
             _check_finite(l1)  # the largest entry is then finite too
             lines.append(f"{float(t)!r},{float(l1)!r},{float(rho.max())!r}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _int_at_least(low: int):
@@ -343,10 +330,16 @@ def run(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except BoundaryConditionError as exc:
-        log.error("invalid boundary problem: %s", exc)
-        return _emit_violations(args, exc.violations)
+        try:
+            text, code = _HANDLERS[args.command](args)
+        except BoundaryConditionError as exc:
+            log.error("invalid boundary problem: %s", exc)
+            text, code = _violations_doc(args.command, exc.violations)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return code
     except (GraphFormatError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

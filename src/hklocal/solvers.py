@@ -9,6 +9,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -95,9 +96,11 @@ def make_schedule(
 ) -> SolverSchedule:
     """The sampling schedule of a subset of size s.  ``epsilon``, for the
     walk backend only, must lie in [gamma, 1); with ``lambda1`` it fixes t'.
-    ``rate`` changes none of T, N and r_outer.  Raises ValueError as
-    :func:`_horizon`, for a negative or non-finite rate, or unless N and
-    r_outer are below 2**63 and floor(N) >= 1.
+    ``rate`` changes none of T, N and r_outer.  ``seed``, a Python or numpy
+    integer of any sign, is kept as a Python int and taken modulo 2**64
+    when the times are drawn; a float or a string raises TypeError.  Raises
+    ValueError as :func:`_horizon`, for a negative or non-finite rate, or
+    unless N and r_outer are below 2**63 and floor(N) >= 1.
     """
     T = _horizon(s, gamma)
     if not (math.isfinite(rate) and rate >= 0.0):
@@ -128,7 +131,7 @@ def make_schedule(
         floor_n=int(math.floor(N)),
         r_outer=r_outer,
         t_prime=t_prime,
-        master_seed=int(seed),
+        master_seed=index(seed),
         rate=float(rate),
     )
 
@@ -214,8 +217,9 @@ def local_linear_solver(
     exp(-t_i lambda), through ``apply``, holding about PASS_BUDGET sample
     entries at most.  Its mean is x_rie, and with probability at least
     1 - gamma its error is within gamma (||b1|| + ||x_S|| + ||x_rie||).  A
-    fixed seed gives bit-identical output.  ``workers`` must be at least 1
-    and does not change the output.
+    fixed integer seed gives bit-identical output, and a float or a string
+    raises TypeError.  ``workers`` must be at least 1 and does not change
+    the output.
     """
     _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)
@@ -261,8 +265,9 @@ def greens_solver(
     past t' = :func:`restricted_threshold` count zero and run no walk, and
     the others do not change; b2 = 0 runs no walk.  With probability at least 1 - gamma the
     error is within gamma (||b1|| + ||x_S|| + ||x_rie||) + epsilon ||b2||_1.
-    A fixed seed gives bit-identical output.  ``workers`` must be at least
-    1 and does not change the output.
+    A fixed integer seed gives bit-identical output, and a float or a string
+    raises TypeError.  ``workers`` must be at least 1 and does not change
+    the output.
     """
     _check_workers(workers)
     op = operator if operator is not None else restricted_operator(problem.graph, problem.subset)

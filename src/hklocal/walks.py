@@ -11,6 +11,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -241,11 +242,12 @@ def _lockstep(adjacency, s, parts, ts, seeds, weights, r, caps):
 def _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats):
     """Both estimators, as :func:`solver_approx_dirhkpr` with r walks per
     signed part and caps[i] steps per walk of sample i (inf for no cap);
-    raises ValueError on bad t, seeds, weights or f."""
+    raises TypeError on a seed that is not an integer and ValueError on bad
+    t, seeds, weights or f."""
     start = time.perf_counter()
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     seeds = np.ravel(np.asarray(master_seed, dtype=object))
-    seeds = np.array([int(v) % 2**64 for v in seeds], dtype=np.uint64)
+    seeds = np.array([index(v) % 2**64 for v in seeds], dtype=np.uint64)
     if weights is None:
         weights = np.ones(ts.size)
     weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
@@ -299,12 +301,17 @@ def approx_dirhkpr(
     Per signed part of f, r = :func:`sample_count` walks of Poisson(t) length
     start from the normalised part, and each survivor deposits the part's
     signed L1 mass / r at its end vertex; f = 0 starts no walk and gives
-    zeros.  ``master_seed`` is taken modulo 2**64, and a fixed seed gives
-    bit-identical output.  ``workers`` must be at least 1 and does not
+    zeros.  ``master_seed``, a Python or numpy integer of any sign, is taken
+    modulo 2**64, and a fixed seed gives bit-identical output; a float or a
+    string raises TypeError.  ``workers`` must be at least 1 and does not
     change the output.  ``stats`` gains the walks started, the steps and
-    the walks that left S.  Raises ValueError unless t is positive and
-    finite and f is finite with shape (s,), and as :func:`sample_count`.
+    the walks that left S.  Raises ValueError unless t and ``master_seed``
+    are scalars, t is positive and finite and f is finite with shape (s,),
+    and as :func:`sample_count`.
     """
+    if np.ndim(t) or np.ndim(master_seed):
+        raise ValueError("approx_dirhkpr takes one t and one master_seed; "
+                         "solver_approx_dirhkpr takes arrays of them")
     _check_workers(workers)
     r = sample_count(epsilon, graph.n, constant)  # checks epsilon and the constant
     caps = np.floor(np.asarray(t, dtype=np.float64) / epsilon)
@@ -325,7 +332,9 @@ def solver_approx_dirhkpr(
     """:func:`approx_dirhkpr` with walk cap floor(2t), for many samples: with
     ``t`` and ``master_seed`` 1-D arrays and ``weights`` of their length it
     returns sum_i weights[i] rho_i, rho_i exactly the one-sample call at
-    (t[i], master_seed[i]).  The caller keeps epsilon >= the schedule's gamma.
+    (t[i], master_seed[i]).  Seeds are integers, as there; a float or a
+    string raises TypeError.  The caller keeps epsilon >= the schedule's
+    gamma.
     """
     r = sample_count(epsilon, graph.n, constant)
     caps = np.floor(2.0 * np.asarray(t, dtype=np.float64))

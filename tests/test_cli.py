@@ -110,6 +110,25 @@ class TestValidate:
         p4_files = dict(p4_files, graph="/nonexistent/g.edges")
         assert run(["validate", *_io_args(p4_files)]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "solve-exact"])
+    def test_unwritable_report_of_an_invalid_problem_exits_one(self, tmp_path, capsys,
+                                                               command):
+        # b on the member 2 breaks condition (i).  The violations document
+        # cannot be written to a missing directory: exit 1 with one error
+        # line, after solve-exact's log line of the invalid problem.
+        (tmp_path / "s.txt").write_text("2\n6\n")
+        (tmp_path / "b.txt").write_text("2 1.0\n")
+        files = {"graph": str(dolphins_graph_path()), "subset": str(tmp_path / "s.txt"),
+                 "boundary": str(tmp_path / "b.txt")}
+        assert run([command, *_io_args(files, tmp_path / "missing" / "x.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        if command == "solve-exact":
+            assert lines.pop(0).startswith("[ERROR] hklocal: invalid boundary problem: ")
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert "x.json" in lines[0], captured.err
+
 
 class TestSolveCommands:
     def test_solve_exact_values(self, p4_files, capsys):

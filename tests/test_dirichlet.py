@@ -377,6 +377,22 @@ class TestKrylovOperator:
         with pytest.raises(TypeError):
             hk.greens_function(oracle_pairs[0][2])
 
+    def test_greens_function_refuses_lambda1_at_the_floor(self):
+        op = hk.DirichletOperator(np.ones(2), np.array([1e-12, 1.0]), np.eye(2))
+        with pytest.raises(hk.SpectrumError, match="cannot invert"):
+            hk.greens_function(op)
+
+    @pytest.mark.parametrize("eigenvalues, s, message", [
+        ([1e-12, 1.0], 2, "numerically singular"),
+        ([0.5, 2.0 + 1e-7], 2, "eigenvalue above 2"),
+        ([1.0 + 1e-7, 1.5], 2, "bottom eigenvalue above 1"),
+        ([0.015, 1.0], 4, "below the size floor"),  # 4^-3 = 0.015625
+    ])
+    def test_spectrum_outside_its_bounds_is_refused(self, eigenvalues, s, message):
+        # Crafted spectra: no graph gives these, so the checks run alone.
+        with pytest.raises(hk.SpectrumError, match=message):
+            hk.dirichlet._check_spectrum(np.array(eigenvalues), s)
+
 
 def fresh(krylov):
     """The same Krylov operator with no cached Lanczos run."""

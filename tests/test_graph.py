@@ -264,6 +264,7 @@ class TestFromEdges:
         ([(2**63, 1)], "vertex id does not fit in 64 bits"),
         ([(-1, 2**63)], "vertex id does not fit in 64 bits"),
         ([(2**64, 1)], "vertex id does not fit in 64 bits"),
+        ([(0, 1), (-1, 2)], r"negative vertex id in edge \(-1, 2\)"),
     ])
     def test_ids_must_be_int64_integers(self, pairs, message):
         with pytest.raises(hk.GraphFormatError, match=f"^{message}$"):

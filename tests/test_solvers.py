@@ -38,6 +38,21 @@ class TestSchedule:
             hk.make_schedule(5, 1.2)
         with pytest.raises(ValueError, match="empty time grid"):
             hk.make_schedule(1, 0.9)
+        for epsilon in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+                hk.make_schedule(20, 0.1, epsilon=epsilon)
+
+    @pytest.mark.parametrize("seed, kept", [
+        (np.int64(-3), -3), (np.uint64(2**64 - 1), 2**64 - 1), (np.int8(7), 7), (2**70, 2**70),
+    ])
+    def test_integer_seeds_are_kept_as_python_ints(self, seed, kept):
+        sched = hk.make_schedule(20, 0.1, seed=seed)
+        assert type(sched.master_seed) is int and sched.master_seed == kept
+
+    @pytest.mark.parametrize("seed", [1.2, 7.0, np.float64(1.0), "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(TypeError):
+            hk.make_schedule(20, 0.1, seed=seed)
 
     @pytest.mark.parametrize("s, gamma, name", [
         (20, 1e-200, "N"),  # gamma^2 underflows to 0
@@ -89,6 +104,15 @@ class TestDrawT:
         draws = np.array([draw_t(sched, rng) for _ in range(100_000)])
         expected = (sched.floor_n + 1) / 2.0 * sched.gamma
         assert abs(draws.mean() - expected) / expected < 0.01
+
+
+@pytest.mark.parametrize("seed", [1.2, 1.9, "7"])
+def test_solvers_refuse_a_seed_that_is_not_an_integer(p4_problem, p4_op, seed):
+    # int() would read 1.2 and 1.9 as seed 1, and "7" as seed 7.
+    with pytest.raises(TypeError):
+        hk.local_linear_solver(p4_problem, 0.3, seed=seed, operator=p4_op)
+    with pytest.raises(TypeError):
+        hk.greens_solver(p4_problem, 0.4, 0.5, seed=seed, operator=p4_op)
 
 
 def test_weighted_draw_enumeration_is_riemann_sum(p4_problem, p4_op):

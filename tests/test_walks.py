@@ -50,6 +50,8 @@ class TestWalkConfig:
         assert hk.sample_count(0.3, 3) == 652
         # A count of about 6.6e16 still fits in int64 and is given.
         assert hk.sample_count(1e-5, 62) == math.ceil(16.0 / 1e-5**3 * math.log(62))
+        # ln n is 0 on one vertex; one walk still runs.
+        assert hk.sample_count(0.3, 1) == 1
 
     @pytest.mark.parametrize("constant", [0.0, -3.0, math.inf, math.nan])
     def test_bad_constant_rejected(self, constant):
@@ -194,6 +196,38 @@ class TestApproxDirhkpr:
         assert np.array_equal(run(2**64 + 5), run(5))
         assert np.array_equal(run(-1), run(2**64 - 1))
         assert not np.array_equal(run(5), run(6))
+        # numpy integers of any width and sign read as the same Python int.
+        assert np.array_equal(run(np.int8(-1)), run(-1))
+        assert np.array_equal(run(np.uint64(5)), run(5))
+
+    @pytest.mark.parametrize("seed", [0.4, 1.0, np.float64(5.0), "7"])
+    def test_seed_must_be_an_integer(self, p4_graph, p4_subset, seed):
+        # int() would read 0.4 as seed 0 and "7" as seed 7.
+        f = np.array([2.0, -0.7])
+        with pytest.raises(TypeError):
+            hk.approx_dirhkpr(p4_graph, 2.0, f, p4_subset, 0.3, master_seed=seed)
+        with pytest.raises(TypeError):
+            hk.solver_approx_dirhkpr(p4_graph, np.array([2.0, 3.0]), f, p4_subset, 0.3,
+                                     np.array([1, seed], dtype=object))
+
+    @pytest.mark.parametrize("estimator, t, seeds, weights, message", [
+        # approx_dirhkpr takes one t: t = [5, 5] with seeds [1, 1] would
+        # otherwise sum two copies of the one-sample estimate.
+        ("approx", [5.0, 5.0], [1, 1], None, "one t"),
+        ("approx", [5.0], 1, None, "one t"),
+        ("approx", 5.0, [1], None, "one t"),
+        ("solver", [5.0, 6.0], [1], None, "one entry per sample"),
+        ("solver", [5.0, 6.0], [1, 2], [1.0], "one entry per sample"),
+        ("solver", [5.0], [1, 2], [1.0], "one entry per sample"),
+    ])
+    def test_sample_arrays_must_match(self, p4_graph, p4_subset, estimator, t, seeds, weights,
+                                      message):
+        f = np.array([1.0, 0.5])
+        with pytest.raises(ValueError, match=message):
+            if estimator == "approx":
+                hk.approx_dirhkpr(p4_graph, t, f, p4_subset, 0.3, master_seed=seeds)
+            else:
+                hk.solver_approx_dirhkpr(p4_graph, t, f, p4_subset, 0.3, seeds, weights=weights)
 
     def test_nonnegativity_and_mass(self, p4_graph, p4_subset):
         f = np.array([1.2, 0.6])
