@@ -453,9 +453,12 @@ def _restrict(graph: Graph, subset: VertexSubset) -> _Slice:
 
 def _restriction(graph: Graph, subset: VertexSubset, check: bool = False) -> tuple:
     """S's :class:`_Slice` of ``graph`` and its condition (iii) violation, None if met or, without
-    ``check``, not yet known; S keeps both for the last graph asked for, swapped in at once."""
+    ``check``, not yet known; S keeps both for the last graph asked for, swapped in at once.
+    Raises ValueError when S was built for a graph of another size."""
     memo = subset._restriction
     if memo[0] is not graph:
+        if subset.n != graph.n:
+            raise ValueError(f"the subset is over {subset.n} vertices but the graph has {graph.n}")
         memo = (graph, _restrict(graph, subset), None)
     if check and memo[2] is None:
         memo = (graph, memo[1], _condition_iii(memo[1]) or "")

@@ -115,10 +115,21 @@ def _keys(groups: np.ndarray, members: np.ndarray) -> np.ndarray:
     return _mix(groups[:, None] + members * _PHI)
 
 
+def _seeds(master_seed) -> np.ndarray:
+    """The 1-D uint64 array of one seed or many, each an integer taken
+    modulo 2**64: an integer array by a cast, which wraps the same way, and
+    anything else element by element through operator.index, so a float or
+    a string raises TypeError."""
+    if isinstance(master_seed, np.ndarray) and master_seed.dtype.kind in "iu":
+        return np.ravel(master_seed.astype(np.uint64, copy=False))
+    seeds = np.ravel(np.asarray(master_seed, dtype=object))
+    return np.array([index(v) % 2**64 for v in seeds], dtype=np.uint64)
+
+
 def _schedule_draws(master_seed: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Time uniforms and child seeds of a solve's r samples (README,
     "Determinism")."""
-    seed = np.array([int(master_seed) % 2**64], dtype=np.uint64)
+    seed = _seeds(master_seed)
     group = _keys(_mix(seed), np.array([PHASE_SCHEDULE], dtype=np.uint64))[0]
     keys = _keys(group, np.arange(r, dtype=np.uint64))[0]
     return _uniform(keys + _START), keys
@@ -246,8 +257,7 @@ def _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats):
     t, seeds, weights or f."""
     start = time.perf_counter()
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    seeds = np.ravel(np.asarray(master_seed, dtype=object))
-    seeds = np.array([index(v) % 2**64 for v in seeds], dtype=np.uint64)
+    seeds = _seeds(master_seed)
     if weights is None:
         weights = np.ones(ts.size)
     weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))

@@ -17,7 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hklocal as hk
-from conftest import clique_hub_pairs, grid_patch, grid_patch_problem, load_sweep_csv, load_vector_csv
+from conftest import (
+    NOT_CONNECTED,
+    clique_hub_pairs,
+    grid_patch,
+    grid_patch_problem,
+    load_sweep_csv,
+    load_vector_csv,
+)
 from hklocal.cli import _NOT_FINITE, _json_doc, run
 from hklocal.fixtures import (
     dolphins_boundary_path,
@@ -52,6 +59,11 @@ def cancelling_files(tmp_path):
     return _write_files(tmp_path, "0 1\n1 2\n", "1\n", "0 1.0\n2 -1.0\n")
 
 
+def _fixture_files():
+    return {"graph": str(dolphins_graph_path()), "subset": str(dolphins_subset_path()),
+            "boundary": str(dolphins_boundary_path())}
+
+
 def _io_args(files, out=None):
     args = ["--graph", files["graph"], "--subset", files["subset"], "--boundary", files["boundary"]]
     if out:
@@ -63,6 +75,19 @@ def _strip_elapsed(text: str) -> str:
     return "\n".join(
         line for line in text.splitlines() if "elapsed_seconds" not in line
     )
+
+
+def _fresh_process(argv):
+    """``python -m hklocal.cli argv`` in a new process on the package under
+    test, stopped after 60 s so that a run that does not end fails."""
+    src = str(Path(hk.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "hklocal.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+
+
+def _assert_one_error_line(out, err):
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 class TestValidate:
@@ -106,9 +131,24 @@ class TestValidate:
         p4_files = dict(p4_files, graph=str(broken))
         assert run(["validate", *_io_args(p4_files)]) == 1
 
-    def test_missing_file_exits_one(self, p4_files):
+    def test_missing_file_exits_one(self, p4_files, capsys):
         p4_files = dict(p4_files, graph="/nonexistent/g.edges")
         assert run(["validate", *_io_args(p4_files)]) == 1
+        _assert_one_error_line(*capsys.readouterr())
+
+    @pytest.mark.parametrize("command", ["validate", "solve-exact"])
+    @pytest.mark.parametrize("subset, boundary, violation", [
+        # On the path 0-1-2-3-4: b only on 4, past the vertex boundary {0, 3}
+        # of S = {1, 2}; and S = {1, 3}, split by its boundary vertex 2.
+        ("1\n2\n", "4 1\n",
+         "condition (ii) violated: vertex boundary of S is disjoint from supp(b)"),
+        ("1\n3\n", "0 1\n4 1\n", NOT_CONNECTED),
+    ], ids=["ii", "iii"])
+    def test_one_violated_condition_exits_two(self, tmp_path, capsys, command, subset, boundary,
+                                              violation):
+        files = _write_files(tmp_path, "0 1\n1 2\n2 3\n3 4\n", subset, boundary)
+        assert run([command, *_io_args(files)]) == 2
+        assert json.loads(capsys.readouterr().out)["violations"] == [violation]
 
     @pytest.mark.parametrize("command", ["validate", "solve-exact"])
     def test_unwritable_report_of_an_invalid_problem_exits_one(self, tmp_path, capsys,
@@ -254,6 +294,50 @@ class TestSolveCommands:
             assert run([*argv, *_io_args(p4_files)]) == 0
             assert json.loads(capsys.readouterr().out)["elapsed_seconds"] >= 0.05, argv
 
+    @pytest.mark.parametrize("rewrite, line_end", [
+        (lambda v: str(2**62 + 1000 * int(v)), "\n"),
+        (lambda v: v.zfill(20), "\r\n"),
+    ], ids=["ids-near-2-62", "ids-zero-padded-crlf"])
+    def test_rewritten_fixture_ids_give_the_fixture_values(self, tmp_path, capsys, rewrite,
+                                                           line_end):
+        # The fixture under ids 2^62 + 1000 v (read line by line and
+        # compacted by sort, not by the id table) or under its ids
+        # zero-padded to 20 digits with CRLF line ends (read by the
+        # whole-text tokeniser), with comment lines mid-file and after the
+        # data: solve-exact gives the fixture's values under the new ids.
+        assert run(["solve-exact", *_io_args(_fixture_files())]) == 0
+        fixture_x = json.loads(capsys.readouterr().out)["x_s"]
+        assert len(fixture_x) == 20
+        files = {}
+        for kind, path in _fixture_files().items():
+            lines = []
+            for line in Path(path).read_text().splitlines():
+                tokens = line.split()
+                if tokens and not tokens[0].startswith("#"):
+                    ids = 1 if kind == "boundary" else len(tokens)
+                    line = " ".join([*map(rewrite, tokens[:ids]), *tokens[ids:]])
+                lines.append(line)
+            if kind == "graph":
+                lines.insert(len(lines) // 2, "  # a comment line mid-file")
+                lines.append("# a comment line after the data")
+            files[kind] = tmp_path / kind
+            files[kind].write_bytes("".join(line + line_end for line in lines).encode())
+        assert run(["solve-exact", *_io_args({k: str(v) for k, v in files.items()})]) == 0
+        x_s = json.loads(capsys.readouterr().out)["x_s"]
+        assert list(x_s.items()) == [(str(int(rewrite(k))), x) for k, x in fixture_x.items()]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-local", "--gamma", "0.1"],
+        ["solve-greens", "--gamma", "0.4", "--eps", "0.5"],
+        ["validate"],
+    ])
+    def test_fixture_report_is_json_dumps_with_indent(self, capsys, argv):
+        # The report is the exact text json.dumps(indent=2) gives, keys in
+        # the order written.
+        assert run([*argv, *_io_args(_fixture_files())]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_eps_below_gamma_exits_two(self, p4_files, capsys):
         code = run([
             "solve-greens", *_io_args(p4_files),
@@ -371,10 +455,17 @@ class TestRejectedInput:
     ])
     def test_non_finite_t_or_bad_walk_constant_exit_two(self, p4_files, capsys, argv):
         assert run([argv[0], *_io_args(p4_files), *argv[1:]]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "finite" in captured.err
-        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        out, err = capsys.readouterr()
+        _assert_one_error_line(out, err)
+        assert "finite" in err
+
+    def test_walk_count_past_int64_exits_two_in_a_fresh_process(self):
+        # eps = 1e-7 on the fixture asks for about 6.6e22 walks, which once
+        # looped over walk chunks without end.
+        done = _fresh_process(["hkpr-approx", *_io_args(_fixture_files()),
+                               "--t", "20", "--eps", "1e-7"])
+        assert done.returncode == 2
+        _assert_one_error_line(done.stdout, done.stderr)
 
 
 class TestVectorCommands:
@@ -631,7 +722,8 @@ def test_solve_local_applies_share_one_lanczos_run(tmp_path, capsys, monkeypatch
     monkeypatch.setenv("SOLVER_LOG", "debug")
     files = _grid_files(tmp_path, 15)
     assert run(["solve-local", *_io_args(files), "--gamma", "0.3", "--seed", "1"]) == 0
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error_bounds"]["within_local_bound"] is True
     assert re.search(r"\[INFO\] hklocal\.dirichlet: krylov operator: s = 225, lambda1 = \S+, "
                      r"built in [0-9.]+ s, sparse product of 840 entries$", err, re.MULTILINE)
     calls = [(line.split("Krylov ", 1)[1].split(":")[0], line.split(", ")[1])
@@ -656,7 +748,11 @@ def test_solve_greens_runs_one_lambda1_lanczos(tmp_path, capsys, monkeypatch):
     rate = json.loads(capsys.readouterr().out)["schedule"]["rate"]
     assert calls == [225]
     assert run(["solve-exact", *_io_args(files)]) == 0
-    assert json.loads(capsys.readouterr().out)["lambda1"] / 2 == rate
+    lambda1 = json.loads(capsys.readouterr().out)["lambda1"]
+    assert lambda1 / 2 == rate
+    # solve-local draws its times at lambda1 itself.
+    assert run(["solve-local", *_io_args(files), "--gamma", "0.4"]) == 0
+    assert json.loads(capsys.readouterr().out)["schedule"]["rate"] == lambda1
 
 
 def test_constant_override_changes_round_count(p4_files, tmp_path):
@@ -683,12 +779,9 @@ def test_parser_reuse_after_rejected_flag(p4_files, capsys):
     capsys.readouterr()
     assert run(argv) == 0
     reused = capsys.readouterr().out
-    src = str(Path(hk.__file__).resolve().parents[1])
-    fresh = subprocess.run(
-        [sys.executable, "-m", "hklocal.cli", *argv], check=True, capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=src),
-    ).stdout
-    assert _strip_elapsed(reused) == _strip_elapsed(fresh)
+    fresh = _fresh_process(argv)
+    assert fresh.returncode == 0, fresh.stderr
+    assert _strip_elapsed(reused) == _strip_elapsed(fresh.stdout)
 
 
 # The report writer against json.dumps(indent=2).  Strings hold the separators

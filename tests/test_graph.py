@@ -348,6 +348,22 @@ class TestVertexSubset:
         with pytest.raises(ValueError, match="range"):
             hk.VertexSubset.from_iterable([4], 4)
 
+    @pytest.mark.parametrize("members, n", [([5, 6], 10), ([1, 2], 3)])
+    def test_subset_of_another_graph_size_rejected(self, p4_graph, members, n):
+        # A subset built for a graph of n vertices, used with the 4-vertex
+        # path: every restriction refuses it, naming both sizes.
+        sub = hk.VertexSubset.from_iterable(members, n)
+        message = f"the subset is over {n} vertices but the graph has 4"
+        calls = [
+            lambda: hk.validate_b_boundable(p4_graph, {0: 1.0}, sub),
+            lambda: hk.make_boundary_problem(p4_graph, {0: 1.0}, sub),
+            lambda: hk.restricted_operator(p4_graph, sub),
+            lambda: hk.approx_dirhkpr(p4_graph, 1.0, np.ones(2), sub, 0.5, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
 
 class TestRestrictionMemo:
     """S keeps its restriction (the adjacency slice and the condition (iii)
