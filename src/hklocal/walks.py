@@ -117,11 +117,8 @@ def _keys(groups: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 def _seeds(master_seed) -> np.ndarray:
     """The 1-D uint64 array of one seed or many, each an integer taken
-    modulo 2**64: an integer array by a cast, which wraps the same way, and
-    anything else element by element through operator.index, so a float or
-    a string raises TypeError."""
-    if isinstance(master_seed, np.ndarray) and master_seed.dtype.kind in "iu":
-        return np.ravel(master_seed.astype(np.uint64, copy=False))
+    modulo 2**64 through operator.index, so a float or a string raises
+    TypeError."""
     seeds = np.ravel(np.asarray(master_seed, dtype=object))
     return np.array([index(v) % 2**64 for v in seeds], dtype=np.uint64)
 
@@ -274,12 +271,13 @@ def _mc_dirhkpr(graph, t, caps, f, subset, r, master_seed, weights, stats):
         if norm > 0.0:
             support = np.flatnonzero(part)
             parts.append((phase, np.cumsum(part[support]) / norm, support, sign * norm / r))
-    if not parts:
-        return np.zeros(subset.size)
     # Walks run on S's rows of the adjacency, in local indices: slot k of
     # member i holds its neighbour's local index, or -1 outside S.  A step's
     # slot floor(u * deg) needs no clamp: u <= 1 - 2**-53 and deg < 2**53.
+    # Restricting first refuses a subset of another graph's size even at f = 0.
     sl, _ = _restriction(graph, subset)
+    if not parts:
+        return np.zeros(subset.size)
     adjacency = (sl.starts, sl.degrees.astype(np.float64), sl.cols)
     acc, steps, aborted, blocks = _lockstep(
         adjacency, subset.size, parts, ts, seeds, weights, r, caps

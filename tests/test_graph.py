@@ -359,6 +359,7 @@ class TestVertexSubset:
             lambda: hk.make_boundary_problem(p4_graph, {0: 1.0}, sub),
             lambda: hk.restricted_operator(p4_graph, sub),
             lambda: hk.approx_dirhkpr(p4_graph, 1.0, np.ones(2), sub, 0.5, 0),
+            lambda: hk.approx_dirhkpr(p4_graph, 1.0, np.zeros(2), sub, 0.5, 0),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=f"^{message}$"):

@@ -200,17 +200,6 @@ class TestApproxDirhkpr:
         assert np.array_equal(run(np.int8(-1)), run(-1))
         assert np.array_equal(run(np.uint64(5)), run(5))
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
-    def test_integer_seed_arrays_match_python_ints(self, p4_graph, p4_subset, dtype):
-        # An integer seed array is cast to uint64, which wraps -1 to 2**64 - 1
-        # as the Python int path's modulo does.
-        f, t = np.array([2.0, -0.7]), np.array([2.0, 3.0, 1.5])
-        seeds = np.array([-1, 5, 100]).astype(dtype)
-        ints = np.array([-1, 5, 100], dtype=object)
-        assert np.array_equal(
-            hk.solver_approx_dirhkpr(p4_graph, t, f, p4_subset, 0.3, seeds),
-            hk.solver_approx_dirhkpr(p4_graph, t, f, p4_subset, 0.3, ints))
-
     @pytest.mark.parametrize("seed", [0.4, 1.0, np.float64(5.0), "7"])
     def test_seed_must_be_an_integer(self, p4_graph, p4_subset, seed):
         # int() would read 0.4 as seed 0 and "7" as seed 7.
