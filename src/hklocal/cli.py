@@ -274,12 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
     mc_parent.add_argument("--workers", type=_int_at_least(1), default=1,
                            help="accepted for compatibility, at least 1; sampling is "
                                 "serial and the value does not change the output")
-    mc_parent.add_argument(
-        "--constant-override",
-        type=float,
-        default=DEFAULT_SAMPLE_CONSTANT,
-        help="leading constant in the per-part walk count (default %(default)s)",
-    )
+    # Only the commands that walk take the walk-count constant.
+    walk_parent = argparse.ArgumentParser(add_help=False)
+    walk_parent.add_argument("--constant-override", type=float, default=DEFAULT_SAMPLE_CONSTANT,
+                             help="leading constant in the per-part walk count (default %(default)s)")
 
     sub.add_parser("validate", parents=[io_parent], help="check the boundary-problem conditions")
 
@@ -289,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sampled solver with the exact heat-kernel backend")
     p.add_argument("--gamma", type=float, required=True, help="solver error parameter in (0,1)")
 
-    p = sub.add_parser("solve-greens", parents=[io_parent, mc_parent],
+    p = sub.add_parser("solve-greens", parents=[io_parent, mc_parent, walk_parent],
                        help="sampled solver with the random-walk backend")
     p.add_argument("--gamma", type=float, required=True, help="solver error parameter in (0,1)")
     p.add_argument("--eps", type=float, required=True, help="walk-estimator error parameter, >= gamma")
@@ -300,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exact heat kernel pagerank of b2 at one t (CSV)")
     p.add_argument("--t", type=float, required=True, help="heat parameter t >= 0")
 
-    p = sub.add_parser("hkpr-approx", parents=[io_parent, mc_parent],
+    p = sub.add_parser("hkpr-approx", parents=[io_parent, mc_parent, walk_parent],
                        help="walk-estimated heat kernel pagerank of b2 at one t (CSV)")
     p.add_argument("--t", type=float, required=True, help="heat parameter t > 0")
     p.add_argument("--eps", type=float, required=True, help="estimator error parameter in (0,1)")

@@ -158,26 +158,27 @@ def _compact_by_table(us, vs, top):
     return original, rank[us], rank[vs]
 
 
-def _id_pairs(pairs) -> np.ndarray:
-    """``pairs`` as an (m, 2) int64 array, with no pass over one that is
-    already int64; GraphFormatError on an id that is not an integer or does
-    not fit in int64."""
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
-    ids = np.asarray(pairs)
+def _vertex_ids(values) -> np.ndarray:
+    """Caller-given vertex ids as an int64 array of their shape, with no pass
+    over one that is already int64: Python or numpy integers, or an array of
+    an integer dtype.  GraphFormatError, naming the id, on a float (even a
+    whole one) or a string, and on an id that does not fit in int64."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    ids = np.asarray(values)
     if ids.dtype != np.int64 and (ids.dtype.kind not in "iu"
                                   or int(ids.max(initial=0)) >= _ID_LIMIT):
         # Integers may read as float64 or object (numpy promotes uint64 and
         # int64 to float64), so each id is read as a Python int.
-        items = np.asarray(pairs, dtype=object).ravel()
-        for x in items:
+        items = np.asarray(values, dtype=object)
+        for x in items.flat:
             if not isinstance(x, (int, np.integer)):
                 raise GraphFormatError(f"non-integer vertex id {x!r}")
         try:
-            ids = np.array([int(x) for x in items], dtype=np.int64)
+            ids = np.array([int(x) for x in items.flat], dtype=np.int64).reshape(items.shape)
         except OverflowError:
             raise GraphFormatError("vertex id does not fit in 64 bits") from None
-    return ids.astype(np.int64, copy=False).reshape(-1, 2)
+    return ids.astype(np.int64, copy=False)
 
 
 def _lookup(graph: "Graph", token: str, ln: int) -> tuple[int, int]:
@@ -211,7 +212,7 @@ class Graph:
         string is refused.  Raises GraphFormatError on a self-loop, an id that
         is not an integer, or one that is negative or does not fit in 64 bits.
         """
-        pairs = _id_pairs(pairs)
+        pairs = _vertex_ids(pairs).reshape(-1, 2)
         us, vs = pairs[:, 0], pairs[:, 1]
         if pairs.min(initial=0) < 0 or (us == vs).any():
             bad = (pairs < 0).any(axis=1) | (us == vs)
@@ -347,10 +348,14 @@ class VertexSubset:
 
     @classmethod
     def from_iterable(cls, vertices: Iterable[int], n: int) -> "VertexSubset":
-        """The subset of compact ids in [0, n); ValueError on one out of range
-        or repeated."""
-        if getattr(vertices, "dtype", None) != np.int64 or np.ndim(vertices) != 1:
-            vertices = np.array([int(v) for v in vertices], dtype=np.int64)
+        """The subset of compact ids in [0, n), given in one dimension as
+        Python or numpy integers or an array of an integer dtype.  Raises
+        GraphFormatError, naming the id, on a float or a string, or on an id
+        that does not fit in int64, and ValueError on more dimensions or on
+        an id out of range or repeated."""
+        vertices = _vertex_ids(vertices)
+        if vertices.ndim != 1:
+            raise ValueError(f"subset vertices have shape {vertices.shape}, expected one dimension")
         members = np.sort(vertices)
         if len(members) and (members[0] < 0 or members[-1] >= n):
             raise ValueError(f"subset vertex out of range [0, {n})")
@@ -358,11 +363,7 @@ class VertexSubset:
             raise ValueError("duplicate vertex in subset")
         local_of = np.full(n, -1, dtype=np.int64)
         local_of[members] = np.arange(len(members))
-        return cls(
-            members=_frozen(members),
-            n=n,
-            local_of=_frozen(local_of),
-        )
+        return cls(members=_frozen(members), n=n, local_of=_frozen(local_of))
 
     @property
     def size(self) -> int:
@@ -494,9 +495,10 @@ def _condition_iii(sl: _Slice) -> str | None:
 
 
 def _entries(graph: Graph, b: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """b's compact ids, ascending, and their values; raises ValueError,
-    naming the vertex's original id, on a value that is not finite."""
-    keys = np.fromiter(b.keys(), np.int64, len(b))
+    """b's compact ids, ascending, and their values; raises GraphFormatError
+    as :func:`_vertex_ids` does on a key, and ValueError, naming the vertex's
+    original id, on a value that is not finite."""
+    keys = _vertex_ids(b.keys())
     values = np.fromiter(b.values(), np.float64, len(b))
     bad = ~np.isfinite(values)
     if bad.any():
@@ -528,8 +530,11 @@ def validate_b_boundable(
 ) -> list[str]:
     """The violated admissibility conditions of (graph, b, S), none when the
     support of b is nonempty and avoids S (i), meets the vertex boundary of
-    S (ii), and S is connected with a nonempty vertex boundary (iii).
-    Raises ValueError, naming the vertex, on a value of b that is not finite.
+    S (ii), and S is connected with a nonempty vertex boundary (iii).  The
+    keys of b are compact ids, Python or numpy integers that fit in int64;
+    keys outside [0, n) are ignored.  Raises GraphFormatError, naming the
+    key, on a float or a string key or one that does not fit in int64, and
+    ValueError, naming the vertex, on a value of b that is not finite.
     """
     sl, structure = _restriction(graph, subset, check=True)
     return _violations(graph, *_entries(graph, b), subset, _vertex_boundary(sl), structure)
@@ -570,9 +575,11 @@ def _by_original_id(problem: BoundaryProblem, values: np.ndarray) -> dict[str, f
 def make_boundary_problem(
     graph: Graph, b: Mapping[int, float], subset: VertexSubset
 ) -> BoundaryProblem:
-    """The :class:`BoundaryProblem` of (graph, b, S).  Raises ValueError,
-    naming the vertex, on a value of b that is not finite, then
-    BoundaryConditionError listing every violated condition, and ValueError
+    """The :class:`BoundaryProblem` of (graph, b, S), b keyed as for
+    :func:`validate_b_boundable`.  Raises GraphFormatError, naming the key,
+    on a float or a string key or one that does not fit in int64;
+    ValueError, naming the vertex, on a value of b that is not finite; then
+    BoundaryConditionError listing every violated condition; and ValueError
     when b1 or b2 overflows float64."""
     start = time.perf_counter()
     keys, values = _entries(graph, b)

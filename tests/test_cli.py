@@ -434,6 +434,14 @@ class TestRejectedInput:
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
 
+    def test_solve_local_takes_no_walk_constant(self, p4_files, capsys):
+        # Only the commands that walk take --constant-override.
+        with pytest.raises(SystemExit) as exc:
+            run(["solve-local", *_io_args(p4_files), "--gamma", "0.3", "--constant-override", "nan"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --constant-override nan" in err
+
     @pytest.mark.parametrize("argv", [
         ["hkpr-approx", "--t", "inf", "--eps", "0.3"],
         ["hkpr-approx", "--t", "nan", "--eps", "0.3"],

@@ -1,12 +1,15 @@
-"""The public surface states its contracts, and the README's example runs."""
+"""The public surface states its contracts, and the README's examples run and parse."""
 
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hklocal as hk
+from hklocal.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,3 +52,18 @@ def test_readme_quick_example_runs():
     exec(compile(block, str(README), "exec"), namespace)
     x_exact = np.asarray(namespace["x_exact"])
     assert x_exact.shape == (20,) and np.isfinite(x_exact).all()
+
+
+def test_readme_command_lines_parse():
+    # Each example of README "Command line" gives its command only flags the
+    # command takes.
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```sh\nFIX=.*?```", text, re.S).group(0)
+    lines = [line for line in block.splitlines() if line.startswith("hklocal ")]
+    assert len(lines) == 7
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            assert _build_parser().parse_args(argv).command == argv[0]
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

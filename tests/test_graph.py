@@ -284,7 +284,7 @@ class TestFromEdges:
 
     def test_int64_pairs_are_used_in_place(self):
         pairs = np.array([[0, 1], [1, 2]], dtype=np.int64)
-        assert np.shares_memory(graph_module._id_pairs(pairs), pairs)
+        assert np.shares_memory(graph_module._vertex_ids(pairs), pairs)
 
     @pytest.mark.parametrize("shift", [0, 2**40])
     @pytest.mark.parametrize("n, key", [(65_536, np.uint32), (65_537, np.int64)])
@@ -347,6 +347,33 @@ class TestVertexSubset:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
             hk.VertexSubset.from_iterable([4], 4)
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([1.9, 2], "non-integer vertex id 1.9"),
+        (["3", 0], "non-integer vertex id '3'"),
+        ([2**70], "vertex id does not fit in 64 bits"),
+    ])
+    def test_ids_must_be_int64_integers(self, vertices, message):
+        # Graph.from_edges's id rule: no float is truncated, no string parsed.
+        with pytest.raises(hk.GraphFormatError, match=f"^{message}$"):
+            hk.VertexSubset.from_iterable(vertices, 4)
+
+    @pytest.mark.parametrize("vertices", [
+        np.array([3, 0, 2], dtype=np.int32),
+        np.array([3, 0, 2], dtype=np.uint8),
+        np.array([3, 0, 2], dtype=np.uint64),
+        [np.int64(3), np.int64(0), np.int64(2)],
+    ])
+    def test_integer_ids_of_any_type(self, vertices):
+        sub = hk.VertexSubset.from_iterable(vertices, 4)
+        want = hk.VertexSubset.from_iterable([3, 0, 2], 4)
+        for name in ("members", "local_of"):
+            array = getattr(sub, name)
+            assert array.dtype == np.int64 and np.array_equal(array, getattr(want, name)), name
+
+    def test_one_dimension(self):
+        with pytest.raises(ValueError, match=r"^subset vertices have shape \(1, 2\), expected one"):
+            hk.VertexSubset.from_iterable(np.array([[1, 2]]), 4)
 
     @pytest.mark.parametrize("members, n", [([5, 6], 10), ([1, 2], 3)])
     def test_subset_of_another_graph_size_rejected(self, p4_graph, members, n):
@@ -542,6 +569,19 @@ class TestValidation:
                 call(g, compact, sub)
             assert not isinstance(err.value, hk.BoundaryConditionError)
             assert str(err.value) == f"boundary value {b[vertex]!r} at vertex {vertex} is not finite"
+
+    @pytest.mark.parametrize("key, message", [
+        (0.7, "non-integer vertex id 0.7"),
+        ("0", "non-integer vertex id '0'"),
+        (2**70, "vertex id does not fit in 64 bits"),
+    ])
+    def test_keys_must_be_int64_integers(self, p4_graph, key, message):
+        # b's keys take Graph.from_edges's id rule: 0.7 is not folded onto
+        # vertex 0.
+        sub = hk.VertexSubset.from_iterable([1, 2], p4_graph.n)
+        for call in (hk.validate_b_boundable, hk.make_boundary_problem):
+            with pytest.raises(hk.GraphFormatError, match=f"^{message}$"):
+                call(p4_graph, {key: 1.0, 3: 2.0}, sub)
 
     def test_make_boundary_problem_raises_with_violations(self, p4_graph):
         sub = hk.VertexSubset.from_iterable([1, 2], p4_graph.n)
